@@ -107,6 +107,7 @@ def cmd_regress(args) -> int:
         "n_eps": estimate.diagnostics.n_eps,
         "projection_iterations": estimate.diagnostics.projection_iterations,
         "converged": estimate.diagnostics.converged,
+        "projection_residual": estimate.diagnostics.projection_residual,
     }
     (outdir / "diagnostics.json").write_text(json.dumps(diag, indent=2))
     print("wrote %s" % theta_path)

@@ -137,6 +137,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     oracle_calls = 0
     varsigmas = []
     nonconverged = 0
+    max_residual = 0.0
     prev_epoch_data: list = []
     max_calls = math.ceil(math.log2(T)) + 1
 
@@ -157,6 +158,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             oracle_calls += 1
             if not estimate.diagnostics.converged:
                 nonconverged += 1
+            max_residual = max(max_residual, estimate.diagnostics.projection_residual)
             state = PolicyState(m, varsigma, estimate, exploration_scale)
         varsigmas.append(state.varsigma)
 
@@ -215,6 +217,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
         "oracle_calls": oracle_calls,
         "varsigmas": varsigmas,
         "nonconverged_projections": nonconverged,
+        "max_projection_residual": max_residual,
         "environment": env.basis.name,
         "functional": functional.name,
     }

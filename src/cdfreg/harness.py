@@ -225,7 +225,7 @@ def read_dataset_csv(path):
         reader = csv.DictReader(fh)
         data = []
         for row in reader:
-            xcols = sorted(k for k in row if k.startswith("x"))
+            xcols = sorted((k for k in row if k.startswith("x")), key=lambda k: int(k[1:]))
             x = np.array([float(row[k]) for k in xcols])
             data.append((x, int(row["action"]), float(row["y"])))
     return data

@@ -8,8 +8,6 @@ plays in least squares.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,32 +109,19 @@ def design_operator(basis: CdfBasis, pairs, omega_grid: QuadratureGrid,
     return DesignOperator(total, omega_grid, len(pairs))
 
 
-_decomposition_cache: "weakref.WeakKeyDictionary[DesignOperator, SpectralDecomposition]" = (
-    weakref.WeakKeyDictionary()
-)
-_cache_lock = threading.Lock()
-
-
 def spectral_decompose(op: DesignOperator) -> SpectralDecomposition:
     """Eigenpairs of the design operator under the quadrature inner product.
 
     With D = diag(weights) the weighted problem K D e = lambda e is
     symmetrized as D^(1/2) K D^(1/2); eigenfunctions D^(-1/2) v are then
-    orthonormal under the quadrature inner product. Results are memoized
-    per operator (idempotent fill, concurrent readers allowed).
+    orthonormal under the quadrature inner product.
     """
-    cached = _decomposition_cache.get(op)
-    if cached is not None:
-        return cached
     sqw = np.sqrt(op.grid.weights)
     sym = sqw[:, None] * op.kernel_matrix * sqw[None, :]
     vals, vecs = sym_eig(sym)
     vals = np.maximum(vals, 0.0)  # the operator is provably positive
     funcs = [GridFunction(op.grid, vecs[:, j] / sqw) for j in range(vals.shape[0])]
-    result = SpectralDecomposition(vals, funcs, op.grid)
-    with _cache_lock:
-        _decomposition_cache.setdefault(op, result)
-    return result
+    return SpectralDecomposition(vals, funcs, op.grid)
 
 
 def apply_operator(op: DesignOperator, theta: GridFunction) -> GridFunction:

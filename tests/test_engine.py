@@ -18,6 +18,7 @@ from cdfreg import (
     make_functional,
     run_episode,
 )
+from cdfreg.regression import KKT_TOLERANCE
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -121,6 +122,8 @@ def test_run_episode_smoke():
     gaps = [rec[5] for rec in trace.records]
     assert min(gaps) >= -1e-9
     assert trace.summary["oracle_calls"] <= math.ceil(math.log2(128)) + 1
+    assert trace.summary["nonconverged_projections"] == 0
+    assert 0.0 <= trace.summary["max_projection_residual"] <= KKT_TOLERANCE
     rounds = [r for r, _ in trace.checkpoints()]
     assert rounds == [2, 4, 8, 16, 32, 64, 128]
 

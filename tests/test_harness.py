@@ -28,6 +28,7 @@ from cdfreg.harness import (
     write_summary_json,
     write_trace_csv,
 )
+from cdfreg.regression import KKT_TOLERANCE
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -63,6 +64,16 @@ def test_dataset_csv_round_trip(tmp_path):
     for (x, a, y), (x2, a2, y2) in zip(data, back):
         assert np.allclose(x, x2)
         assert a == a2 and y == pytest.approx(y2)
+
+
+def test_dataset_csv_round_trip_keeps_context_order(tmp_path):
+    rng = np.random.default_rng(12)
+    data = [(rng.random(12), int(rng.integers(5)), float(rng.random())) for _ in range(4)]
+    path = tmp_path / "data12.csv"
+    write_dataset_csv(data, path)
+    back = read_dataset_csv(path)
+    for (x, _, _), (x2, _, _) in zip(data, back):
+        assert np.allclose(x, x2)
 
 
 def test_trace_round_trip_and_summary(tmp_path):
@@ -176,6 +187,8 @@ def test_cli_regress_and_sweep(tmp_path, capsys):
     assert (tmp_path / "out" / "theta_hat.csv").exists()
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert diag["n_eps"] >= 1
+    assert diag["converged"] is True
+    assert 0.0 <= diag["projection_residual"] <= KKT_TOLERANCE
     capsys.readouterr()
     assert main(["sweep", "--config", str(cpath)]) == 0
     sweep_rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()

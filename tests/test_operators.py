@@ -12,12 +12,16 @@ from cdfreg import (
     design_operator,
     estimate_eigendecay,
     functional_determinant,
+    generate_dataset,
     make_catalog_env,
     point_kernel,
+    regress,
     sample_context,
     spectral_decompose,
+    sym_eig,
     weighted_norm,
 )
+from cdfreg import operators
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -120,10 +124,18 @@ def test_functional_determinant_cutoff_validation():
         functional_determinant(spec, spec.eigenvalues.shape[0] + 1)
 
 
-def test_spectral_decompose_memoized():
-    env = make_catalog_env("kumaraswamy", OMEGA, S)
-    op = design_operator(env.basis, _random_pairs(env, 2, 31), OMEGA, S)
-    assert spectral_decompose(op) is spectral_decompose(op)
+def test_regress_decomposes_design_operator_once(monkeypatch):
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    data = generate_dataset(env, 16, np.random.default_rng(31))
+    calls = []
+
+    def counting_sym_eig(matrix):
+        calls.append(matrix.shape)
+        return sym_eig(matrix)
+
+    monkeypatch.setattr(operators, "sym_eig", counting_sym_eig)
+    regress(data, env.basis, 0.1, 2.0, OMEGA, S)
+    assert calls == [(OMEGA.size, OMEGA.size)]
 
 
 def test_eigenfunctions_quadrature_orthonormal():

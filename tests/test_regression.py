@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdfreg import (
+    DesignOperator,
     GridFunction,
     build_cdf_grid,
     build_uniform_grid,
@@ -17,10 +18,13 @@ from cdfreg import (
     predict_cdf,
     project_to_C,
     regress,
+    sample_context,
     select_truncation,
     spectral_decompose,
 )
-from cdfreg.regression import TruncationPlan
+from cdfreg import regression
+from cdfreg.operators import weighted_quadratic
+from cdfreg.regression import KKT_TOLERANCE, TruncationPlan
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -129,6 +133,58 @@ def test_projection_rejects_small_M():
     op = design_operator(env.basis, [(np.array([0.1, 0.1]), 0)], OMEGA, S)
     with pytest.raises(ValueError):
         project_to_C(GridFunction(OMEGA, np.ones(OMEGA.size)), op, 0.5)
+
+
+def _criterion4_operator(rng):
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    pairs = [(sample_context(env, rng), int(rng.integers(5))) for _ in range(16)]
+    return design_operator(env.basis, pairs, OMEGA, S)
+
+
+def _clipped_start(x, M):
+    w = OMEGA.weights
+    return regression._cap_l2_norm(regression._project_unit_mass(x, w), w, M)
+
+
+def test_projection_is_optimal():
+    rng = np.random.default_rng(44)
+    op = _criterion4_operator(rng)
+    M = 2.0
+    points = [_clipped_start(rng.exponential(size=OMEGA.size) ** 3, M) for _ in range(50)]
+    for _ in range(5):
+        x = rng.normal(1.0, 0.8, OMEGA.size)
+        est = project_to_C(GridFunction(OMEGA, x), op, M)
+        assert est.diagnostics.converged
+        assert est.diagnostics.projection_residual <= KKT_TOLERANCE
+        theta = est.theta_hat.values
+        best = weighted_quadratic(op, theta - x)
+        slack = 1e-9 * best + 1e-15
+        assert best <= weighted_quadratic(op, _clipped_start(x, M) - x) + slack
+        for p in points:
+            assert best <= weighted_quadratic(op, p - x) + slack
+            # C is convex, so a short step toward p stays in C; at the
+            # projection no feasible direction decreases the objective
+            near = theta + 1e-3 * (p - theta)
+            assert best <= weighted_quadratic(op, near - x) + slack
+
+
+def test_projection_fallback_is_not_converged(monkeypatch):
+    op = _criterion4_operator(np.random.default_rng(45))
+    x = np.random.default_rng(46).normal(1.0, 0.8, OMEGA.size)
+    # a face solver that loses all mass forces the fallback to the start
+    monkeypatch.setattr(regression, "_active_set_face",
+                        lambda quad, bx, w, start: (np.zeros_like(start), 1))
+    est = project_to_C(GridFunction(OMEGA, x), op, 2.0)
+    assert not est.diagnostics.converged
+    assert np.array_equal(est.theta_hat.values, _clipped_start(x, 2.0))
+
+
+def test_projection_zero_operator_returns_start():
+    x = np.random.default_rng(47).normal(1.0, 0.8, OMEGA.size)
+    op = DesignOperator(np.zeros((OMEGA.size, OMEGA.size)), OMEGA, 1)
+    est = project_to_C(GridFunction(OMEGA, x), op, 2.0)
+    assert est.diagnostics.converged and est.diagnostics.projection_iterations == 0
+    assert np.array_equal(est.theta_hat.values, _clipped_start(x, 2.0))
 
 
 def test_error_budget_hand_value():
