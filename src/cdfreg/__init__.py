@@ -18,6 +18,7 @@ from .operators import (
     DesignOperator,
     EigendecayFit,
     apply_operator,
+    basis_values,
     design_operator,
     estimate_eigendecay,
     functional_determinant,
@@ -49,7 +50,7 @@ from .functionals import (
 )
 from .environments import (
     Environment,
-    SampleRecord,
+    inverse_cdf,
     make_catalog_env,
     optimal_action,
     sample_context,

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import Environment, sample_context
+from .environments import Environment, inverse_cdf, sample_context
 from .functionals import UtilityFunctional
 from .numerics import GridFunction
+from .operators import basis_values
 from .regression import CoefficientEstimate, ErrorBudget, error_budget, regress
 
 
@@ -104,11 +105,6 @@ def exploration_param(m: int, delta: float, K: int, budget: ErrorBudget,
     return scale * 0.5 * math.sqrt(K / budget.est)
 
 
-def _utilities_from_phi(phi, s_grid, omega_grid, theta_values, functional):
-    values = (omega_grid.weights * theta_values) @ phi
-    return functional(GridFunction(s_grid, values))
-
-
 def run_episode(env: Environment, functional: UtilityFunctional, T: int,
                 delta: float, gamma: float, M: float, seed: int,
                 exploration_scale: float = 1.0, s0: float = 1.0,
@@ -131,6 +127,8 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     omega_grid, s_grid = env.omega_grid, env.s_grid
     s_coords = s_grid.coords()
     w_theta_star = omega_grid.weights * env.theta_star.values
+    actions = np.arange(K)
+    contexts = np.empty((K, env.context_dim))  # the round's context, once per action
 
     records = []
     cum_regret = 0.0
@@ -163,30 +161,21 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
         varsigmas.append(state.varsigma)
 
         epoch_data = []
+        if state.theta_hat is not None:
+            w_theta_hat = omega_grid.weights * state.theta_hat.theta_hat.values
         for t in range(lo + 1, hi + 1):
             x = sample_context(env, rng)
-            true_utils = np.empty(K)
-            if state.theta_hat is not None:
-                est_utils = np.empty(K)
-                w_theta_hat = omega_grid.weights * state.theta_hat.theta_hat.values
-            true_cdf_vals = []
-            for a in range(K):
-                phi = np.asarray(basis.eval_matrix(x, a, omega_grid.nodes, s_coords))
-                f_vals = w_theta_star @ phi
-                true_cdf_vals.append(f_vals)
-                true_utils[a] = functional(GridFunction(s_grid, f_vals))
-                if state.theta_hat is not None:
-                    est_utils[a] = functional(GridFunction(s_grid, w_theta_hat @ phi))
+            contexts[:] = x
+            phi = basis_values(basis, contexts, actions, omega_grid, s_grid)
+            true_cdfs = w_theta_star @ phi
+            true_utils = np.array([functional(GridFunction(s_grid, f)) for f in true_cdfs])
             if state.theta_hat is None:
                 p = np.full(K, 1.0 / K)
             else:
+                est_utils = [functional(GridFunction(s_grid, f)) for f in w_theta_hat @ phi]
                 p = igw_distribution(est_utils, state.varsigma)
             a_t = int(rng.choice(K, p=p))
-            # inverse-CDF outcome draw from the already-computed true CDF
-            f_vals = true_cdf_vals[a_t]
-            u = rng.random()
-            y = float(s_coords[min(int(np.searchsorted(f_vals, u, side="left")),
-                                   s_grid.size - 1)])
+            y = float(inverse_cdf(true_cdfs[a_t], rng.random(), s_coords))
             a_star = int(np.argmax(true_utils))
             gap = float(true_utils[a_star] - true_utils[a_t])
             cum_regret += gap

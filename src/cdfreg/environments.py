@@ -4,12 +4,12 @@ optimal actions for regret accounting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import GridFunction, QuadratureGrid
-from .operators import CdfBasis
+from .operators import CdfBasis, basis_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,8 +20,6 @@ class Environment:
     s_grid: QuadratureGrid
     context_dim: int
     action_count: int
-    context_sampler: str = "uniform"
-    rng_seed: int = 0
 
     def __post_init__(self):
         th = self.theta_star
@@ -33,50 +31,36 @@ class Environment:
             raise ValueError("theta_star exceeds the norm bound M")
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    context: np.ndarray
-    action: int
-    outcome: float
-    round: int
+# Catalog evaluators take contexts X (B, d), actions A (B,), Omega nodes
+# (n_w, dim) and outcome coordinates s (n_s,), and return (B, n_w, n_s).
 
-    def __post_init__(self):
-        if not 0.0 <= self.outcome <= 1.0:
-            raise ValueError("outcome outside S")
-        if self.action < 0:
-            raise ValueError("negative action index")
+def _rank1_eval(X, A, omega_nodes, s):
+    return np.broadcast_to(s, (A.shape[0], omega_nodes.shape[0], s.shape[0])).copy()
 
 
-def _context_mean(x) -> float:
-    return float(np.mean(np.atleast_1d(np.asarray(x, dtype=float))))
-
-
-def _rank1_eval(x, a, omega_nodes, s):
-    nw = omega_nodes.shape[0]
-    return np.broadcast_to(s, (nw, s.shape[0])).copy()
-
-
-def _kumaraswamy_eval(x, a, omega_nodes, s):
-    xm = _context_mean(x)
+def _kumaraswamy_eval(X, A, omega_nodes, s):
+    xm = X.mean(axis=1)[:, None]
+    a1 = (A + 1)[:, None]
     wm = omega_nodes.mean(axis=1)
-    g1 = 0.5 * (1.0 + np.sin(2.0 * np.pi * (xm + 0.7 * wm + 0.31 * (a + 1))))
-    g2 = 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * wm + 0.13 * (a + 1))))
+    g1 = 0.5 * (1.0 + np.sin(2.0 * np.pi * (xm + 0.7 * wm + 0.31 * a1)))
+    g2 = 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * wm + 0.13 * a1)))
     alpha = 1.0 + g1
     beta = 1.0 + g2
-    return 1.0 - (1.0 - s[None, :] ** alpha[:, None]) ** beta[:, None]
+    return 1.0 - (1.0 - s ** alpha[:, :, None]) ** beta[:, :, None]
 
 
-def _finite_rank_eval(rank, x, a, omega_nodes, s):
+def _finite_rank_eval(rank, X, A, omega_nodes, s):
     # cell c carries the CDF of a uniform law on a short interval inside
     # [c/rank, (c+1)/rank]; the interval's offset moves with (x, a).  The
     # staggered supports keep all `rank` Gram eigenvalues well separated
     # from zero, unlike smooth families whose spectra collapse numerically.
-    xm = _context_mean(x)
+    xm = X.mean(axis=1)[:, None]
+    a1 = (A + 1)[:, None]
     cell = np.minimum((omega_nodes[:, 0] * rank).astype(int), rank - 1)
-    u = 0.5 * (1.0 + np.sin(2.0 * np.pi * (0.9 * xm + 0.41 * (a + 1) + 1.7 * (cell + 1) / rank)))
+    u = 0.5 * (1.0 + np.sin(2.0 * np.pi * (0.9 * xm + 0.41 * a1 + 1.7 * (cell + 1) / rank)))
     width = 0.5 / rank
     left = cell / rank + (1.0 / rank - width) * u
-    return np.clip((s[None, :] - left[:, None]) / width, 0.0, 1.0)
+    return np.clip((s - left[:, :, None]) / width, 0.0, 1.0)
 
 
 def _bump_theta_star(omega_grid: QuadratureGrid, bumps, M: float) -> GridFunction:
@@ -99,7 +83,7 @@ DEFAULT_BUMPS = (((0.3,), 2.0, 0.12), ((0.75,), -0.8, 0.1))
 def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGrid,
                      context_dim: int = 2, action_count: int = 5,
                      theta_star: str = "uniform", bumps=DEFAULT_BUMPS,
-                     rank: int = 8, rng_seed: int = 0) -> Environment:
+                     rank: int = 8) -> Environment:
     """Catalog environments.
 
     rank1-uniform: phi(x,a,w,s) = s for every argument (degenerate sanity
@@ -118,8 +102,8 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
                          covering_constant_A=1.0, context_dim=context_dim,
                          omega_dim=omega_grid.dim)
     elif name == "finite-rank-r":
-        def evaluator(x, a, omega_nodes, s, _rank=rank):
-            return _finite_rank_eval(_rank, x, a, omega_nodes, s)
+        def evaluator(X, A, omega_nodes, s, _rank=rank):
+            return _finite_rank_eval(_rank, X, A, omega_nodes, s)
 
         # piecewise-constant in w: L0 is an empirical constant for the
         # random-pair spot check, not a true Lipschitz bound across cell
@@ -139,14 +123,13 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     else:
         raise ValueError("unknown theta_star %r" % theta_star)
 
-    return Environment(basis, theta, omega_grid, s_grid, context_dim,
-                       action_count, rng_seed=rng_seed)
+    return Environment(basis, theta, omega_grid, s_grid, context_dim, action_count)
 
 
 def true_cdf(env: Environment, x, a: int, s_grid: QuadratureGrid | None = None) -> GridFunction:
     """F*(x, a, s_k) as the quadrature mixture of basis CDFs."""
     s_grid = env.s_grid if s_grid is None else s_grid
-    phi = np.asarray(env.basis.eval_matrix(x, a, env.omega_grid.nodes, s_grid.coords()))
+    phi = basis_values(env.basis, [x], [a], env.omega_grid, s_grid)[0]
     values = (env.omega_grid.weights * env.theta_star.values) @ phi
     return GridFunction(s_grid, values)
 
@@ -155,15 +138,19 @@ def sample_context(env: Environment, rng: np.random.Generator) -> np.ndarray:
     return rng.random(env.context_dim)
 
 
+def inverse_cdf(cdf_values: np.ndarray, u, s_coords: np.ndarray):
+    """Inverse-CDF draws snapped to the outcome grid: for each uniform u the
+    smallest node s_k with F(s_k) >= u, i.e. searchsorted(F, u, "left")
+    clamped to the last node."""
+    idx = np.searchsorted(cdf_values, u, side="left")
+    return s_coords[np.minimum(idx, s_coords.shape[0] - 1)]
+
+
 def sample_outcomes(env: Environment, x, a: int, size: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws snapped to the outcome grid: the smallest node s
-    with F*(x, a, s) >= u."""
+    """``size`` inverse-CDF draws from F*(x, a, .) on the outcome grid."""
     f = true_cdf(env, x, a)
-    u = rng.random(size)
-    idx = np.searchsorted(f.values, u, side="left")
-    idx = np.minimum(idx, f.grid.size - 1)
-    return f.grid.coords()[idx]
+    return inverse_cdf(f.values, rng.random(size), f.grid.coords())
 
 
 def sample_outcome(env: Environment, x, a: int, rng: np.random.Generator) -> float:

@@ -92,12 +92,21 @@ def smoothed_quantile_functional(q: float, h: float = 0.05) -> UtilityFunctional
 
 
 def expected_penalty_functional(loss_row) -> UtilityFunctional:
+    """T(F) = -sum_k l_k F(s_k) on a ``build_cdf_grid`` outcome grid.
+
+    By Cauchy-Schwarz, |sum_k l_k d_k| <= sqrt(sum_k l_k^2 / w_k)
+    * sqrt(sum_k w_k d_k^2), so with the grid's weights w_k = 1/n_s the
+    constant is L = sqrt(n_s) ||l||. Grids with other weights are refused.
+    """
     loss_row = np.asarray(loss_row, dtype=float)
+    s_weights = np.full(loss_row.shape, 1.0 / loss_row.size)
 
     def evaluator(F: GridFunction) -> float:
+        if not np.array_equal(F.grid.weights, s_weights):
+            raise ValueError("expected_penalty needs a uniform outcome grid of len(loss_row) nodes")
         return eval_expected_penalty(F.values, loss_row)
 
-    L = float(np.linalg.norm(loss_row))
+    L = float(np.sqrt(np.sum(loss_row**2 / s_weights)))
     return UtilityFunctional("expected_penalty", L, evaluator, {"loss_row": loss_row.tolist()})
 
 

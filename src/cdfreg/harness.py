@@ -13,15 +13,15 @@ import numpy as np
 from .engine import RegretTrace, run_episode
 from .environments import (
     Environment,
+    inverse_cdf,
     make_catalog_env,
     sample_context,
-    sample_outcome,
+    true_cdf,
 )
 from .functionals import make_functional
 from .numerics import build_cdf_grid, build_uniform_grid
-from .operators import estimate_eigendecay
+from .operators import basis_chunks, estimate_eigendecay
 from .regression import predict_cdf, regress
-from .environments import true_cdf
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,24 @@ def resolve_gamma(config: ExperimentConfig, env: Environment,
 
 
 def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
-    """n i.i.d. records with uniform contexts and uniform actions."""
-    data = []
-    for _ in range(n):
-        x = sample_context(env, rng)
-        a = int(rng.integers(env.action_count))
-        y = sample_outcome(env, x, a, rng)
-        data.append((x, a, y))
-    return data
+    """n i.i.d. records with uniform contexts and uniform actions.
+
+    Per record the draws are context, action, then the outcome's uniform;
+    outcomes are inverse-CDF draws from true CDFs evaluated chunk by chunk.
+    """
+    X = np.empty((n, env.context_dim))
+    A = np.empty(n, dtype=int)
+    u = np.empty(n)
+    for i in range(n):
+        X[i] = sample_context(env, rng)
+        A[i] = rng.integers(env.action_count)
+        u[i] = rng.random()
+    w_theta = env.omega_grid.weights * env.theta_star.values
+    s_coords = env.s_grid.coords()
+    y = np.empty(n)
+    for sl, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
+        y[sl] = [inverse_cdf(F, v, s_coords) for F, v in zip(w_theta @ phi, u[sl])]
+    return [(X[i], int(A[i]), float(y[i])) for i in range(n)]
 
 
 def heldout_cdf_error(estimate, env: Environment, n_pairs: int,

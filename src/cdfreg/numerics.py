@@ -86,15 +86,15 @@ class GridFunction:
         return float(np.sqrt(self.grid.weights @ self.values**2))
 
 
-def same_grid(f: GridFunction, g: GridFunction) -> bool:
-    if f.grid is g.grid:
+def same_grid(a: QuadratureGrid, b: QuadratureGrid) -> bool:
+    if a is b:
         return True
-    return f.grid.size == g.grid.size and np.array_equal(f.grid.nodes, g.grid.nodes)
+    return a.size == b.size and np.array_equal(a.nodes, b.nodes)
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Quadrature inner product sum_i w_i f_i g_i."""
-    if not same_grid(f, g):
+    if not same_grid(f.grid, g.grid):
         raise ValueError("grid functions live on different grids")
     return float(np.sum(f.grid.weights * f.values * g.values))
 

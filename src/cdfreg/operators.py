@@ -16,8 +16,14 @@ from .numerics import (
     GridFunction,
     QuadratureGrid,
     SpectralDecomposition,
+    same_grid,
     sym_eig,
 )
+
+# Pairs per basis evaluation in chunked passes over a dataset: a chunk's
+# phi is BASIS_CHUNK * n_w * n_s doubles (256 KB on the default 32 x 64
+# grids), so no pass holds an array that grows with the dataset.
+BASIS_CHUNK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,12 +31,16 @@ class CdfBasis:
     """A family of CDFs phi(x, a, w, .) indexed by w, with its regularity
     constants.
 
-    ``eval_matrix(x, a, omega_nodes, s_coords)`` returns the (n_w, n_s)
-    array of phi values; it must broadcast over nodes. ``lipschitz_L0``
-    bounds |phi(x,a,w,s) - phi(x,a,r,s)| / ||w - r||_inf, ``kernel_floor_eta``
-    lower-bounds the point-kernel entries, ``coeff_norm_bound_M`` bounds the
-    L2 norm of admissible coefficient functions, and ``covering_constant_A``
-    enters the covering-number constant of the random-design error bound.
+    ``eval_matrix(X, A, omega_nodes, s_coords)`` is batched: for B contexts
+    X of shape (B, d) and B actions A of shape (B,) it returns the
+    (B, n_w, n_s) array of phi values, row b for the pair (X[b], A[b]). A
+    single pair is a batch of one. Callers go through ``basis_values``,
+    which checks the shape and the [0, 1] range once per batch.
+    ``lipschitz_L0`` bounds |phi(x,a,w,s) - phi(x,a,r,s)| / ||w - r||_inf,
+    ``kernel_floor_eta`` lower-bounds the point-kernel entries,
+    ``coeff_norm_bound_M`` bounds the L2 norm of admissible coefficient
+    functions, and ``covering_constant_A`` enters the covering-number
+    constant of the random-design error bound.
     """
 
     name: str
@@ -85,28 +95,55 @@ class EigendecayFit:
         object.__setattr__(self, "tau", tau)
 
 
+def basis_values(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
+                 s_grid: QuadratureGrid) -> np.ndarray:
+    """phi[b, i, k] = phi(X[b], A[b], w_i, s_k), checked against the basis
+    contract: shape (B, n_w, n_s) and values in [0, 1]."""
+    A = np.asarray(A, dtype=int).reshape(-1)
+    X = np.asarray(X, dtype=float).reshape(A.shape[0], -1)
+    phi = np.asarray(basis.eval_matrix(X, A, omega_grid.nodes, s_grid.coords()))
+    if phi.shape != (A.shape[0], omega_grid.size, s_grid.size):
+        raise ValueError("basis evaluator returned a wrong-shaped array")
+    if np.min(phi) < -1e-9 or np.max(phi) > 1.0 + 1e-9:
+        raise ValueError("basis contract violation: phi outside [0, 1]")
+    return phi
+
+
+def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
+                 s_grid: QuadratureGrid):
+    """Yield (slice, phi) over successive chunks of BASIS_CHUNK pairs."""
+    X, A = np.asarray(X, dtype=float), np.asarray(A, dtype=int)
+    for lo in range(0, A.shape[0], BASIS_CHUNK):
+        sl = slice(lo, lo + BASIS_CHUNK)
+        yield sl, basis_values(basis, X[sl], A[sl], omega_grid, s_grid)
+
+
+def kernel_sum(phi: np.ndarray, s_weights: np.ndarray) -> np.ndarray:
+    """sum_b sum_k s_w_k phi[b,i,k] phi[b,j,k], one batched product for the
+    chunk; not symmetrized."""
+    return ((phi * s_weights) @ phi.transpose(0, 2, 1)).sum(axis=0)
+
+
 def point_kernel(basis: CdfBasis, x, a: int, omega_grid: QuadratureGrid,
                  s_grid: QuadratureGrid) -> np.ndarray:
     """Kernel matrix K[i,j] = sum_k s_w_k phi(x,a,w_i,s_k) phi(x,a,w_j,s_k)."""
-    phi = np.asarray(basis.eval_matrix(x, a, omega_grid.nodes, s_grid.coords()))
-    if phi.shape != (omega_grid.size, s_grid.size):
-        raise ValueError("basis evaluator returned a wrong-shaped matrix")
-    if np.min(phi) < -1e-9 or np.max(phi) > 1.0 + 1e-9:
-        raise ValueError("basis contract violation: phi outside [0, 1]")
-    k = (phi * s_grid.weights) @ phi.T
+    k = kernel_sum(basis_values(basis, [x], [a], omega_grid, s_grid), s_grid.weights)
     return (k + k.T) / 2.0
 
 
 def design_operator(basis: CdfBasis, pairs, omega_grid: QuadratureGrid,
                     s_grid: QuadratureGrid) -> DesignOperator:
-    """Sum point kernels over (context, action) pairs."""
+    """Sum point kernels over (context, action) pairs, one contraction per
+    chunk of pairs."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("pair list must be nonempty")
+    X = [x for x, _ in pairs]
+    A = [a for _, a in pairs]
     total = np.zeros((omega_grid.size, omega_grid.size))
-    for x, a in pairs:
-        total += point_kernel(basis, x, a, omega_grid, s_grid)
-    return DesignOperator(total, omega_grid, len(pairs))
+    for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
+        total += kernel_sum(phi, s_grid.weights)
+    return DesignOperator((total + total.T) / 2.0, omega_grid, len(pairs))
 
 
 def spectral_decompose(op: DesignOperator) -> SpectralDecomposition:
@@ -126,7 +163,7 @@ def spectral_decompose(op: DesignOperator) -> SpectralDecomposition:
 
 def apply_operator(op: DesignOperator, theta: GridFunction) -> GridFunction:
     """(U theta)(w_i) = sum_j weight_j K[i,j] theta_j."""
-    if theta.grid is not op.grid and not np.array_equal(theta.grid.nodes, op.grid.nodes):
+    if not same_grid(theta.grid, op.grid):
         raise ValueError("theta lives on a different grid than the operator")
     return GridFunction(op.grid, op.kernel_matrix @ (op.grid.weights * theta.values))
 
@@ -139,7 +176,7 @@ def weighted_quadratic(op: DesignOperator, theta_values: np.ndarray) -> float:
 
 def weighted_norm(theta: GridFunction, op: DesignOperator) -> float:
     """The seminorm sqrt(<theta, U_D theta>)."""
-    if theta.grid is not op.grid and not np.array_equal(theta.grid.nodes, op.grid.nodes):
+    if not same_grid(theta.grid, op.grid):
         raise ValueError("theta lives on a different grid than the operator")
     q = weighted_quadratic(op, theta.values)
     if q < -1e-10:

@@ -17,11 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import GridFunction, QuadratureGrid, SpectralDecomposition
+from .numerics import GridFunction, QuadratureGrid, SpectralDecomposition, same_grid
 from .operators import (
     CdfBasis,
     DesignOperator,
-    design_operator,
+    basis_chunks,
+    basis_values,
+    kernel_sum,
     spectral_decompose,
     weighted_quadratic,
 )
@@ -114,7 +116,7 @@ def select_truncation(spec: SpectralDecomposition, n: int, gamma: float,
 def pseudo_inverse_apply(spec: SpectralDecomposition, plan: TruncationPlan,
                          g: GridFunction) -> GridFunction:
     """sum_{i <= N_eps} (1/lambda_i) <g, e_i> e_i; zero when nothing is retained."""
-    if g.grid is not spec.grid and not np.array_equal(g.grid.nodes, spec.grid.nodes):
+    if not same_grid(g.grid, spec.grid):
         raise ValueError("input lives on a different grid")
     out = np.zeros(spec.grid.size)
     if plan.n_eps == 0:
@@ -133,16 +135,29 @@ def _check_dataset(dataset):
     return dataset
 
 
+def _chunked_pass(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
+                  s_grid: QuadratureGrid):
+    """The one pass over a dataset's samples: per chunk, phi (B, n_w, n_s)
+    and the indicator targets 1{s_k >= y_j} (B, n_s)."""
+    dataset = _check_dataset(dataset)
+    s = s_grid.coords()
+    X = [x for x, _, _ in dataset]
+    A = [a for _, a, _ in dataset]
+    y = np.array([y for _, _, y in dataset], dtype=float)
+    for sl, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
+        yield phi, (s >= y[sl, None]).astype(float)
+
+
+def _target_of(phi, indicator, s_weights):
+    return np.einsum("bws,bs->w", phi, indicator * s_weights)
+
+
 def empirical_target(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
                      s_grid: QuadratureGrid) -> GridFunction:
     """sum_j integral_S 1{y_j <= s} phi(x_j, a_j, w, s) dm(s) on the Omega grid."""
-    dataset = _check_dataset(dataset)
-    s = s_grid.coords()
     total = np.zeros(omega_grid.size)
-    for x, a, y in dataset:
-        phi = np.asarray(basis.eval_matrix(x, a, omega_grid.nodes, s))
-        indicator = (s >= y).astype(float)
-        total += phi @ (s_grid.weights * indicator)
+    for phi, indicator in _chunked_pass(dataset, basis, omega_grid, s_grid):
+        total += _target_of(phi, indicator, s_grid.weights)
     return GridFunction(omega_grid, total)
 
 
@@ -150,16 +165,30 @@ def loss(theta: GridFunction, dataset, basis: CdfBasis,
          omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> float:
     """Summed squared L2(S) distance between indicator targets and the
     mixture CDFs induced by theta."""
-    dataset = _check_dataset(dataset)
-    s = s_grid.coords()
     wtheta = omega_grid.weights * theta.values
     total = 0.0
-    for x, a, y in dataset:
-        phi = np.asarray(basis.eval_matrix(x, a, omega_grid.nodes, s))
-        predicted = wtheta @ phi
-        indicator = (s >= y).astype(float)
-        total += float(s_grid.weights @ (indicator - predicted) ** 2)
+    for phi, indicator in _chunked_pass(dataset, basis, omega_grid, s_grid):
+        total += float(np.sum((indicator - wtheta @ phi) ** 2 @ s_grid.weights))
     return total
+
+
+def data_statistics(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
+                    s_grid: QuadratureGrid):
+    """Everything the oracle needs from a dataset, from one basis pass: the
+    design operator, the empirical target, and the summed squared L2(S)
+    norm of the indicator targets."""
+    kernel = np.zeros((omega_grid.size, omega_grid.size))
+    target = np.zeros(omega_grid.size)
+    indicator_sq, count = 0.0, 0
+    for phi, indicator in _chunked_pass(dataset, basis, omega_grid, s_grid):
+        kernel += kernel_sum(phi, s_grid.weights)
+        target += _target_of(phi, indicator, s_grid.weights)
+        indicator_sq += float(np.sum(indicator @ s_grid.weights))  # 0/1, so ind^2 = ind
+        count += phi.shape[0]
+    if count == 0:
+        raise ValueError("dataset must be nonempty")
+    op = DesignOperator((kernel + kernel.T) / 2.0, omega_grid, count)
+    return op, GridFunction(omega_grid, target), indicator_sq
 
 
 def solve_least_squares(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
@@ -369,7 +398,7 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
 def predict_cdf(estimate: CoefficientEstimate, basis: CdfBasis, x, a: int,
                 omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> GridFunction:
     """F_hat(x, a, s_k) = sum_i w_i theta_hat_i phi(x, a, w_i, s_k)."""
-    phi = np.asarray(basis.eval_matrix(x, a, omega_grid.nodes, s_grid.coords()))
+    phi = basis_values(basis, [x], [a], omega_grid, s_grid)[0]
     values = (omega_grid.weights * estimate.theta_hat.values) @ phi
     return GridFunction(s_grid, values)
 
@@ -378,15 +407,16 @@ def regress(dataset, basis: CdfBasis, gamma: float, M: float,
             omega_grid: QuadratureGrid, s_grid: QuadratureGrid,
             epsilon: float | None = None) -> CoefficientEstimate:
     """The full oracle: design operator, spectral truncation, least squares,
-    projection onto C. Deterministic given its inputs."""
-    dataset = _check_dataset(dataset)
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
-    op = design_operator(basis, [(x, a) for x, a, _ in dataset], omega_grid, s_grid)
+    projection onto C. Deterministic given its inputs. One basis pass
+    yields the design operator, the target and the loss diagnostic."""
+    op, target, indicator_sq = data_statistics(dataset, basis, omega_grid, s_grid)
     spec = spectral_decompose(op)
-    plan = select_truncation(spec, len(dataset), gamma, epsilon=epsilon)
-    theta_d = solve_least_squares(dataset, basis, omega_grid, s_grid, spec, plan)
+    plan = select_truncation(spec, op.data_count, gamma, epsilon=epsilon)
+    theta_d = pseudo_inverse_apply(spec, plan, target)
     estimate = project_to_C(theta_d, op, M)
-    diag = replace(estimate.diagnostics, n_eps=plan.n_eps,
-                   loss=loss(estimate.theta_hat, dataset, basis, omega_grid, s_grid))
-    return CoefficientEstimate(estimate.theta_hat, M, diag)
+    # loss = sum_j ||ind_j - F_theta_j||^2 expanded over the pass's sums
+    theta = estimate.theta_hat
+    fit = (indicator_sq - 2.0 * float((omega_grid.weights * theta.values) @ target.values)
+           + weighted_quadratic(op, theta.values))
+    diag = replace(estimate.diagnostics, n_eps=plan.n_eps, loss=fit)
+    return CoefficientEstimate(theta, M, diag)

@@ -88,14 +88,23 @@ def test_sample_outcome_uniform_inversion():
     assert np.allclose(y, np.ceil(0.3 * 64) / 64)
 
 
+def test_inverse_cdf_is_clamped_left_searchsorted():
+    from cdfreg import inverse_cdf
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    F = true_cdf(env, np.array([0.3, 0.6]), 2).values
+    u = np.array([0.0, F[10], 0.5, 0.999, 1.0])
+    expected = S.coords()[np.minimum(np.searchsorted(F, u, side="left"), S.size - 1)]
+    assert np.array_equal(inverse_cdf(F, u, S.coords()), expected)
+    assert inverse_cdf(F, F[10], S.coords()) == S.coords()[10]
+    # uniforms beyond the last CDF value clamp to the last node
+    assert inverse_cdf(np.full(S.size, 0.5), 0.9, S.coords()) == S.coords()[-1]
+
+
 def test_sample_outcome_mass_at_first_node():
-    env = make_catalog_env("rank1-uniform", OMEGA, S)
-    env_mass = make_catalog_env("rank1-uniform", OMEGA, S)
-    # force F identically 1 by sampling from a constant-one CDF directly
-    f = true_cdf(env_mass, np.array([0.1, 0.1]), 0)
-    one = np.ones_like(f.values)
-    idx = np.searchsorted(one, 0.999, side="left")
-    assert S.coords()[idx] == S.coords()[0]
+    from cdfreg import inverse_cdf
+    # a CDF identically 1 puts all mass on the first node
+    draws = inverse_cdf(np.ones(S.size), np.array([0.0, 0.5, 0.999, 1.0]), S.coords())
+    assert np.all(draws == S.coords()[0])
 
 
 def test_sampling_reproducible_under_seed():

@@ -119,3 +119,53 @@ def test_functional_empirical_lipschitz():
         dist = np.sqrt(float(S.weights @ (u - v) ** 2))
         for fn in fns:
             assert abs(fn(F) - fn(G)) <= fn.lipschitz_L * dist + 1e-9
+
+
+def _random_cdf_pair(rng, grid):
+    """Two monotone CDFs ending at 1: random mixtures of a smooth part and
+    a few point masses, so the pair ranges from near-equal to far apart."""
+    def draw():
+        mass = rng.dirichlet(np.full(grid.size, rng.choice([0.05, 1.0, 20.0])))
+        steps = np.zeros(grid.size)
+        steps[rng.integers(grid.size, size=3)] += rng.dirichlet(np.ones(3))
+        t = rng.random()
+        return np.cumsum(t * mass + (1.0 - t) * steps)
+
+    F = np.minimum(draw(), 1.0)
+    G = F + rng.choice([1e-3, 1.0]) * (np.minimum(draw(), 1.0) - F)
+    F[-1] = G[-1] = 1.0
+    return GridFunction(grid, F), GridFunction(grid, G)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("mean", {}),
+    ("variance", {}),
+    ("smoothed_quantile", {"q": 0.3, "h": 0.05}),
+    ("expected_penalty", {"loss_row": np.random.default_rng(3).random(64) * 1.2}),
+])
+def test_declared_lipschitz_constant_holds(name, params):
+    grid = build_cdf_grid(64)
+    fn = make_functional(name, **params)
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(2000):
+        F, G = _random_cdf_pair(rng, grid)
+        dist = float(np.sqrt(grid.weights @ (F.values - G.values) ** 2))
+        if dist > 0.0:
+            worst = max(worst, abs(fn(F) - fn(G)) / dist)
+    assert worst <= fn.lipschitz_L * (1.0 + 1e-9), (worst, fn.lipschitz_L)
+
+
+def test_expected_penalty_constant_uses_quadrature_weights():
+    grid = build_cdf_grid(64)
+    row = np.linspace(1.0, 0.0, 64)
+    fn = make_functional("expected_penalty", loss_row=row)
+    assert fn.lipschitz_L == pytest.approx(8.0 * np.linalg.norm(row), rel=1e-12)
+    # the bound is attained by a difference proportional to l / w: a point
+    # mass at the first node against the CDF 1 - l
+    F = GridFunction(grid, np.ones(64))
+    G = GridFunction(grid, 1.0 - row)
+    dist = float(np.sqrt(grid.weights @ (F.values - G.values) ** 2))
+    assert abs(fn(F) - fn(G)) / dist == pytest.approx(fn.lipschitz_L, rel=1e-12)
+    with pytest.raises(ValueError):
+        fn(GridFunction(build_cdf_grid(128), np.ones(128)))

@@ -66,6 +66,20 @@ def test_dataset_csv_round_trip(tmp_path):
         assert a == a2 and y == pytest.approx(y2)
 
 
+def test_generate_dataset_equals_per_sample_draws():
+    from cdfreg import sample_context, sample_outcome
+    for name, params in (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8})):
+        env = make_catalog_env(name, OMEGA, S, **params)
+        rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+        data = generate_dataset(env, 53, rng)
+        for x, a, y in data:
+            x_ref = sample_context(env, ref_rng)
+            a_ref = int(ref_rng.integers(env.action_count))
+            y_ref = sample_outcome(env, x_ref, a_ref, ref_rng)
+            assert np.array_equal(x, x_ref) and a == a_ref and y == y_ref
+        assert rng.random() == ref_rng.random()
+
+
 def test_dataset_csv_round_trip_keeps_context_order(tmp_path):
     rng = np.random.default_rng(12)
     data = [(rng.random(12), int(rng.integers(5)), float(rng.random())) for _ in range(4)]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from cdfreg import (
+    CdfBasis,
     GridFunction,
     apply_operator,
+    basis_values,
     build_cdf_grid,
     build_uniform_grid,
     design_operator,
@@ -39,6 +41,41 @@ def _random_pairs(env, count, seed):
     rng = np.random.default_rng(seed)
     return [(sample_context(env, rng), int(rng.integers(env.action_count)))
             for _ in range(count)]
+
+
+def test_batched_rows_equal_single_pair_evaluations():
+    for env in _envs() + [make_catalog_env("kumaraswamy", OMEGA, S, context_dim=11)]:
+        rng = np.random.default_rng(3)
+        X = rng.random((37, env.context_dim))
+        A = rng.integers(env.action_count, size=37)
+        phi = basis_values(env.basis, X, A, OMEGA, S)
+        assert phi.shape == (37, OMEGA.size, S.size)
+        for b in range(37):
+            one = basis_values(env.basis, [X[b]], [A[b]], OMEGA, S)
+            assert np.array_equal(one[0], phi[b])
+
+
+def test_basis_contract_violations_raise():
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    x, a = np.array([0.2, 0.4]), 1
+
+    def per_pair(X, A, omega_nodes, s):
+        # the single-pair (n_w, n_s) shape is not the batched contract
+        return env.basis.eval_matrix(X, A, omega_nodes, s)[0]
+
+    def out_of_range(X, A, omega_nodes, s):
+        return 1.5 * env.basis.eval_matrix(X, A, omega_nodes, s)
+
+    for evaluator in (per_pair, out_of_range):
+        basis = CdfBasis("broken", evaluator, lipschitz_L0=1.0, kernel_floor_eta=0.1,
+                         coeff_norm_bound_M=2.0, covering_constant_A=1.0,
+                         context_dim=2, omega_dim=1)
+        with pytest.raises(ValueError):
+            basis_values(basis, [x, x], [a, a], OMEGA, S)
+        with pytest.raises(ValueError):
+            point_kernel(basis, x, a, OMEGA, S)
+        with pytest.raises(ValueError):
+            regress([(x, a, 0.5)] * 3, basis, 0.1, 2.0, OMEGA, S)
 
 
 def test_rank1_kernel_is_constant_second_moment():

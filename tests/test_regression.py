@@ -21,9 +21,10 @@ from cdfreg import (
     sample_context,
     select_truncation,
     spectral_decompose,
+    true_cdf,
 )
 from cdfreg import regression
-from cdfreg.operators import weighted_quadratic
+from cdfreg.operators import BASIS_CHUNK, weighted_quadratic
 from cdfreg.regression import KKT_TOLERANCE, TruncationPlan
 
 OMEGA = build_uniform_grid(1, 32)
@@ -247,3 +248,50 @@ def test_regress_deterministic():
     a = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
     b = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
     assert np.array_equal(a.theta_hat.values, b.theta_hat.values)
+
+
+def _per_sample_statistics(data, basis):
+    """Reference sums with one B=1 evaluation per sample."""
+    from cdfreg import basis_values
+    kernel = np.zeros((OMEGA.size, OMEGA.size))
+    target = np.zeros(OMEGA.size)
+    indicator_sq = 0.0
+    for x, a, y in data:
+        phi = basis_values(basis, [x], [a], OMEGA, S)[0]
+        indicator = (S.coords() >= y).astype(float)
+        kernel += (phi * S.weights) @ phi.T
+        target += phi @ (S.weights * indicator)
+        indicator_sq += float(S.weights @ indicator**2)
+    return (kernel + kernel.T) / 2.0, target, indicator_sq
+
+
+@pytest.mark.parametrize("n", [1, 2 * BASIS_CHUNK + 5])
+def test_chunked_statistics_match_per_sample_sums(n):
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    data = generate_dataset(env, n, np.random.default_rng(53))
+    kernel, target, indicator_sq = _per_sample_statistics(data, env.basis)
+    op, stats_target, stats_indicator_sq = regression.data_statistics(data, env.basis, OMEGA, S)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    assert op.data_count == n
+    assert close(op.kernel_matrix, kernel)
+    assert close(design_operator(env.basis, [(x, a) for x, a, _ in data], OMEGA, S)
+                 .kernel_matrix, kernel)
+    assert close(stats_target.values, target)
+    assert close(empirical_target(data, env.basis, OMEGA, S).values, target)
+    assert stats_indicator_sq == pytest.approx(indicator_sq, rel=1e-12)
+    theta = env.theta_star
+    direct = sum(float(S.weights @ ((S.coords() >= y) - true_cdf(env, x, a).values) ** 2)
+                 for x, a, y in data)
+    assert loss(theta, data, env.basis, OMEGA, S) == pytest.approx(direct, rel=1e-12)
+
+
+def test_regress_loss_diagnostic_matches_loss():
+    for name, params in (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8})):
+        env = make_catalog_env(name, OMEGA, S, **params)
+        data = generate_dataset(env, 300, np.random.default_rng(59))
+        est = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
+        direct = loss(est.theta_hat, data, env.basis, OMEGA, S)
+        assert est.diagnostics.loss == pytest.approx(direct, rel=1e-9)
