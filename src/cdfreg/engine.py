@@ -15,7 +15,6 @@ import numpy as np
 
 from .environments import Environment, inverse_cdf, sample_context
 from .functionals import UtilityFunctional
-from .numerics import GridFunction
 from .operators import basis_values
 from .regression import CoefficientEstimate, ErrorBudget, error_budget, regress
 
@@ -46,7 +45,6 @@ class PolicyState:
     epoch: int
     varsigma: float
     theta_hat: CoefficientEstimate | None = None
-    exploration_scale: float = 1.0
 
     def __post_init__(self):
         if self.varsigma <= 0:
@@ -94,10 +92,10 @@ def igw_distribution(utilities, varsigma: float) -> np.ndarray:
     return p
 
 
-def exploration_param(m: int, delta: float, K: int, budget: ErrorBudget,
-                      scale: float = 1.0) -> float:
-    """varsigma_m = scale * (1/2) * sqrt(K / est), with the budget computed
-    at confidence delta / (2 m^2) on the previous epoch's sample count."""
+def exploration_param(m: int, K: int, budget: ErrorBudget, scale: float = 1.0) -> float:
+    """varsigma_m = scale * (1/2) * sqrt(K / est) for epoch m, where the
+    caller computes the budget at confidence delta / (2 m^2) on the previous
+    epoch's sample count."""
     if m < 2:
         raise ValueError("exploration_param is defined for epochs m >= 2")
     if K < 1 or scale <= 0:
@@ -142,7 +140,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     for m in range(1, len(bounds)):
         lo, hi = bounds[m - 1], bounds[m]
         if m == 1:
-            state = PolicyState(1, 1.0, None, exploration_scale)
+            state = PolicyState(1, 1.0, None)
         else:
             n_prev = bounds[m - 1] - bounds[m - 2]
             budget = error_budget(
@@ -151,13 +149,13 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
                 A=basis.covering_constant_A, d=basis.omega_dim,
                 eta=basis.kernel_floor_eta,
             )
-            varsigma = exploration_param(m, delta, K, budget, exploration_scale)
+            varsigma = exploration_param(m, K, budget, exploration_scale)
             estimate = regress(prev_epoch_data, basis, gamma, M, omega_grid, s_grid)
             oracle_calls += 1
             if not estimate.diagnostics.converged:
                 nonconverged += 1
             max_residual = max(max_residual, estimate.diagnostics.projection_residual)
-            state = PolicyState(m, varsigma, estimate, exploration_scale)
+            state = PolicyState(m, varsigma, estimate)
         varsigmas.append(state.varsigma)
 
         epoch_data = []
@@ -168,12 +166,11 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             contexts[:] = x
             phi = basis_values(basis, contexts, actions, omega_grid, s_grid)
             true_cdfs = w_theta_star @ phi
-            true_utils = np.array([functional(GridFunction(s_grid, f)) for f in true_cdfs])
+            true_utils = functional(true_cdfs, s_grid)
             if state.theta_hat is None:
                 p = np.full(K, 1.0 / K)
             else:
-                est_utils = [functional(GridFunction(s_grid, f)) for f in w_theta_hat @ phi]
-                p = igw_distribution(est_utils, state.varsigma)
+                p = igw_distribution(functional(w_theta_hat @ phi, s_grid), state.varsigma)
             a_t = int(rng.choice(K, p=p))
             y = float(inverse_cdf(true_cdfs[a_t], rng.random(), s_coords))
             a_star = int(np.argmax(true_utils))

@@ -126,12 +126,11 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     return Environment(basis, theta, omega_grid, s_grid, context_dim, action_count)
 
 
-def true_cdf(env: Environment, x, a: int, s_grid: QuadratureGrid | None = None) -> GridFunction:
+def true_cdf(env: Environment, x, a: int) -> GridFunction:
     """F*(x, a, s_k) as the quadrature mixture of basis CDFs."""
-    s_grid = env.s_grid if s_grid is None else s_grid
-    phi = basis_values(env.basis, [x], [a], env.omega_grid, s_grid)[0]
+    phi = basis_values(env.basis, [x], [a], env.omega_grid, env.s_grid)[0]
     values = (env.omega_grid.weights * env.theta_star.values) @ phi
-    return GridFunction(s_grid, values)
+    return GridFunction(env.s_grid, values)
 
 
 def sample_context(env: Environment, rng: np.random.Generator) -> np.ndarray:
@@ -157,10 +156,12 @@ def sample_outcome(env: Environment, x, a: int, rng: np.random.Generator) -> flo
     return float(sample_outcomes(env, x, a, 1, rng)[0])
 
 
-def optimal_action(env: Environment, functional, x,
-                   s_grid: QuadratureGrid | None = None) -> tuple[int, float]:
-    """Exhaustive argmax of the functional over true CDFs; ties break to
-    the lowest index."""
-    utilities = [functional(true_cdf(env, x, a, s_grid)) for a in range(env.action_count)]
+def optimal_action(env: Environment, functional, x) -> tuple[int, float]:
+    """Exhaustive argmax of the functional over true CDFs, all K actions in
+    one basis call; ties break to the lowest index."""
+    K = env.action_count
+    X = np.tile(np.asarray(x, dtype=float), (K, 1))
+    phi = basis_values(env.basis, X, np.arange(K), env.omega_grid, env.s_grid)
+    utilities = functional((env.omega_grid.weights * env.theta_star.values) @ phi, env.s_grid)
     best = int(np.argmax(utilities))
     return best, float(utilities[best])

@@ -3,6 +3,10 @@
 Each catalog entry declares the constant L bounding |T(F) - T(G)| by
 L ||F - G||_{L2(S,m)}. Exact quantiles are not L2-Lipschitz, so the catalog
 carries a logistic-smoothed surrogate instead.
+
+A functional maps CDF values of shape (..., n_s) to shape (...); one CDF is
+a batch of one. Identical rows give bitwise-equal values, so argmax ties
+break to the lowest index.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import GridFunction
+from .numerics import QuadratureGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,34 +23,50 @@ class UtilityFunctional:
     name: str
     lipschitz_L: float
     evaluator: callable = field(repr=False)
-    parameters: dict = field(default_factory=dict)
 
-    def __call__(self, cdf: GridFunction) -> float:
-        return self.evaluator(cdf)
+    def __call__(self, F, s_grid: QuadratureGrid):
+        """T(F) for CDF values F of shape (..., n_s) on ``s_grid``; the
+        result has shape (...)."""
+        return self.evaluator(F, s_grid)
 
 
-def _check_cdf(F: GridFunction):
-    if np.any(np.diff(F.values) < -1e-9):
+def _check_cdf(F, grid: QuadratureGrid) -> np.ndarray:
+    """F as an array of CDF values (..., n_s) on the grid, checked once per
+    batch: one value per node, finite, and nondecreasing along each row."""
+    F = np.asarray(F, dtype=float)
+    if F.shape[-1:] != (grid.size,):
+        raise ValueError("CDF values do not match the grid's node count")
+    if not np.isfinite(F).all():
+        raise ValueError("CDF values must be finite")
+    if (np.diff(F, axis=-1) < -1e-9).any():
         raise ValueError("not a valid CDF: values decrease along the grid")
+    return F
 
 
-def eval_mean(F: GridFunction) -> float:
+def _integrate(values, grid: QuadratureGrid):
+    """Quadrature integral over the last axis. A BLAS matrix-vector product
+    sums rows in different orders depending on their position; a sum along
+    the last axis reduces every row the same way."""
+    return (values * grid.weights).sum(axis=-1)
+
+
+def eval_mean(F, grid: QuadratureGrid):
     """Mean of a distribution on [0,1] from its CDF, via the survival
     function: E[Y] = integral (1 - F)."""
-    _check_cdf(F)
-    return float(F.grid.weights @ (1.0 - F.values))
+    F = _check_cdf(F, grid)
+    return _integrate(1.0 - F, grid)
 
 
-def eval_variance(F: GridFunction) -> float:
+def eval_variance(F, grid: QuadratureGrid):
     """Variance from the CDF: E[Y^2] = integral 2 s (1 - F(s))."""
-    _check_cdf(F)
-    s = F.grid.coords()
-    ey = float(F.grid.weights @ (1.0 - F.values))
-    ey2 = float(F.grid.weights @ (2.0 * s * (1.0 - F.values)))
+    F = _check_cdf(F, grid)
+    survival = 1.0 - F
+    ey = _integrate(survival, grid)
+    ey2 = _integrate(2.0 * grid.coords() * survival, grid)
     return ey2 - ey**2
 
 
-def eval_smoothed_quantile(F: GridFunction, q: float, h: float) -> float:
+def eval_smoothed_quantile(F, grid: QuadratureGrid, q: float, h: float):
     """Logistic-smoothed level-q quantile: integral sigma((q - F(s)) / h).
 
     Converges to the exact quantile as h -> 0; Lipschitz with constant
@@ -56,21 +76,22 @@ def eval_smoothed_quantile(F: GridFunction, q: float, h: float) -> float:
         raise ValueError("q must lie in (0, 1)")
     if h <= 0.0:
         raise ValueError("bandwidth h must be positive")
-    z = (q - F.values) / h
+    z = (q - _check_cdf(F, grid)) / h
     sigma = 1.0 / (1.0 + np.exp(-z))
-    return float(F.grid.weights @ sigma)
+    return _integrate(sigma, grid)
 
 
-def eval_expected_penalty(weights, loss_row) -> float:
+def eval_expected_penalty(weights, loss_row):
     """Negated expected penalty of a hypothesis choice under posterior
-    weights (maximization convention)."""
+    weights (maximization convention); ``weights`` has shape (..., n) and
+    the result shape (...)."""
     weights = np.asarray(weights, dtype=float)
     loss_row = np.asarray(loss_row, dtype=float)
-    if weights.shape != loss_row.shape:
+    if weights.shape[-1:] != loss_row.shape:
         raise ValueError("weights and losses have different lengths")
     if np.any(weights < 0):
         raise ValueError("posterior weights must be nonnegative")
-    return -float(weights @ loss_row)
+    return -(weights * loss_row).sum(axis=-1)
 
 
 def mean_functional() -> UtilityFunctional:
@@ -83,12 +104,10 @@ def variance_functional() -> UtilityFunctional:
 
 
 def smoothed_quantile_functional(q: float, h: float = 0.05) -> UtilityFunctional:
-    def evaluator(F: GridFunction) -> float:
-        return eval_smoothed_quantile(F, q, h)
+    def evaluator(F, grid: QuadratureGrid):
+        return eval_smoothed_quantile(F, grid, q, h)
 
-    return UtilityFunctional(
-        "smoothed_quantile", 1.0 / (4.0 * h), evaluator, {"q": q, "h": h}
-    )
+    return UtilityFunctional("smoothed_quantile", 1.0 / (4.0 * h), evaluator)
 
 
 def expected_penalty_functional(loss_row) -> UtilityFunctional:
@@ -101,13 +120,13 @@ def expected_penalty_functional(loss_row) -> UtilityFunctional:
     loss_row = np.asarray(loss_row, dtype=float)
     s_weights = np.full(loss_row.shape, 1.0 / loss_row.size)
 
-    def evaluator(F: GridFunction) -> float:
-        if not np.array_equal(F.grid.weights, s_weights):
+    def evaluator(F, grid: QuadratureGrid):
+        if not np.array_equal(grid.weights, s_weights):
             raise ValueError("expected_penalty needs a uniform outcome grid of len(loss_row) nodes")
-        return eval_expected_penalty(F.values, loss_row)
+        return eval_expected_penalty(_check_cdf(F, grid), loss_row)
 
     L = float(np.sqrt(np.sum(loss_row**2 / s_weights)))
-    return UtilityFunctional("expected_penalty", L, evaluator, {"loss_row": loss_row.tolist()})
+    return UtilityFunctional("expected_penalty", L, evaluator)
 
 
 FUNCTIONAL_CATALOG = {

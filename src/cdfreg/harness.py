@@ -11,17 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from .engine import RegretTrace, run_episode
-from .environments import (
-    Environment,
-    inverse_cdf,
-    make_catalog_env,
-    sample_context,
-    true_cdf,
-)
+from .environments import Environment, inverse_cdf, make_catalog_env, sample_context
 from .functionals import make_functional
 from .numerics import build_cdf_grid, build_uniform_grid
 from .operators import basis_chunks, estimate_eigendecay
-from .regression import predict_cdf, regress
+from .regression import regress
 
 
 @dataclass(frozen=True)
@@ -117,15 +111,20 @@ def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
 def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
                       rng: np.random.Generator) -> float:
     """Mean squared L2(S) distance between predicted and true CDFs over
-    fresh (context, action) pairs."""
+    fresh (context, action) pairs.
+
+    Per pair the draws are context, then action; the CDF differences
+    (w (theta_hat - theta*)) @ phi are evaluated chunk by chunk.
+    """
+    X = np.empty((n_pairs, env.context_dim))
+    A = np.empty(n_pairs, dtype=int)
+    for i in range(n_pairs):
+        X[i] = sample_context(env, rng)
+        A[i] = rng.integers(env.action_count)
+    w_diff = env.omega_grid.weights * (estimate.theta_hat.values - env.theta_star.values)
     total = 0.0
-    for _ in range(n_pairs):
-        x = sample_context(env, rng)
-        a = int(rng.integers(env.action_count))
-        f_hat = predict_cdf(estimate, env.basis, x, a, env.omega_grid, env.s_grid)
-        f_star = true_cdf(env, x, a)
-        diff = f_hat.values - f_star.values
-        total += float(env.s_grid.weights @ diff**2)
+    for _, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
+        total += float(np.sum((w_diff @ phi) ** 2 @ env.s_grid.weights))
     return total / n_pairs
 
 

@@ -148,65 +148,39 @@ def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def _legendre_and_derivative(r: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_r(x) and P_r'(x) by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    if r == 1:
-        return p, np.ones_like(x)
-    for k in range(1, r):
-        p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        p_prev, p = p, p_next
-    dp = r * (x * p - p_prev) / (x**2 - 1.0)
-    return p, dp
-
-
 def gauss_legendre(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1].
-
-    Roots of the degree-r Legendre polynomial by Newton iteration from
-    Chebyshev initial guesses; exact for polynomials up to degree 2r-1.
-    """
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]; exact for
+    polynomials up to degree 2r-1."""
     if not 1 <= r <= 16:
         raise ValueError("degree r must be in [1, 16]")
-    if r == 1:
-        return np.zeros(1), np.full(1, 2.0)
-    i = np.arange(1, r + 1)
-    x = np.cos(np.pi * (4 * i - 1) / (4 * r + 2))
-    for _ in range(100):
-        p, dp = _legendre_and_derivative(r, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-14:
-            break
-    _, dp = _legendre_and_derivative(r, x)
-    w = 2.0 / ((1.0 - x**2) * dp**2)
-    order = np.argsort(x)
-    return x[order], w[order]
+    return np.polynomial.legendre.leggauss(r)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Descending nonnegative eigenvalues with quadrature-orthonormal
-    eigenfunctions of a positive self-adjoint integral operator."""
+    eigenfunctions of a positive self-adjoint integral operator.
+
+    ``eigenfunctions`` holds the eigenfunction values at the grid nodes as
+    columns, shape (n_nodes, n_eigs).
+    """
 
     eigenvalues: np.ndarray
-    eigenfunctions: list[GridFunction] = field(repr=False)
+    eigenfunctions: np.ndarray = field(repr=False)
     grid: QuadratureGrid
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
+        object.__setattr__(self, "eigenfunctions", _readonly(self.eigenfunctions))
         vals = self.eigenvalues
-        if len(self.eigenfunctions) != vals.shape[0]:
-            raise ValueError("eigenvalue / eigenfunction counts differ")
+        if self.eigenfunctions.shape != (self.grid.size, vals.shape[0]):
+            raise ValueError("eigenfunctions must be an (n_nodes, n_eigs) array")
+        if not np.all(np.isfinite(self.eigenfunctions)):
+            raise ValueError("eigenfunction values must be finite")
         if np.any(vals < 0):
             raise ValueError("eigenvalues must be nonnegative")
         if np.any(np.diff(vals) > 1e-12):
             raise ValueError("eigenvalues must be descending")
-
-    def eigenfunction_matrix(self) -> np.ndarray:
-        """Eigenfunction values as columns, shape (n_nodes, n_eigs)."""
-        return np.column_stack([f.values for f in self.eigenfunctions])
 
 
 def _evaluate_kernel(kernel, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -265,9 +239,6 @@ def degenerate_kernel_eig(kernel, n: int, r: int,
     vecs = vecs[:, keep]
 
     grid = QuadratureGrid(omega[:, None], weights, [[0.0, 1.0]])
-    funcs = []
-    for j in range(vals.shape[0]):
-        g = vecs[:, j] / sqw
-        nrm = np.sqrt(weights @ g**2)
-        funcs.append(GridFunction(grid, g / nrm))
+    funcs = vecs / sqw[:, None]
+    funcs = funcs / np.sqrt(weights @ funcs**2)
     return SpectralDecomposition(np.maximum(vals, 0.0), funcs, grid)

@@ -157,8 +157,7 @@ def spectral_decompose(op: DesignOperator) -> SpectralDecomposition:
     sym = sqw[:, None] * op.kernel_matrix * sqw[None, :]
     vals, vecs = sym_eig(sym)
     vals = np.maximum(vals, 0.0)  # the operator is provably positive
-    funcs = [GridFunction(op.grid, vecs[:, j] / sqw) for j in range(vals.shape[0])]
-    return SpectralDecomposition(vals, funcs, op.grid)
+    return SpectralDecomposition(vals, vecs / sqw[:, None], op.grid)
 
 
 def apply_operator(op: DesignOperator, theta: GridFunction) -> GridFunction:

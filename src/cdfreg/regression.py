@@ -121,7 +121,7 @@ def pseudo_inverse_apply(spec: SpectralDecomposition, plan: TruncationPlan,
     out = np.zeros(spec.grid.size)
     if plan.n_eps == 0:
         return GridFunction(spec.grid, out)
-    emat = spec.eigenfunction_matrix()[:, : plan.n_eps]
+    emat = spec.eigenfunctions[:, : plan.n_eps]
     coeffs = emat.T @ (spec.grid.weights * g.values)
     out = emat @ (coeffs / plan.retained_eigenvalues)
     return GridFunction(spec.grid, out)
@@ -404,14 +404,13 @@ def predict_cdf(estimate: CoefficientEstimate, basis: CdfBasis, x, a: int,
 
 
 def regress(dataset, basis: CdfBasis, gamma: float, M: float,
-            omega_grid: QuadratureGrid, s_grid: QuadratureGrid,
-            epsilon: float | None = None) -> CoefficientEstimate:
+            omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> CoefficientEstimate:
     """The full oracle: design operator, spectral truncation, least squares,
     projection onto C. Deterministic given its inputs. One basis pass
     yields the design operator, the target and the loss diagnostic."""
     op, target, indicator_sq = data_statistics(dataset, basis, omega_grid, s_grid)
     spec = spectral_decompose(op)
-    plan = select_truncation(spec, op.data_count, gamma, epsilon=epsilon)
+    plan = select_truncation(spec, op.data_count, gamma)
     theta_d = pseudo_inverse_apply(spec, plan, target)
     estimate = project_to_C(theta_d, op, M)
     # loss = sum_j ||ind_j - F_theta_j||^2 expanded over the pass's sums

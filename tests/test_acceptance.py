@@ -111,7 +111,7 @@ def test_criterion_3_least_squares_optimality(report):
         theta_d = solve_least_squares(data, env.basis, OMEGA, S, spec, plan)
         base = loss(theta_d, data, env.basis, OMEGA, S)
         for j in range(plan.n_eps):
-            e = spec.eigenfunctions[j].values
+            e = spec.eigenfunctions[:, j]
             for stepsize in (1e-3, -1e-3, 1e-2, -1e-2):
                 perturbed = GridFunction(OMEGA, theta_d.values + stepsize * e)
                 drop = base - loss(perturbed, data, env.basis, OMEGA, S)

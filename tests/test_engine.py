@@ -83,25 +83,25 @@ def _budget(est):
 
 def test_exploration_param_hand_value():
     budget = _budget(1.25)  # K/4 with K=5
-    assert exploration_param(2, 0.1, 5, budget) == pytest.approx(1.0, rel=1e-9)
+    assert exploration_param(2, 5, budget) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_exploration_param_scale_homogeneous():
     budget = _budget(0.7)
-    one = exploration_param(3, 0.1, 4, budget, scale=1.0)
-    two = exploration_param(3, 0.1, 4, budget, scale=2.0)
+    one = exploration_param(3, 4, budget, scale=1.0)
+    two = exploration_param(3, 4, budget, scale=2.0)
     assert two == pytest.approx(2.0 * one)
 
 
 def test_exploration_param_monotone_in_est():
-    lo = exploration_param(2, 0.1, 5, _budget(0.5))
-    hi = exploration_param(2, 0.1, 5, _budget(2.0))
+    lo = exploration_param(2, 5, _budget(0.5))
+    hi = exploration_param(2, 5, _budget(2.0))
     assert hi < lo
 
 
 def test_exploration_param_rejects_first_epoch():
     with pytest.raises(ValueError):
-        exploration_param(1, 0.1, 5, _budget(1.0))
+        exploration_param(1, 5, _budget(1.0))
 
 
 def test_policy_state_validation():

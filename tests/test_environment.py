@@ -142,6 +142,6 @@ def test_optimal_action_matches_exhaustive():
     for _ in range(10):
         x = sample_context(env, rng)
         best, util = optimal_action(env, fn, x)
-        utils = [fn(true_cdf(env, x, a)) for a in range(env.action_count)]
+        utils = [fn(true_cdf(env, x, a).values, S) for a in range(env.action_count)]
         assert best == int(np.argmax(utils))
         assert util == pytest.approx(max(utils))

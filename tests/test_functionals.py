@@ -29,15 +29,17 @@ def test_mean_of_uniform():
     # right-endpoint rule biases the survival sum by half a grid step
     fine = build_cdf_grid(512)
     F = GridFunction(fine, fine.coords().copy())
-    assert eval_mean(F) == pytest.approx(0.5, abs=1e-3)
+    assert eval_mean(F.values, F.grid) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_mean_of_mass_at_zero():
-    assert eval_mean(GridFunction(S, np.ones(S.size))) == pytest.approx(0.0, abs=1e-12)
+    F = GridFunction(S, np.ones(S.size))
+    assert eval_mean(F.values, F.grid) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mean_of_point_mass():
-    assert eval_mean(_step_cdf(0.7)) == pytest.approx(0.7, abs=1.0 / 256)
+    F = _step_cdf(0.7)
+    assert eval_mean(F.values, F.grid) == pytest.approx(0.7, abs=1.0 / 256)
 
 
 def test_mean_linearity():
@@ -48,29 +50,33 @@ def test_mean_linearity():
         u[-1] = v[-1] = 1.0
         lam = rng.random()
         mix = GridFunction(S, lam * u + (1 - lam) * v)
-        split = lam * eval_mean(GridFunction(S, u)) + (1 - lam) * eval_mean(GridFunction(S, v))
-        assert eval_mean(mix) == pytest.approx(split, abs=1e-9)
+        split = lam * eval_mean(u, S) + (1 - lam) * eval_mean(v, S)
+        assert eval_mean(mix.values, mix.grid) == pytest.approx(split, abs=1e-9)
 
 
 def test_variance_of_point_mass():
-    assert eval_variance(_step_cdf(0.7)) == pytest.approx(0.0, abs=1.0 / 64)
+    F = _step_cdf(0.7)
+    assert eval_variance(F.values, F.grid) == pytest.approx(0.0, abs=1.0 / 64)
 
 
 def test_variance_of_uniform():
-    assert eval_variance(_uniform_cdf()) == pytest.approx(1.0 / 12.0, abs=1e-2)
+    F = _uniform_cdf()
+    assert eval_variance(F.values, F.grid) == pytest.approx(1.0 / 12.0, abs=1e-2)
 
 
 def test_variance_of_bernoulli_half():
     half = GridFunction(S, np.where(COORDS >= 1.0, 1.0, 0.5))
-    assert eval_variance(half) == pytest.approx(0.25, abs=1e-2)
+    assert eval_variance(half.values, half.grid) == pytest.approx(0.25, abs=1e-2)
 
 
 def test_smoothed_quantile_of_uniform():
-    assert eval_smoothed_quantile(_uniform_cdf(), 0.5, 0.01) == pytest.approx(0.5, abs=1e-2)
+    F = _uniform_cdf()
+    assert eval_smoothed_quantile(F.values, F.grid, 0.5, 0.01) == pytest.approx(0.5, abs=1e-2)
 
 
 def test_smoothed_quantile_of_mass_at_zero():
-    val = eval_smoothed_quantile(GridFunction(S, np.ones(S.size)), 0.5, 0.01)
+    F = GridFunction(S, np.ones(S.size))
+    val = eval_smoothed_quantile(F.values, F.grid, 0.5, 0.01)
     assert val == pytest.approx(0.0, abs=1e-6)
 
 
@@ -81,7 +87,7 @@ def test_smoothed_quantile_monotone_in_q():
         vals[-1] = 1.0
         F = GridFunction(S, vals)
         qs = np.linspace(0.1, 0.9, 5)
-        out = [eval_smoothed_quantile(F, q, 0.05) for q in qs]
+        out = [eval_smoothed_quantile(F.values, F.grid, q, 0.05) for q in qs]
         assert np.all(np.diff(out) >= -1e-12)
 
 
@@ -101,7 +107,8 @@ def test_make_functional_catalog():
                          ("smoothed_quantile", {"q": 0.5})):
         fn = make_functional(name, **params)
         assert fn.lipschitz_L > 0
-        assert np.isfinite(fn(_uniform_cdf()))
+        F = _uniform_cdf()
+        assert np.isfinite(fn(F.values, F.grid))
     with pytest.raises(ValueError):
         make_functional("no-such-functional")
 
@@ -118,7 +125,7 @@ def test_functional_empirical_lipschitz():
         F, G = GridFunction(S, u), GridFunction(S, v)
         dist = np.sqrt(float(S.weights @ (u - v) ** 2))
         for fn in fns:
-            assert abs(fn(F) - fn(G)) <= fn.lipschitz_L * dist + 1e-9
+            assert abs(fn(F.values, F.grid) - fn(G.values, G.grid)) <= fn.lipschitz_L * dist + 1e-9
 
 
 def _random_cdf_pair(rng, grid):
@@ -137,12 +144,16 @@ def _random_cdf_pair(rng, grid):
     return GridFunction(grid, F), GridFunction(grid, G)
 
 
-@pytest.mark.parametrize("name,params", [
+# every catalog functional, with parameters for a 64-node outcome grid
+CATALOG = [
     ("mean", {}),
     ("variance", {}),
     ("smoothed_quantile", {"q": 0.3, "h": 0.05}),
     ("expected_penalty", {"loss_row": np.random.default_rng(3).random(64) * 1.2}),
-])
+]
+
+
+@pytest.mark.parametrize("name,params", CATALOG)
 def test_declared_lipschitz_constant_holds(name, params):
     grid = build_cdf_grid(64)
     fn = make_functional(name, **params)
@@ -152,7 +163,7 @@ def test_declared_lipschitz_constant_holds(name, params):
         F, G = _random_cdf_pair(rng, grid)
         dist = float(np.sqrt(grid.weights @ (F.values - G.values) ** 2))
         if dist > 0.0:
-            worst = max(worst, abs(fn(F) - fn(G)) / dist)
+            worst = max(worst, abs(fn(F.values, F.grid) - fn(G.values, G.grid)) / dist)
     assert worst <= fn.lipschitz_L * (1.0 + 1e-9), (worst, fn.lipschitz_L)
 
 
@@ -166,6 +177,49 @@ def test_expected_penalty_constant_uses_quadrature_weights():
     F = GridFunction(grid, np.ones(64))
     G = GridFunction(grid, 1.0 - row)
     dist = float(np.sqrt(grid.weights @ (F.values - G.values) ** 2))
-    assert abs(fn(F) - fn(G)) / dist == pytest.approx(fn.lipschitz_L, rel=1e-12)
+    assert abs(fn(F.values, F.grid) - fn(G.values, G.grid)) / dist == pytest.approx(fn.lipschitz_L, rel=1e-12)
     with pytest.raises(ValueError):
-        fn(GridFunction(build_cdf_grid(128), np.ones(128)))
+        F = GridFunction(build_cdf_grid(128), np.ones(128))
+        fn(F.values, F.grid)
+
+
+@pytest.mark.parametrize("name,params", CATALOG)
+def test_batch_matches_row_by_row(name, params):
+    grid = build_cdf_grid(64)
+    fn = make_functional(name, **params)
+    rng = np.random.default_rng(77)
+    batch = np.array([F.values for _ in range(20) for F in _random_cdf_pair(rng, grid)])
+    values = fn(batch, grid)
+    assert values.shape == (batch.shape[0],)
+    rows = np.array([fn(row, grid) for row in batch])
+    np.testing.assert_allclose(values, rows, rtol=0.0, atol=1e-14)
+    assert np.shape(fn(batch[0], grid)) == ()
+    assert fn(batch.reshape(5, 8, 64), grid).shape == (5, 8)
+
+
+@pytest.mark.parametrize("name,params", CATALOG)
+def test_identical_rows_give_bitwise_equal_values(name, params):
+    # argmax ties must break to the lowest index, whatever K is
+    grid = build_cdf_grid(64)
+    fn = make_functional(name, **params)
+    F, _ = _random_cdf_pair(np.random.default_rng(5), grid)
+    single = fn(F.values, grid)
+    for K in range(1, 9):
+        values = fn(np.tile(F.values, (K, 1)), grid)
+        assert np.all(values == single), (K, values - single)
+        assert int(np.argmax(values)) == 0
+
+
+@pytest.mark.parametrize("name,params", CATALOG)
+def test_invalid_cdf_batch_raises(name, params):
+    grid = build_cdf_grid(64)
+    fn = make_functional(name, **params)
+    batch = np.tile(grid.coords(), (4, 1))
+    fn(batch, grid)
+    decreasing = batch.copy()
+    decreasing[2, 10] = decreasing[2, 11] + 0.1
+    not_finite = batch.copy()
+    not_finite[1, 5] = np.nan
+    for bad in (decreasing, not_finite, batch[:, :1], batch[:, :-1]):
+        with pytest.raises(ValueError):
+            fn(bad, grid)

@@ -80,6 +80,26 @@ def test_generate_dataset_equals_per_sample_draws():
         assert rng.random() == ref_rng.random()
 
 
+def test_heldout_cdf_error_equals_per_pair_reference():
+    from cdfreg import heldout_cdf_error, predict_cdf, regress, sample_context, true_cdf
+    for name, params in (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8})):
+        env = make_catalog_env(name, OMEGA, S, **params)
+        data = generate_dataset(env, 64, np.random.default_rng(62))
+        estimate = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
+        rng, ref_rng = np.random.default_rng(63), np.random.default_rng(63)
+        err = heldout_cdf_error(estimate, env, 37, rng)
+        total = 0.0
+        for _ in range(37):
+            x = sample_context(env, ref_rng)
+            a = int(ref_rng.integers(env.action_count))
+            diff = (predict_cdf(estimate, env.basis, x, a, OMEGA, S).values
+                    - true_cdf(env, x, a).values)
+            total += float(S.weights @ diff**2)
+        assert err > 0.0
+        assert err == pytest.approx(total / 37, rel=1e-12, abs=0.0)
+        assert rng.random() == ref_rng.random()
+
+
 def test_dataset_csv_round_trip_keeps_context_order(tmp_path):
     rng = np.random.default_rng(12)
     data = [(rng.random(12), int(rng.integers(5)), float(rng.random())) for _ in range(4)]

@@ -6,6 +6,7 @@ import pytest
 
 from cdfreg import (
     GridFunction,
+    SpectralDecomposition,
     build_cdf_grid,
     build_uniform_grid,
     degenerate_kernel_eig,
@@ -109,10 +110,22 @@ def test_degenerate_kernel_rank_one_product():
 
 def test_degenerate_kernel_eigenfunctions_orthonormal():
     spec = degenerate_kernel_eig(lambda s, t: np.minimum(s, t), 8, 3)
-    funcs = spec.eigenfunction_matrix()  # functions are columns
+    funcs = spec.eigenfunctions  # functions are columns
     gram = funcs.T @ (spec.grid.weights[:, None] * funcs)
     k = min(6, funcs.shape[1])
     assert np.allclose(gram[:k, :k], np.eye(k), atol=1e-8)
+
+
+def test_spectral_decomposition_checks_eigenfunction_array():
+    grid = build_uniform_grid(1, 4)
+    vals = np.array([2.0, 1.0])
+    spec = SpectralDecomposition(vals, np.eye(4)[:, :2], grid)
+    assert spec.eigenfunctions.shape == (4, 2)
+    assert not spec.eigenfunctions.flags.writeable
+    with pytest.raises(ValueError):
+        SpectralDecomposition(vals, np.eye(4)[:, :3], grid)
+    with pytest.raises(ValueError):
+        SpectralDecomposition(vals, np.full((4, 2), np.nan), grid)
 
 
 def test_degenerate_kernel_rejects_indefinite():

@@ -179,7 +179,7 @@ def test_eigenfunctions_quadrature_orthonormal():
     env = make_catalog_env("finite-rank-r", OMEGA, S, rank=8)
     op = design_operator(env.basis, _random_pairs(env, 16, 37), OMEGA, S)
     spec = spectral_decompose(op)
-    funcs = spec.eigenfunction_matrix()
+    funcs = spec.eigenfunctions
     gram = funcs.T @ (OMEGA.weights[:, None] * funcs)
     assert np.allclose(gram, np.eye(funcs.shape[1]), atol=1e-8)
 

@@ -97,7 +97,7 @@ def test_least_squares_is_a_loss_minimum():
     theta_d = solve_least_squares(data, env.basis, OMEGA, S, spec, plan)
     base = loss(theta_d, data, env.basis, OMEGA, S)
     for j in range(plan.n_eps):
-        e = spec.eigenfunctions[j].values
+        e = spec.eigenfunctions[:, j]
         for step in (1e-3, -1e-3, 1e-2, -1e-2):
             perturbed = GridFunction(OMEGA, theta_d.values + step * e)
             assert loss(perturbed, data, env.basis, OMEGA, S) >= base - 1e-9
