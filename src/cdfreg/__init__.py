@@ -9,19 +9,15 @@ from .numerics import (
     build_cdf_grid,
     build_uniform_grid,
     degenerate_kernel_eig,
-    gauss_legendre,
-    inner_product,
     sym_eig,
 )
 from .operators import (
     CdfBasis,
     DesignOperator,
     EigendecayFit,
-    apply_operator,
     basis_values,
     design_operator,
     estimate_eigendecay,
-    functional_determinant,
     point_kernel,
     spectral_decompose,
     weighted_norm,
@@ -54,13 +50,10 @@ from .environments import (
     make_catalog_env,
     optimal_action,
     sample_context,
-    sample_outcome,
     sample_outcomes,
     true_cdf,
 )
 from .engine import (
-    EpochSchedule,
-    PolicyState,
     RegretTrace,
     exploration_param,
     igw_distribution,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 bad usage or config, 3 numeric contract violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -102,13 +103,7 @@ def cmd_regress(args) -> int:
         fh.write("node,theta\n")
         for node, val in zip(env.omega_grid.nodes, estimate.theta_hat.values):
             fh.write("%s,%.12g\n" % (";".join("%.12g" % c for c in node), val))
-    diag = {
-        "loss": estimate.diagnostics.loss,
-        "n_eps": estimate.diagnostics.n_eps,
-        "projection_iterations": estimate.diagnostics.projection_iterations,
-        "converged": estimate.diagnostics.converged,
-        "projection_residual": estimate.diagnostics.projection_residual,
-    }
+    diag = dataclasses.asdict(estimate.diagnostics)
     (outdir / "diagnostics.json").write_text(json.dumps(diag, indent=2))
     print("wrote %s" % theta_path)
     return EXIT_OK

@@ -16,41 +16,7 @@ import numpy as np
 from .environments import Environment, inverse_cdf, sample_context
 from .functionals import UtilityFunctional
 from .operators import basis_values
-from .regression import CoefficientEstimate, ErrorBudget, error_budget, regress
-
-
-@dataclass(frozen=True)
-class EpochSchedule:
-    """Doubling epoch boundaries 0 < 2 < 4 < 8 < ... capped at the horizon."""
-
-    boundaries: tuple
-
-    def __post_init__(self):
-        b = self.boundaries
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise ValueError("boundaries must be strictly increasing")
-
-    @staticmethod
-    def doubling(T: int) -> "EpochSchedule":
-        bounds = [0]
-        m = 1
-        while bounds[-1] < T:
-            bounds.append(min(2**m, T))
-            m += 1
-        return EpochSchedule(tuple(bounds))
-
-
-@dataclass(frozen=True, eq=False)
-class PolicyState:
-    epoch: int
-    varsigma: float
-    theta_hat: CoefficientEstimate | None = None
-
-    def __post_init__(self):
-        if self.varsigma <= 0:
-            raise ValueError("varsigma must be positive")
-        if self.epoch >= 2 and self.theta_hat is None:
-            raise ValueError("epochs after the first need an estimate")
+from .regression import ErrorBudget, error_budget, regress
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +84,9 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    schedule = EpochSchedule.doubling(T)
-    bounds = schedule.boundaries
+    # doubling epoch boundaries 0 < 2 < 4 < ... capped at T; epoch m plays
+    # rounds bounds[m-1]+1 .. bounds[m]
+    bounds = [0] + [min(2**m, T) for m in range(1, (T - 1).bit_length() + 1)]
     K = env.action_count
     basis = env.basis
     omega_grid, s_grid = env.omega_grid, env.s_grid
@@ -135,13 +102,10 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     nonconverged = 0
     max_residual = 0.0
     prev_epoch_data: list = []
-    max_calls = math.ceil(math.log2(T)) + 1
+    varsigma, w_theta_hat = 1.0, None  # epoch 1 has no estimate
 
     for m in range(1, len(bounds)):
-        lo, hi = bounds[m - 1], bounds[m]
-        if m == 1:
-            state = PolicyState(1, 1.0, None)
-        else:
+        if m >= 2:
             n_prev = bounds[m - 1] - bounds[m - 2]
             budget = error_budget(
                 n=n_prev, delta=delta / (2.0 * m * m), gamma=gamma, s0=s0,
@@ -155,22 +119,20 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             if not estimate.diagnostics.converged:
                 nonconverged += 1
             max_residual = max(max_residual, estimate.diagnostics.projection_residual)
-            state = PolicyState(m, varsigma, estimate)
-        varsigmas.append(state.varsigma)
+            w_theta_hat = omega_grid.weights * estimate.theta_hat.values
+        varsigmas.append(varsigma)
 
         epoch_data = []
-        if state.theta_hat is not None:
-            w_theta_hat = omega_grid.weights * state.theta_hat.theta_hat.values
-        for t in range(lo + 1, hi + 1):
+        for t in range(bounds[m - 1] + 1, bounds[m] + 1):
             x = sample_context(env, rng)
             contexts[:] = x
             phi = basis_values(basis, contexts, actions, omega_grid, s_grid)
             true_cdfs = w_theta_star @ phi
             true_utils = functional(true_cdfs, s_grid)
-            if state.theta_hat is None:
+            if w_theta_hat is None:
                 p = np.full(K, 1.0 / K)
             else:
-                p = igw_distribution(functional(w_theta_hat @ phi, s_grid), state.varsigma)
+                p = igw_distribution(functional(w_theta_hat @ phi, s_grid), varsigma)
             a_t = int(rng.choice(K, p=p))
             y = float(inverse_cdf(true_cdfs[a_t], rng.random(), s_coords))
             a_star = int(np.argmax(true_utils))
@@ -179,9 +141,6 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             records.append((t, m, tuple(x), a_t, a_star, gap, cum_regret))
             epoch_data.append((x, a_t, y))
         prev_epoch_data = epoch_data
-
-    if oracle_calls > max_calls:
-        raise AssertionError("oracle called more than ceil(log2 T) + 1 times")
 
     checkpoints = []
     k = 1

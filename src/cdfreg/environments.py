@@ -94,13 +94,11 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     if name == "rank1-uniform":
         basis = CdfBasis("rank1-uniform", _rank1_eval, lipschitz_L0=0.0,
                          kernel_floor_eta=1.0 / 3.0, coeff_norm_bound_M=2.0,
-                         covering_constant_A=1.0, context_dim=context_dim,
-                         omega_dim=omega_grid.dim)
+                         covering_constant_A=1.0, omega_dim=omega_grid.dim)
     elif name == "kumaraswamy":
         basis = CdfBasis("kumaraswamy", _kumaraswamy_eval, lipschitz_L0=2.5,
                          kernel_floor_eta=0.2, coeff_norm_bound_M=2.0,
-                         covering_constant_A=1.0, context_dim=context_dim,
-                         omega_dim=omega_grid.dim)
+                         covering_constant_A=1.0, omega_dim=omega_grid.dim)
     elif name == "finite-rank-r":
         def evaluator(X, A, omega_nodes, s, _rank=rank):
             return _finite_rank_eval(_rank, X, A, omega_nodes, s)
@@ -111,8 +109,7 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
         # ramp, width/3 = 1/(6 rank), declared with a safety margin.
         basis = CdfBasis("finite-rank-%d" % rank, evaluator, lipschitz_L0=60.0,
                          kernel_floor_eta=1.0 / (8.0 * rank), coeff_norm_bound_M=2.0,
-                         covering_constant_A=1.0, context_dim=context_dim,
-                         omega_dim=omega_grid.dim)
+                         covering_constant_A=1.0, omega_dim=omega_grid.dim)
     else:
         raise ValueError("unknown catalog environment %r" % name)
 
@@ -150,10 +147,6 @@ def sample_outcomes(env: Environment, x, a: int, size: int,
     """``size`` inverse-CDF draws from F*(x, a, .) on the outcome grid."""
     f = true_cdf(env, x, a)
     return inverse_cdf(f.values, rng.random(size), f.grid.coords())
-
-
-def sample_outcome(env: Environment, x, a: int, rng: np.random.Generator) -> float:
-    return float(sample_outcomes(env, x, a, 1, rng)[0])
 
 
 def optimal_action(env: Environment, functional, x) -> tuple[int, float]:

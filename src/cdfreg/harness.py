@@ -75,14 +75,14 @@ def build_functional(config: ExperimentConfig):
     return make_functional(name, **params)
 
 
-def resolve_gamma(config: ExperimentConfig, env: Environment,
-                  n_pairs: int = 20, k_max: int = 16, seed: int = 0):
-    """Numeric (gamma, s0, source) from config or an eigendecay pre-pass."""
+def resolve_gamma(config: ExperimentConfig, env: Environment, seed: int = 0):
+    """Numeric (gamma, s0, source) from config or an eigendecay pre-pass
+    over 20 random (context, action) pairs with k_max = 16."""
     if config.gamma == "estimate":
         rng = np.random.default_rng(seed)
         pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))
-                 for _ in range(n_pairs)]
-        fit = estimate_eigendecay(env.basis, pairs, k_max, env.omega_grid, env.s_grid)
+                 for _ in range(20)]
+        fit = estimate_eigendecay(env.basis, pairs, 16, env.omega_grid, env.s_grid)
         return fit.gamma, max(fit.s0, 1e-6), "estimate"
     return float(config.gamma), float(config.s0), "config"
 

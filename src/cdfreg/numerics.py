@@ -41,13 +41,14 @@ class QuadratureGrid:
         object.__setattr__(self, "bounds", _readonly(np.atleast_2d(self.bounds)))
         if self.nodes.shape[0] != self.weights.shape[0]:
             raise ValueError("node and weight counts differ")
-        if np.any(self.weights <= 0):
+        # each check states its pass condition, so a NaN fails it
+        if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
         volume = float(np.prod(self.bounds[:, 1] - self.bounds[:, 0]))
-        if abs(self.weights.sum() - volume) > 1e-12 * max(1.0, volume):
+        if not abs(self.weights.sum() - volume) <= 1e-12 * max(1.0, volume):
             raise ValueError("weights do not sum to the box measure")
         lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        if np.any(self.nodes < lo - 1e-12) or np.any(self.nodes > hi + 1e-12):
+        if not (np.all(self.nodes >= lo - 1e-12) and np.all(self.nodes <= hi + 1e-12)):
             raise ValueError("nodes outside the box")
 
     @property
@@ -92,13 +93,6 @@ def same_grid(a: QuadratureGrid, b: QuadratureGrid) -> bool:
     return a.size == b.size and np.array_equal(a.nodes, b.nodes)
 
 
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Quadrature inner product sum_i w_i f_i g_i."""
-    if not same_grid(f.grid, g.grid):
-        raise ValueError("grid functions live on different grids")
-    return float(np.sum(f.grid.weights * f.values * g.values))
-
-
 def build_uniform_grid(dim: int, nodes_per_dim: int) -> QuadratureGrid:
     """Midpoint product rule on the unit box [0,1]^dim."""
     if dim < 1 or nodes_per_dim < 2:
@@ -141,19 +135,11 @@ def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix must be square")
     if a.shape[0] > MAX_EIG_SIZE:
         raise ValueError("matrix exceeds the %d size limit" % MAX_EIG_SIZE)
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
-        raise ValueError("matrix is not symmetric")
+    if not np.max(np.abs(a - a.T)) <= 1e-10 * max(1.0, np.max(np.abs(a))):
+        raise ValueError("matrix is not finite and symmetric")
     vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
-
-
-def gauss_legendre(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]; exact for
-    polynomials up to degree 2r-1."""
-    if not 1 <= r <= 16:
-        raise ValueError("degree r must be in [1, 16]")
-    return np.polynomial.legendre.leggauss(r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,44 +169,37 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues must be descending")
 
 
-def _evaluate_kernel(kernel, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    ss, tt = np.meshgrid(s, t, indexing="ij")
-    try:
-        k = np.asarray(kernel(ss, tt), dtype=float)
-        if k.shape != ss.shape:
-            raise TypeError
-    except TypeError:
-        k = np.array([[float(kernel(a, b)) for b in t] for a in s])
-    return k
-
-
-def degenerate_kernel_eig(kernel, n: int, r: int,
-                          drop_tol: float = 1e-10) -> SpectralDecomposition:
+def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
     """Eigenpairs of the integral operator with symmetric kernel on [0,1]^2.
 
-    The kernel is interpolated at piecewise Gauss points (n uniform cells,
-    r points each), which reduces the operator eigenproblem to an
-    (n*r) x (n*r) matrix eigenproblem. Because the Lagrange interpolants at
-    Gauss points are exactly orthogonal in L^2, their Gram matrix is the
+    ``kernel(s, t)`` must be vectorized: called on two node arrays it
+    returns the array of kernel values of their shape. The kernel is
+    interpolated at piecewise Gauss-Legendre points (n uniform cells, r
+    points each, 1 <= r <= 16), which reduces the operator eigenproblem to
+    an (n*r) x (n*r) matrix eigenproblem. Because the Lagrange interpolants
+    at Gauss points are exactly orthogonal in L^2, their Gram matrix is the
     diagonal of quadrature weights, and the eigenfunctions come out exactly
     orthonormal under the returned grid's quadrature.
 
     Negative numerical eigenvalues (round-off for these positive operators)
-    are clamped to zero and dropped.
+    are clamped to zero and dropped; one below -max(1e-10 lambda_1, 1e-12)
+    means the kernel is not positive semidefinite.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    if n < 1 or not 1 <= r <= 16:
+        raise ValueError("need n >= 1 and 1 <= r <= 16")
     if n * r > MAX_EIG_SIZE:
         raise ValueError("n*r exceeds the %d limit" % MAX_EIG_SIZE)
 
-    y, gw = gauss_legendre(r)
+    y, gw = np.polynomial.legendre.leggauss(r)
     h = 1.0 / n
     # mapped Gauss points per cell, ascending over [0,1]
     cells = np.arange(n)[:, None]
     omega = (cells * h + (y[None, :] + 1.0) * h / 2.0).ravel()
     weights = np.tile(gw * h / 2.0, n)
 
-    kmat = _evaluate_kernel(kernel, omega, omega)
+    kmat = np.asarray(kernel(*np.meshgrid(omega, omega, indexing="ij")), dtype=float)
+    if kmat.shape != (omega.size, omega.size):
+        raise ValueError("kernel must map node arrays to an array of their shape")
     if np.max(np.abs(kmat - kmat.T)) > 1e-8 * max(1.0, np.max(np.abs(kmat))):
         raise ValueError("kernel is not symmetric")
 
@@ -232,7 +211,7 @@ def degenerate_kernel_eig(kernel, n: int, r: int,
         raise RuntimeError("eigensolver failed on the degenerate-kernel matrix") from exc
 
     lam_max = max(vals[0], 0.0) if vals.size else 0.0
-    if vals.size and vals[-1] < -max(drop_tol * lam_max, 1e-12):
+    if vals.size and vals[-1] < -max(1e-10 * lam_max, 1e-12):
         raise ValueError("kernel operator is not positive semidefinite")
     keep = vals >= 0.0  # round-off negatives are clamped to zero and dropped
     vals = vals[keep]

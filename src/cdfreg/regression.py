@@ -42,15 +42,6 @@ class TruncationPlan:
     n_eps: int
     retained_eigenvalues: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.retained_eigenvalues, dtype=float)
-        if vals.shape[0] != self.n_eps:
-            raise ValueError("retained eigenvalue count does not match n_eps")
-        if np.any(vals < self.threshold):
-            raise ValueError("retained eigenvalue below the threshold")
-        vals.flags.writeable = False
-        object.__setattr__(self, "retained_eigenvalues", vals)
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -87,26 +78,15 @@ class ErrorBudget:
     e_delta: float
     c_const: float
     est: float
-    inputs: dict
-
-    def __post_init__(self):
-        expected = self.inputs["L"] ** 2 * self.c_const * self.e_delta**2
-        if abs(self.est - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValueError("est is inconsistent with its factors")
 
 
-def select_truncation(spec: SpectralDecomposition, n: int, gamma: float,
-                      epsilon: float | None = None) -> TruncationPlan:
-    """Truncation at threshold n * epsilon with epsilon = n^(-2/(gamma+2)).
-
-    ``epsilon`` may be overridden for experiments with other schedules.
-    """
+def select_truncation(spec: SpectralDecomposition, n: int, gamma: float) -> TruncationPlan:
+    """Truncation at threshold n * epsilon with epsilon = n^(-2/(gamma+2))."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    if epsilon is None:
-        epsilon = float(n) ** (-2.0 / (gamma + 2.0))
+    epsilon = float(n) ** (-2.0 / (gamma + 2.0))
     threshold = n * epsilon
     vals = spec.eigenvalues
     n_eps = int(np.sum(vals >= threshold))
@@ -390,9 +370,7 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
     # d*log(2 L0 A) can go negative for very flat bases; clamp at 0
     cover = max(d * math.log(2.0 * L0 * A), 0.0) if L0 * A > 0 else 0.0
     c_const = 1.0 + (48.0 * math.sqrt(cover) + 2.0 * math.sqrt(log_inv_delta)) / eta
-    est = L**2 * c_const * e_delta**2
-    inputs = dict(n=n, delta=delta, gamma=gamma, s0=s0, M=M, L=L, L0=L0, A=A, d=d, eta=eta)
-    return ErrorBudget(e_delta, c_const, est, inputs)
+    return ErrorBudget(e_delta, c_const, L**2 * c_const * e_delta**2)
 
 
 def predict_cdf(estimate: CoefficientEstimate, basis: CdfBasis, x, a: int,

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from cdfreg import (
-    EpochSchedule,
-    PolicyState,
     build_cdf_grid,
     build_uniform_grid,
     error_budget,
@@ -24,17 +22,29 @@ OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
 
 
+def _rounds_by_epoch(trace):
+    rounds = {}
+    for t, m, *_ in trace.records:
+        rounds.setdefault(m, []).append(t)
+    return rounds
+
+
 def test_doubling_schedule():
-    sched = EpochSchedule.doubling(64)
-    assert sched.boundaries == (0, 2, 4, 8, 16, 32, 64)
-    capped = EpochSchedule.doubling(100)
-    assert capped.boundaries[-1] == 100
-    assert capped.boundaries[-2] == 64
-
-
-def test_schedule_rejects_nonincreasing():
-    with pytest.raises(ValueError):
-        EpochSchedule((0, 2, 2, 4))
+    env = make_catalog_env("rank1-uniform", OMEGA, S)
+    fn = make_functional("mean")
+    trace = run_episode(env, fn, 64, 0.1, 1.0, 2.0, seed=0)
+    rounds = _rounds_by_epoch(trace)
+    assert sorted(rounds) == list(range(1, 7))
+    assert rounds[1] == [1, 2]
+    for m in range(2, 7):
+        assert rounds[m] == list(range(2 ** (m - 1) + 1, 2**m + 1))
+    assert trace.summary["oracle_calls"] == len(rounds) - 1
+    # a horizon between powers of two caps the last epoch
+    capped = run_episode(env, fn, 100, 0.1, 1.0, 2.0, seed=0)
+    rounds = _rounds_by_epoch(capped)
+    assert sorted(rounds) == list(range(1, 8))
+    assert rounds[7] == list(range(65, 101))
+    assert capped.summary["oracle_calls"] == len(rounds) - 1
 
 
 def test_igw_hand_value():
@@ -102,13 +112,6 @@ def test_exploration_param_monotone_in_est():
 def test_exploration_param_rejects_first_epoch():
     with pytest.raises(ValueError):
         exploration_param(1, 5, _budget(1.0))
-
-
-def test_policy_state_validation():
-    with pytest.raises(ValueError):
-        PolicyState(2, 1.0, None)
-    with pytest.raises(ValueError):
-        PolicyState(1, -1.0, None)
 
 
 def test_run_episode_smoke():

@@ -13,7 +13,6 @@ from cdfreg import (
     make_functional,
     optimal_action,
     sample_context,
-    sample_outcome,
     sample_outcomes,
     spectral_decompose,
     true_cdf,
@@ -112,7 +111,7 @@ def test_sampling_reproducible_under_seed():
     draws = []
     for _ in range(2):
         rng = np.random.default_rng(77)
-        draws.append([sample_outcome(env, np.array([0.2, 0.9]), 1, rng)
+        draws.append([sample_outcomes(env, np.array([0.2, 0.9]), 1, 1, rng)[0]
                       for _ in range(50)])
     assert draws[0] == draws[1]
 

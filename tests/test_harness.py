@@ -1,6 +1,7 @@
 """Experiment configs, dataset/trace round-trips, slope fitting, and the
 command-line front end."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from cdfreg.harness import (
     write_summary_json,
     write_trace_csv,
 )
-from cdfreg.regression import KKT_TOLERANCE
+from cdfreg.regression import KKT_TOLERANCE, Diagnostics
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -67,7 +68,7 @@ def test_dataset_csv_round_trip(tmp_path):
 
 
 def test_generate_dataset_equals_per_sample_draws():
-    from cdfreg import sample_context, sample_outcome
+    from cdfreg import sample_context, sample_outcomes
     for name, params in (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8})):
         env = make_catalog_env(name, OMEGA, S, **params)
         rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
@@ -75,7 +76,7 @@ def test_generate_dataset_equals_per_sample_draws():
         for x, a, y in data:
             x_ref = sample_context(env, ref_rng)
             a_ref = int(ref_rng.integers(env.action_count))
-            y_ref = sample_outcome(env, x_ref, a_ref, ref_rng)
+            y_ref = sample_outcomes(env, x_ref, a_ref, 1, ref_rng)[0]
             assert np.array_equal(x, x_ref) and a == a_ref and y == y_ref
         assert rng.random() == ref_rng.random()
 
@@ -220,6 +221,7 @@ def test_cli_regress_and_sweep(tmp_path, capsys):
     assert main(["regress", "--config", str(cpath), "--dataset", str(dpath)]) == 0
     assert (tmp_path / "out" / "theta_hat.csv").exists()
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    assert list(diag) == [f.name for f in dataclasses.fields(Diagnostics)]
     assert diag["n_eps"] >= 1
     assert diag["converged"] is True
     assert 0.0 <= diag["projection_residual"] <= KKT_TOLERANCE

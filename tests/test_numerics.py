@@ -6,12 +6,11 @@ import pytest
 
 from cdfreg import (
     GridFunction,
+    QuadratureGrid,
     SpectralDecomposition,
     build_cdf_grid,
     build_uniform_grid,
     degenerate_kernel_eig,
-    gauss_legendre,
-    inner_product,
     sym_eig,
 )
 
@@ -49,34 +48,31 @@ def test_grid_function_integral_and_norm():
     assert abs(f.norm() - np.sqrt(1.0 / 3.0)) < 1e-4
 
 
-def test_inner_product_symmetry():
-    grid = build_uniform_grid(1, 32)
-    rng = np.random.default_rng(3)
-    f = GridFunction(grid, rng.normal(size=32))
-    g = GridFunction(grid, rng.normal(size=32))
-    assert abs(inner_product(f, g) - inner_product(g, f)) < 1e-14
-
-
-def test_gauss_legendre_matches_numpy():
-    for r in (1, 2, 5, 8, 16):
-        nodes, weights = gauss_legendre(r)
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(r)
-        assert np.allclose(nodes, ref_nodes, atol=1e-13)
-        assert np.allclose(weights, ref_weights, atol=1e-13)
+def test_quadrature_grid_rejects_nan_weight():
+    with pytest.raises(ValueError):
+        QuadratureGrid([[0.25], [0.75]], [0.5, np.nan], [[0.0, 1.0]])
 
 
 def test_gauss_legendre_exact_for_polynomials():
-    nodes, weights = gauss_legendre(6)
-    # degree 11 is the highest degree a 6-point rule integrates exactly
-    assert abs(weights @ nodes**10 - 2.0 / 11.0) < 1e-13
-    assert abs(weights @ nodes**11) < 1e-13
+    # the degenerate-kernel grid is a 6-point Gauss-Legendre rule per cell;
+    # degree 11 is the highest degree such a rule integrates exactly
+    grid = degenerate_kernel_eig(lambda s, t: s * t, 3, 6).grid
+    nodes, weights = grid.coords(), grid.weights
+    assert abs(weights @ nodes**10 - 1.0 / 11.0) < 1e-13
+    assert abs(weights @ nodes**11 - 1.0 / 12.0) < 1e-13
 
 
 def test_gauss_legendre_rejects_bad_order():
-    with pytest.raises(ValueError):
-        gauss_legendre(0)
-    with pytest.raises(ValueError):
-        gauss_legendre(17)
+    # the rule's order r must lie in [1, 16], and the cell count n >= 1
+    for n, r in ((0, 4), (4, 0), (4, 17)):
+        with pytest.raises(ValueError):
+            degenerate_kernel_eig(lambda s, t: s * t, n, r)
+
+
+def test_degenerate_kernel_rejects_non_vectorized_kernel():
+    for kernel in (lambda s, t: 1.0, lambda s, t: min(s, t)):
+        with pytest.raises(ValueError):
+            degenerate_kernel_eig(kernel, 4, 2)
 
 
 def test_sym_eig_descending_and_orthonormal():
@@ -90,8 +86,10 @@ def test_sym_eig_descending_and_orthonormal():
 
 
 def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for matrix in ([[0.0, 1.0], [0.0, 0.0]], [[1.0, np.nan], [np.nan, 1.0]],
+                   [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            sym_eig(np.array(matrix))
 
 
 def test_degenerate_kernel_min_spectrum():

