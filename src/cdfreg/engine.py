@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import Environment, inverse_cdf, sample_context
+from .environments import Environment, check_norm_bound, inverse_cdf
 from .functionals import UtilityFunctional
-from .operators import basis_values
+from .operators import mixture_cdfs
 from .regression import ErrorBudget, error_budget, regress
 
 
@@ -36,26 +36,50 @@ class RegretTrace:
 
 
 def igw_distribution(utilities, varsigma: float) -> np.ndarray:
-    """Inverse-gap-weighting distribution over K actions.
+    """Inverse-gap-weighting distributions over the last axis.
 
-    p(a) = 1 / (K + varsigma * (v_max - v_a)) for non-greedy a; the greedy
-    action absorbs the remainder, so the vector sums to 1 exactly.
+    Utilities of shape (..., K) give probabilities of shape (..., K); one
+    vector is a batch of one. In each row p(a) = 1 / (K + varsigma * (v_max
+    - v_a)) for non-greedy a, and the greedy action (the first maximizer)
+    absorbs the remainder, so the row sums to 1 exactly. A row of equal
+    utilities is uniform.
     """
     v = np.asarray(utilities, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("utilities must be a nonempty vector")
+    if v.ndim < 1 or v.shape[-1] < 1:
+        raise ValueError("utilities must have a nonempty last axis")
     if not np.all(np.isfinite(v)):
         raise ValueError("utilities must be finite")
-    if varsigma <= 0:
+    if not varsigma > 0:  # NaN fails
         raise ValueError("varsigma must be positive")
-    K = v.size
-    best = int(np.argmax(v))
-    if np.all(v == v[best]):
-        return np.full(K, 1.0 / K)
-    p = 1.0 / (K + varsigma * (v[best] - v))
-    p[best] = 0.0
-    p[best] = 1.0 - p.sum()
-    return p
+    K = v.shape[-1]
+    rows = v.reshape(-1, K)
+    idx = np.arange(rows.shape[0])
+    best = np.argmax(rows, axis=1)
+    v_best = rows[idx, best][:, None]
+    p = 1.0 / (K + varsigma * (v_best - rows))
+    p[idx, best] = 0.0
+    p[idx, best] = 1.0 - p.sum(axis=1)
+    p[np.all(rows == v_best, axis=1)] = 1.0 / K
+    return p.reshape(v.shape)
+
+
+# sum-to-one tolerance of numpy's Generator.choice
+_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
+
+
+def _choose_actions(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise draws from distributions p (B, K) with uniforms u (B,).
+
+    Each row gets what ``rng.choice(K, p=p[b])`` returns when its one
+    ``random()`` is u[b]: the count of entries of cumsum(p[b]) /
+    cumsum(p[b])[-1] that are <= u[b], i.e. searchsorted(..., "right").
+    """
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
+            and np.all(np.abs(p.sum(axis=-1) - 1.0) <= _CHOICE_ATOL)):
+        raise ValueError("action probabilities must be finite, nonnegative and sum to 1")
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= u[:, None], axis=-1)
 
 
 def exploration_param(m: int, K: int, budget: ErrorBudget, scale: float = 1.0) -> float:
@@ -64,9 +88,14 @@ def exploration_param(m: int, K: int, budget: ErrorBudget, scale: float = 1.0) -
     epoch's sample count."""
     if m < 2:
         raise ValueError("exploration_param is defined for epochs m >= 2")
-    if K < 1 or scale <= 0:
+    if not (K >= 1 and scale > 0):  # NaN fails
         raise ValueError("K must be positive and scale > 0")
     return scale * 0.5 * math.sqrt(K / budget.est)
+
+
+# Rounds per block: one basis call covers ROUND_BLOCK * K (context, action)
+# pairs, about 0.7 MB of phi at K = 5 on the default 32 x 64 grids.
+ROUND_BLOCK = 8
 
 
 def run_episode(env: Environment, functional: UtilityFunctional, T: int,
@@ -78,22 +107,29 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     Epoch 1 plays uniformly at random (no estimate exists yet); each later
     epoch refreshes the regression oracle on exactly the previous epoch's
     data and plays IGW with varsigma_m from the closed-form error budget.
+
+    Each round takes d + 2 doubles from the seeded generator, in this order:
+    the context (d), the uniform that picks the action as
+    ``rng.choice(K, p=p)`` would, and the uniform of the outcome's
+    inverse-CDF draw. The oracle is frozen within an epoch, so each epoch
+    draws its n rounds as one (n, d + 2) array and plays them in blocks of
+    ROUND_BLOCK rounds; the records equal those of a round-by-round loop
+    bit for bit.
     """
     if T < 2:
         raise ValueError("horizon T must be at least 2")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    check_norm_bound(env, M)
     rng = np.random.default_rng(seed)
     # doubling epoch boundaries 0 < 2 < 4 < ... capped at T; epoch m plays
     # rounds bounds[m-1]+1 .. bounds[m]
     bounds = [0] + [min(2**m, T) for m in range(1, (T - 1).bit_length() + 1)]
-    K = env.action_count
+    K, d = env.action_count, env.context_dim
     basis = env.basis
     omega_grid, s_grid = env.omega_grid, env.s_grid
     s_coords = s_grid.coords()
     w_theta_star = omega_grid.weights * env.theta_star.values
-    actions = np.arange(K)
-    contexts = np.empty((K, env.context_dim))  # the round's context, once per action
 
     records = []
     cum_regret = 0.0
@@ -122,24 +158,33 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             w_theta_hat = omega_grid.weights * estimate.theta_hat.values
         varsigmas.append(varsigma)
 
+        first, n = bounds[m - 1], bounds[m] - bounds[m - 1]
+        draws = rng.random((n, d + 2))
+        X, u_action, u_outcome = draws[:, :d], draws[:, d], draws[:, d + 1]
+        weights = [w_theta_star] if w_theta_hat is None else [w_theta_star, w_theta_hat]
         epoch_data = []
-        for t in range(bounds[m - 1] + 1, bounds[m] + 1):
-            x = sample_context(env, rng)
-            contexts[:] = x
-            phi = basis_values(basis, contexts, actions, omega_grid, s_grid)
-            true_cdfs = w_theta_star @ phi
+        for lo in range(0, n, ROUND_BLOCK):
+            B = min(ROUND_BLOCK, n - lo)
+            # pair b * K + a is (context of round lo + b, action a)
+            pairs_X = np.repeat(X[lo:lo + B], K, axis=0)
+            _, mixtures = next(mixture_cdfs(basis, weights, pairs_X, np.tile(np.arange(K), B),
+                                            omega_grid, s_grid, chunk=B * K))
+            true_cdfs = mixtures[0].reshape(B, K, s_grid.size)
             true_utils = functional(true_cdfs, s_grid)
             if w_theta_hat is None:
-                p = np.full(K, 1.0 / K)
+                p = np.full((B, K), 1.0 / K)
             else:
-                p = igw_distribution(functional(w_theta_hat @ phi, s_grid), varsigma)
-            a_t = int(rng.choice(K, p=p))
-            y = float(inverse_cdf(true_cdfs[a_t], rng.random(), s_coords))
-            a_star = int(np.argmax(true_utils))
-            gap = float(true_utils[a_star] - true_utils[a_t])
-            cum_regret += gap
-            records.append((t, m, tuple(x), a_t, a_star, gap, cum_regret))
-            epoch_data.append((x, a_t, y))
+                hat_cdfs = mixtures[1].reshape(B, K, s_grid.size)
+                p = igw_distribution(functional(hat_cdfs, s_grid), varsigma)
+            chosen = _choose_actions(p, u_action[lo:lo + B])
+            best = np.argmax(true_utils, axis=-1)
+            for i in range(B):
+                r, a_t, a_star = lo + i, int(chosen[i]), int(best[i])
+                y = float(inverse_cdf(true_cdfs[i, a_t], u_outcome[r], s_coords))
+                gap = float(true_utils[i, a_star] - true_utils[i, a_t])
+                cum_regret += gap
+                records.append((first + r + 1, m, tuple(X[r]), a_t, a_star, gap, cum_regret))
+                epoch_data.append((X[r], a_t, y))
         prev_epoch_data = epoch_data
 
     checkpoints = []

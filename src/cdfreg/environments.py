@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import GridFunction, QuadratureGrid
-from .operators import CdfBasis, basis_values
+from .operators import CdfBasis, mixture_cdfs
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,8 +27,14 @@ class Environment:
             raise ValueError("theta_star must be nonnegative")
         if abs(th.integral() - 1.0) > 1e-9:
             raise ValueError("theta_star must integrate to 1")
-        if th.norm() > self.basis.coeff_norm_bound_M + 1e-9:
-            raise ValueError("theta_star exceeds the norm bound M")
+        check_norm_bound(self, self.basis.coeff_norm_bound_M)
+
+
+def check_norm_bound(env: Environment, M: float):
+    """Raise unless ||theta*|| <= M, i.e. unless theta* lies in the set C
+    that the oracle projects onto; NaN fails."""
+    if not env.theta_star.norm() <= M + 1e-9:
+        raise ValueError("theta_star exceeds the norm bound M")
 
 
 # Catalog evaluators take contexts X (B, d), actions A (B,), Omega nodes
@@ -46,7 +52,12 @@ def _kumaraswamy_eval(X, A, omega_nodes, s):
     g2 = 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * wm + 0.13 * a1)))
     alpha = 1.0 + g1
     beta = 1.0 + g2
-    return 1.0 - (1.0 - s ** alpha[:, :, None]) ** beta[:, :, None]
+    # 1 - (1 - s^alpha)^beta, in place: one (B, n_w, n_s) array
+    out = np.power(s, alpha[:, :, None])
+    np.subtract(1.0, out, out=out)
+    np.power(out, beta[:, :, None], out=out)
+    np.subtract(1.0, out, out=out)
+    return out
 
 
 def _finite_rank_eval(rank, X, A, omega_nodes, s):
@@ -60,7 +71,10 @@ def _finite_rank_eval(rank, X, A, omega_nodes, s):
     u = 0.5 * (1.0 + np.sin(2.0 * np.pi * (0.9 * xm + 0.41 * a1 + 1.7 * (cell + 1) / rank)))
     width = 0.5 / rank
     left = cell / rank + (1.0 / rank - width) * u
-    return np.clip((s - left[:, :, None]) / width, 0.0, 1.0)
+    # clip((s - left) / width, 0, 1), in place
+    out = np.subtract(s, left[:, :, None])
+    np.divide(out, width, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _bump_theta_star(omega_grid: QuadratureGrid, bumps, M: float) -> GridFunction:
@@ -125,9 +139,10 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
 
 def true_cdf(env: Environment, x, a: int) -> GridFunction:
     """F*(x, a, s_k) as the quadrature mixture of basis CDFs."""
-    phi = basis_values(env.basis, [x], [a], env.omega_grid, env.s_grid)[0]
-    values = (env.omega_grid.weights * env.theta_star.values) @ phi
-    return GridFunction(env.s_grid, values)
+    w_theta = env.omega_grid.weights * env.theta_star.values
+    _, (values,) = next(mixture_cdfs(env.basis, [w_theta], [x], [a],
+                                     env.omega_grid, env.s_grid))
+    return GridFunction(env.s_grid, values[0])
 
 
 def sample_context(env: Environment, rng: np.random.Generator) -> np.ndarray:
@@ -154,7 +169,9 @@ def optimal_action(env: Environment, functional, x) -> tuple[int, float]:
     one basis call; ties break to the lowest index."""
     K = env.action_count
     X = np.tile(np.asarray(x, dtype=float), (K, 1))
-    phi = basis_values(env.basis, X, np.arange(K), env.omega_grid, env.s_grid)
-    utilities = functional((env.omega_grid.weights * env.theta_star.values) @ phi, env.s_grid)
+    w_theta = env.omega_grid.weights * env.theta_star.values
+    _, (cdfs,) = next(mixture_cdfs(env.basis, [w_theta], X, np.arange(K),
+                                   env.omega_grid, env.s_grid, chunk=K))
+    utilities = functional(cdfs, env.s_grid)
     best = int(np.argmax(utilities))
     return best, float(utilities[best])

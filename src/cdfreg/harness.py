@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from .engine import RegretTrace, run_episode
-from .environments import Environment, inverse_cdf, make_catalog_env, sample_context
+from .environments import (Environment, check_norm_bound, inverse_cdf, make_catalog_env,
+                           sample_context)
 from .functionals import make_functional
 from .numerics import build_cdf_grid, build_uniform_grid
-from .operators import basis_chunks, estimate_eigendecay
+from .operators import estimate_eigendecay, mixture_cdfs
 from .regression import regress
 
 
@@ -103,8 +104,8 @@ def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
     w_theta = env.omega_grid.weights * env.theta_star.values
     s_coords = env.s_grid.coords()
     y = np.empty(n)
-    for sl, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
-        y[sl] = [inverse_cdf(F, v, s_coords) for F, v in zip(w_theta @ phi, u[sl])]
+    for sl, (F,) in mixture_cdfs(env.basis, [w_theta], X, A, env.omega_grid, env.s_grid):
+        y[sl] = [inverse_cdf(f, v, s_coords) for f, v in zip(F, u[sl])]
     return [(X[i], int(A[i]), float(y[i])) for i in range(n)]
 
 
@@ -123,8 +124,8 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
         A[i] = rng.integers(env.action_count)
     w_diff = env.omega_grid.weights * (estimate.theta_hat.values - env.theta_star.values)
     total = 0.0
-    for _, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
-        total += float(np.sum((w_diff @ phi) ** 2 @ env.s_grid.weights))
+    for _, (diff,) in mixture_cdfs(env.basis, [w_diff], X, A, env.omega_grid, env.s_grid):
+        total += float(np.sum(diff**2 @ env.s_grid.weights))
     return total / n_pairs
 
 
@@ -133,6 +134,7 @@ def sweep_regression_error(env: Environment, n_list, seeds, gamma: float,
     """Median (with quartiles) held-out CDF error per dataset size."""
     if len(seeds) < 5:
         raise ValueError("sweeps need at least 5 seeds for stable medians")
+    check_norm_bound(env, M)
     rows = []
     for n in n_list:
         errors = []
@@ -180,15 +182,22 @@ def run_config(config: ExperimentConfig, seed: int) -> RegretTrace:
                        gamma_source=source)
 
 
-TRACE_COLUMNS = ("round", "epoch", "action", "optimal_action", "gap", "cum_regret")
-
-
 def write_trace_csv(trace: RegretTrace, path):
+    """Rows: round, epoch, context components x0..x{d-1}, action,
+    optimal_action, gap, cum_regret. Contexts are written with 17
+    significant digits, so they read back bit for bit."""
+    dim = len(trace.records[0][2])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for t, m, _x, a, a_star, gap, cum in trace.records:
-            writer.writerow([t, m, a, a_star, "%.12g" % gap, "%.12g" % cum])
+        writer.writerow(["round", "epoch"] + ["x%d" % i for i in range(dim)]
+                        + ["action", "optimal_action", "gap", "cum_regret"])
+        for t, m, x, a, a_star, gap, cum in trace.records:
+            writer.writerow([t, m] + ["%.17g" % c for c in x]
+                            + [a, a_star, "%.12g" % gap, "%.12g" % cum])
+
+
+def _context_columns(row) -> list:
+    return sorted((k for k in row if k.startswith("x")), key=lambda k: int(k[1:]))
 
 
 def read_trace_csv(path):
@@ -198,6 +207,7 @@ def read_trace_csv(path):
             {
                 "round": int(row["round"]),
                 "epoch": int(row["epoch"]),
+                "context": np.array([float(row[k]) for k in _context_columns(row)]),
                 "action": int(row["action"]),
                 "optimal_action": int(row["optimal_action"]),
                 "gap": float(row["gap"]),
@@ -234,7 +244,6 @@ def read_dataset_csv(path):
         reader = csv.DictReader(fh)
         data = []
         for row in reader:
-            xcols = sorted((k for k in row if k.startswith("x")), key=lambda k: int(k[1:]))
-            x = np.array([float(row[k]) for k in xcols])
+            x = np.array([float(row[k]) for k in _context_columns(row)])
             data.append((x, int(row["action"]), float(row["y"])))
     return data

@@ -22,8 +22,8 @@ from .operators import (
     CdfBasis,
     DesignOperator,
     basis_chunks,
-    basis_values,
     kernel_sum,
+    mixture_cdfs,
     spectral_decompose,
     weighted_quadratic,
 )
@@ -361,7 +361,8 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
     est = L^2 * c_const * e_delta^2 at the confidence level passed in."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if min(n, s0, M, L, A, d, eta) <= 0 or L0 < 0 or not 0.0 < gamma <= 1.0:
+    if not (all(v > 0 for v in (n, s0, M, L, A, d, eta)) and L0 >= 0
+            and 0.0 < gamma <= 1.0):  # NaN fails
         raise ValueError("all budget inputs must be positive (L0 nonnegative)")
     log_inv_delta = math.log(1.0 / delta)
     e_delta = 2.0 * math.sqrt(log_inv_delta) + (
@@ -376,9 +377,9 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
 def predict_cdf(estimate: CoefficientEstimate, basis: CdfBasis, x, a: int,
                 omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> GridFunction:
     """F_hat(x, a, s_k) = sum_i w_i theta_hat_i phi(x, a, w_i, s_k)."""
-    phi = basis_values(basis, [x], [a], omega_grid, s_grid)[0]
-    values = (omega_grid.weights * estimate.theta_hat.values) @ phi
-    return GridFunction(s_grid, values)
+    w_theta = omega_grid.weights * estimate.theta_hat.values
+    _, (values,) = next(mixture_cdfs(basis, [w_theta], [x], [a], omega_grid, s_grid))
+    return GridFunction(s_grid, values[0])
 
 
 def regress(dataset, basis: CdfBasis, gamma: float, M: float,

@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from cdfreg import (
+    basis_values,
     build_cdf_grid,
     build_uniform_grid,
     error_budget,
     exploration_param,
     igw_distribution,
+    inverse_cdf,
     make_catalog_env,
     make_functional,
+    regress,
     run_episode,
+    sample_context,
+    sweep_regression_error,
 )
 from cdfreg.regression import KKT_TOLERANCE
 
@@ -81,6 +86,42 @@ def test_igw_rejects_bad_inputs():
         igw_distribution([np.inf, 0.0], 1.0)
     with pytest.raises(ValueError):
         igw_distribution([1.0, 0.0], 0.0)
+    with pytest.raises(ValueError):
+        igw_distribution(np.zeros((3, 0)), 1.0)
+
+
+def test_igw_rejects_nan_varsigma():
+    with pytest.raises(ValueError):
+        igw_distribution([1.0, 0.0], np.nan)
+
+
+def _igw_vector_reference(v, varsigma):
+    """The one-vector inverse-gap weighting, written out directly."""
+    v = np.asarray(v, dtype=float)
+    K = v.size
+    best = int(np.argmax(v))
+    if np.all(v == v[best]):
+        return np.full(K, 1.0 / K)
+    p = 1.0 / (K + varsigma * (v[best] - v))
+    p[best] = 0.0
+    p[best] = 1.0 - p.sum()
+    return p
+
+
+def test_igw_batched_rows_equal_vector_calls():
+    rng = np.random.default_rng(29)
+    for K in range(1, 10):
+        # one decimal makes tied maxima common; the first rows tie throughout
+        utils = np.round(rng.normal(size=(60, K)), 1)
+        utils[:3] = utils[:3, :1]
+        varsigma = float(10 ** rng.uniform(-3, 4))
+        batched = igw_distribution(utils, varsigma)
+        assert batched.shape == (60, K)
+        for row, v in zip(batched, utils):
+            assert np.array_equal(row, igw_distribution(v, varsigma))
+            assert np.array_equal(row, _igw_vector_reference(v, varsigma))
+        stacked = igw_distribution(utils.reshape(3, 20, K), varsigma)
+        assert np.array_equal(stacked.reshape(60, K), batched)
 
 
 def _budget(est):
@@ -112,6 +153,11 @@ def test_exploration_param_monotone_in_est():
 def test_exploration_param_rejects_first_epoch():
     with pytest.raises(ValueError):
         exploration_param(1, 5, _budget(1.0))
+
+
+def test_exploration_param_rejects_nan_scale():
+    with pytest.raises(ValueError):
+        exploration_param(2, 5, _budget(1.0), scale=np.nan)
 
 
 def test_run_episode_smoke():
@@ -147,3 +193,74 @@ def test_run_episode_rejects_bad_horizon():
         run_episode(env, fn, 1, 0.1, 1.0, 2.0, seed=0)
     with pytest.raises(ValueError):
         run_episode(env, fn, 64, 1.5, 1.0, 2.0, seed=0)
+
+
+def test_run_episode_rejects_M_below_theta_star_norm():
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    assert 1.1 < env.theta_star.norm() < 1.2
+    fn = make_functional("mean")
+    with pytest.raises(ValueError):
+        run_episode(env, fn, 16, 0.1, 1.0, 1.1, seed=0)
+    with pytest.raises(ValueError):
+        sweep_regression_error(env, (16,), tuple(range(5)), 0.1, 1.1)
+    run_episode(env, fn, 16, 0.1, 1.0, 1.2, seed=0)
+
+
+def _per_round_reference(env, functional, T, delta, gamma, M, seed, scale, s0):
+    """The engine as a round-by-round loop: per round a context from
+    sample_context, an action from rng.choice, and an outcome from
+    rng.random() through inverse_cdf. Returns (records, varsigmas,
+    oracle_calls)."""
+    rng = np.random.default_rng(seed)
+    bounds = [0] + [min(2**m, T) for m in range(1, (T - 1).bit_length() + 1)]
+    K, basis, omega = env.action_count, env.basis, env.omega_grid
+    w_star = omega.weights * env.theta_star.values
+    records, varsigmas, calls, cum, prev = [], [], 0, 0.0, []
+    varsigma, w_hat = 1.0, None
+    for m in range(1, len(bounds)):
+        if m >= 2:
+            budget = error_budget(bounds[m - 1] - bounds[m - 2], delta / (2.0 * m * m),
+                                  gamma, s0, M, functional.lipschitz_L, basis.lipschitz_L0,
+                                  basis.covering_constant_A, basis.omega_dim,
+                                  basis.kernel_floor_eta)
+            varsigma = exploration_param(m, K, budget, scale)
+            w_hat = omega.weights * regress(prev, basis, gamma, M, omega, S).theta_hat.values
+            calls += 1
+        varsigmas.append(varsigma)
+        data = []
+        for t in range(bounds[m - 1] + 1, bounds[m] + 1):
+            x = sample_context(env, rng)
+            phi = basis_values(basis, np.tile(x, (K, 1)), np.arange(K), omega, S)
+            true_cdfs = w_star @ phi
+            true_utils = functional(true_cdfs, S)
+            if w_hat is None:
+                p = np.full(K, 1.0 / K)
+            else:
+                p = _igw_vector_reference(functional(w_hat @ phi, S), varsigma)
+            a = int(rng.choice(K, p=p))
+            y = float(inverse_cdf(true_cdfs[a], rng.random(), S.coords()))
+            a_star = int(np.argmax(true_utils))
+            gap = float(true_utils[a_star] - true_utils[a])
+            cum += gap
+            records.append((t, m, tuple(x), a, a_star, gap, cum))
+            data.append((x, a, y))
+        prev = data
+    return records, varsigmas, calls
+
+
+@pytest.mark.parametrize("functional", ["mean", "smoothed_quantile"])
+@pytest.mark.parametrize("context_dim", [1, 3])
+@pytest.mark.parametrize("K", [1, 3, 7])
+def test_block_engine_equals_per_round_loop(K, context_dim, functional):
+    # T = 100: blocks end inside epochs, and the last epoch is capped at 36
+    env = make_catalog_env("kumaraswamy", OMEGA, S, context_dim=context_dim,
+                           action_count=K, theta_star="bumps")
+    fn = make_functional(functional, **({"q": 0.4} if functional != "mean" else {}))
+    args = (env, fn, 100, 0.1, 0.5, 2.0, 11, 1e4, 2.0)
+    trace = run_episode(*args)
+    records, varsigmas, calls = _per_round_reference(*args)
+    assert trace.records == records
+    assert trace.summary["varsigmas"] == varsigmas
+    assert trace.summary["oracle_calls"] == calls
+    if K > 1:
+        assert len({r[3] for r in records}) > 1

@@ -17,6 +17,7 @@ from cdfreg import (
     spectral_decompose,
     true_cdf,
 )
+from cdfreg.environments import _finite_rank_eval, _kumaraswamy_eval
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -144,3 +145,34 @@ def test_optimal_action_matches_exhaustive():
         utils = [fn(true_cdf(env, x, a).values, S) for a in range(env.action_count)]
         assert best == int(np.argmax(utils))
         assert util == pytest.approx(max(utils))
+
+
+def _kumaraswamy_out_of_place(X, A, omega_nodes, s):
+    xm = X.mean(axis=1)[:, None]
+    a1 = (A + 1)[:, None]
+    wm = omega_nodes.mean(axis=1)
+    alpha = 1.0 + 0.5 * (1.0 + np.sin(2.0 * np.pi * (xm + 0.7 * wm + 0.31 * a1)))
+    beta = 1.0 + 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * wm + 0.13 * a1)))
+    return 1.0 - (1.0 - s ** alpha[:, :, None]) ** beta[:, :, None]
+
+
+def _finite_rank_out_of_place(rank, X, A, omega_nodes, s):
+    xm = X.mean(axis=1)[:, None]
+    a1 = (A + 1)[:, None]
+    cell = np.minimum((omega_nodes[:, 0] * rank).astype(int), rank - 1)
+    u = 0.5 * (1.0 + np.sin(2.0 * np.pi * (0.9 * xm + 0.41 * a1 + 1.7 * (cell + 1) / rank)))
+    width = 0.5 / rank
+    left = cell / rank + (1.0 / rank - width) * u
+    return np.clip((s - left[:, :, None]) / width, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("B", [1, 5, 16, 80, 333])
+def test_in_place_evaluators_equal_out_of_place_expressions(B):
+    rng = np.random.default_rng(B)
+    X, A = rng.random((B, 3)), rng.integers(0, 7, size=B)
+    nodes, s = OMEGA.nodes, S.coords()
+    assert np.array_equal(_kumaraswamy_eval(X, A, nodes, s),
+                          _kumaraswamy_out_of_place(X, A, nodes, s))
+    for rank in (1, 8):
+        assert np.array_equal(_finite_rank_eval(rank, X, A, nodes, s),
+                              _finite_rank_out_of_place(rank, X, A, nodes, s))

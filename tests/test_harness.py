@@ -126,6 +126,27 @@ def test_trace_round_trip_and_summary(tmp_path):
     assert summary["oracle_calls"] <= 7
 
 
+@pytest.mark.parametrize("context_dim", [1, 2, 12])
+def test_trace_csv_round_trips_contexts(tmp_path, capsys, context_dim):
+    env = make_catalog_env("kumaraswamy", OMEGA, S, context_dim=context_dim)
+    trace = run_episode(env, make_functional("mean"), 64, 0.1, 1.0, 2.0, seed=4,
+                        exploration_scale=100.0)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    header = path.read_text().splitlines()[0].split(",")
+    assert header[2:2 + context_dim] == ["x%d" % i for i in range(context_dim)]
+    rows = read_trace_csv(path)
+    assert len(rows) == len(trace.records)
+    for (t, m, x, a, a_star, gap, cum), row in zip(trace.records, rows):
+        assert np.array_equal(row["context"], np.array(x))
+        assert (row["round"], row["epoch"], row["action"], row["optimal_action"]) == (
+            t, m, a, a_star)
+        assert row["gap"] == pytest.approx(gap) and row["cum_regret"] == pytest.approx(cum)
+    capsys.readouterr()
+    assert main(["fit-slope", str(path)]) == 0
+    assert "slope" in capsys.readouterr().out
+
+
 def test_fit_loglog_slope_analytic():
     rounds = [2.0**k for k in range(1, 11)]
     assert fit_loglog_slope([(r, r) for r in rounds]) == pytest.approx(1.0, abs=1e-9)

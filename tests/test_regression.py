@@ -208,6 +208,12 @@ def test_error_budget_rejects_bad_delta():
         error_budget(1, 1.0, 1.0, 1.0, 1.0, 1.0, 2.5, 1.0, 1, 0.2)
 
 
+def test_error_budget_rejects_nan_s0():
+    kwargs = dict(n=64, delta=0.1, gamma=0.5, M=2.0, L=1.0, L0=2.5, A=1.0, d=1, eta=0.2)
+    with pytest.raises(ValueError):
+        error_budget(s0=np.nan, **kwargs)
+
+
 def test_regress_end_to_end_recovers_cdf():
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
     rng = np.random.default_rng(21)
