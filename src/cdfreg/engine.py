@@ -15,7 +15,7 @@ import numpy as np
 
 from .environments import Environment, check_norm_bound, inverse_cdf
 from .functionals import UtilityFunctional
-from .operators import mixture_cdfs
+from .operators import basis_values
 from .regression import ErrorBudget, error_budget, regress
 
 
@@ -161,20 +161,18 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
         first, n = bounds[m - 1], bounds[m] - bounds[m - 1]
         draws = rng.random((n, d + 2))
         X, u_action, u_outcome = draws[:, :d], draws[:, d], draws[:, d + 1]
-        weights = [w_theta_star] if w_theta_hat is None else [w_theta_star, w_theta_hat]
         epoch_data = []
         for lo in range(0, n, ROUND_BLOCK):
             B = min(ROUND_BLOCK, n - lo)
             # pair b * K + a is (context of round lo + b, action a)
-            pairs_X = np.repeat(X[lo:lo + B], K, axis=0)
-            _, mixtures = next(mixture_cdfs(basis, weights, pairs_X, np.tile(np.arange(K), B),
-                                            omega_grid, s_grid, chunk=B * K))
-            true_cdfs = mixtures[0].reshape(B, K, s_grid.size)
+            phi = basis_values(basis, np.repeat(X[lo:lo + B], K, axis=0),
+                               np.tile(np.arange(K), B), omega_grid, s_grid)
+            true_cdfs = (w_theta_star @ phi).reshape(B, K, s_grid.size)
             true_utils = functional(true_cdfs, s_grid)
             if w_theta_hat is None:
                 p = np.full((B, K), 1.0 / K)
             else:
-                hat_cdfs = mixtures[1].reshape(B, K, s_grid.size)
+                hat_cdfs = (w_theta_hat @ phi).reshape(B, K, s_grid.size)
                 p = igw_distribution(functional(hat_cdfs, s_grid), varsigma)
             chosen = _choose_actions(p, u_action[lo:lo + B])
             best = np.argmax(true_utils, axis=-1)

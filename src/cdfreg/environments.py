@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import GridFunction, QuadratureGrid
-from .operators import CdfBasis, mixture_cdfs
+from .operators import CdfBasis, basis_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +139,15 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
 
 def true_cdf(env: Environment, x, a: int) -> GridFunction:
     """F*(x, a, s_k) as the quadrature mixture of basis CDFs."""
-    w_theta = env.omega_grid.weights * env.theta_star.values
-    _, (values,) = next(mixture_cdfs(env.basis, [w_theta], [x], [a],
-                                     env.omega_grid, env.s_grid))
-    return GridFunction(env.s_grid, values[0])
+    phi = basis_values(env.basis, [x], [a], env.omega_grid, env.s_grid)[0]
+    values = (env.omega_grid.weights * env.theta_star.values) @ phi
+    return GridFunction(env.s_grid, values)
 
 
 def sample_context(env: Environment, rng: np.random.Generator) -> np.ndarray:
+    """A context uniform on [0, 1)^d: exactly ``rng.random(d)``. The engine's
+    ``run_episode`` draws its contexts as the first d columns of one
+    ``rng.random((n, d + 2))`` array per epoch and relies on this rule."""
     return rng.random(env.context_dim)
 
 
@@ -169,9 +171,7 @@ def optimal_action(env: Environment, functional, x) -> tuple[int, float]:
     one basis call; ties break to the lowest index."""
     K = env.action_count
     X = np.tile(np.asarray(x, dtype=float), (K, 1))
-    w_theta = env.omega_grid.weights * env.theta_star.values
-    _, (cdfs,) = next(mixture_cdfs(env.basis, [w_theta], X, np.arange(K),
-                                   env.omega_grid, env.s_grid, chunk=K))
-    utilities = functional(cdfs, env.s_grid)
+    phi = basis_values(env.basis, X, np.arange(K), env.omega_grid, env.s_grid)
+    utilities = functional((env.omega_grid.weights * env.theta_star.values) @ phi, env.s_grid)
     best = int(np.argmax(utilities))
     return best, float(utilities[best])

@@ -104,7 +104,7 @@ def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
     w_theta = env.omega_grid.weights * env.theta_star.values
     s_coords = env.s_grid.coords()
     y = np.empty(n)
-    for sl, (F,) in mixture_cdfs(env.basis, [w_theta], X, A, env.omega_grid, env.s_grid):
+    for sl, F in mixture_cdfs(env.basis, w_theta, X, A, env.omega_grid, env.s_grid):
         y[sl] = [inverse_cdf(f, v, s_coords) for f, v in zip(F, u[sl])]
     return [(X[i], int(A[i]), float(y[i])) for i in range(n)]
 
@@ -124,7 +124,7 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
         A[i] = rng.integers(env.action_count)
     w_diff = env.omega_grid.weights * (estimate.theta_hat.values - env.theta_star.values)
     total = 0.0
-    for _, (diff,) in mixture_cdfs(env.basis, [w_diff], X, A, env.omega_grid, env.s_grid):
+    for _, diff in mixture_cdfs(env.basis, w_diff, X, A, env.omega_grid, env.s_grid):
         total += float(np.sum(diff**2 @ env.s_grid.weights))
     return total / n_pairs
 

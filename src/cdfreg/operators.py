@@ -100,23 +100,22 @@ def basis_values(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
 
 
 def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
-                 s_grid: QuadratureGrid, chunk: int = BASIS_CHUNK):
-    """Yield (slice, phi) over successive chunks of ``chunk`` pairs."""
+                 s_grid: QuadratureGrid):
+    """Yield (slice, phi) over successive chunks of BASIS_CHUNK pairs."""
     X, A = np.asarray(X, dtype=float), np.asarray(A, dtype=int)
-    for lo in range(0, A.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
+    for lo in range(0, A.shape[0], BASIS_CHUNK):
+        sl = slice(lo, lo + BASIS_CHUNK)
         yield sl, basis_values(basis, X[sl], A[sl], omega_grid, s_grid)
 
 
-def mixture_cdfs(basis: CdfBasis, weights, X, A, omega_grid: QuadratureGrid,
-                 s_grid: QuadratureGrid, chunk: int = BASIS_CHUNK):
-    """Yield (slice, [w @ phi for w in weights]) over successive chunks of
-    ``chunk`` pairs: for each quadrature-weighted coefficient vector w of
-    shape (n_w,), the mixture sum_i w_i phi(X[b], A[b], w_i, .) of shape
-    (B, n_s). With w = weights * theta this is the CDF that theta induces;
-    every basis evaluation is shared by all the vectors."""
-    for sl, phi in basis_chunks(basis, X, A, omega_grid, s_grid, chunk):
-        yield sl, [w @ phi for w in weights]
+def mixture_cdfs(basis: CdfBasis, w, X, A, omega_grid: QuadratureGrid,
+                 s_grid: QuadratureGrid):
+    """Yield (slice, w @ phi) over successive chunks of BASIS_CHUNK pairs:
+    for a quadrature-weighted coefficient vector w of shape (n_w,), the
+    mixtures sum_i w_i phi(X[b], A[b], w_i, .) of shape (chunk, n_s). With
+    w = weights * theta this is the CDF that theta induces."""
+    for sl, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
+        yield sl, w @ phi
 
 
 def kernel_sum(phi: np.ndarray, s_weights: np.ndarray) -> np.ndarray:

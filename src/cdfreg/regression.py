@@ -22,8 +22,8 @@ from .operators import (
     CdfBasis,
     DesignOperator,
     basis_chunks,
+    basis_values,
     kernel_sum,
-    mixture_cdfs,
     spectral_decompose,
     weighted_quadratic,
 )
@@ -377,9 +377,9 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
 def predict_cdf(estimate: CoefficientEstimate, basis: CdfBasis, x, a: int,
                 omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> GridFunction:
     """F_hat(x, a, s_k) = sum_i w_i theta_hat_i phi(x, a, w_i, s_k)."""
-    w_theta = omega_grid.weights * estimate.theta_hat.values
-    _, (values,) = next(mixture_cdfs(basis, [w_theta], [x], [a], omega_grid, s_grid))
-    return GridFunction(s_grid, values[0])
+    phi = basis_values(basis, [x], [a], omega_grid, s_grid)[0]
+    values = (omega_grid.weights * estimate.theta_hat.values) @ phi
+    return GridFunction(s_grid, values)
 
 
 def regress(dataset, basis: CdfBasis, gamma: float, M: float,
