@@ -174,6 +174,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             else:
                 hat_cdfs = (w_theta_hat @ phi).reshape(B, K, s_grid.size)
                 p = igw_distribution(functional(hat_cdfs, s_grid), varsigma)
+            del phi  # free it before the next block allocates its own (peak RSS)
             chosen = _choose_actions(p, u_action[lo:lo + B])
             best = np.argmax(true_utils, axis=-1)
             for i in range(B):
