@@ -34,7 +34,6 @@ from .regression import (
     pseudo_inverse_apply,
     regress,
     select_truncation,
-    solve_least_squares,
 )
 from .functionals import (
     UtilityFunctional,
@@ -48,7 +47,6 @@ from .environments import (
     Environment,
     inverse_cdf,
     make_catalog_env,
-    optimal_action,
     sample_context,
     sample_outcomes,
     true_cdf,

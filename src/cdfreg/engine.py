@@ -49,8 +49,8 @@ def igw_distribution(utilities, varsigma: float) -> np.ndarray:
         raise ValueError("utilities must have a nonempty last axis")
     if not np.all(np.isfinite(v)):
         raise ValueError("utilities must be finite")
-    if not varsigma > 0:  # NaN fails
-        raise ValueError("varsigma must be positive")
+    if not 0 < varsigma < math.inf:  # NaN fails
+        raise ValueError("varsigma must be positive and finite")
     K = v.shape[-1]
     rows = v.reshape(-1, K)
     idx = np.arange(rows.shape[0])
@@ -88,8 +88,8 @@ def exploration_param(m: int, K: int, budget: ErrorBudget, scale: float = 1.0) -
     epoch's sample count."""
     if m < 2:
         raise ValueError("exploration_param is defined for epochs m >= 2")
-    if not (K >= 1 and scale > 0):  # NaN fails
-        raise ValueError("K must be positive and scale > 0")
+    if not (K >= 1 and 0 < scale < math.inf):  # NaN fails
+        raise ValueError("K must be positive and scale positive and finite")
     return scale * 0.5 * math.sqrt(K / budget.est)
 
 

@@ -1,6 +1,5 @@
 """Synthetic ground-truth worlds: catalog CDF basis families, a hidden
-coefficient function, context and outcome sampling, and oracle access to
-optimal actions for regret accounting."""
+coefficient function, and context and outcome sampling."""
 
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ class Environment:
             raise ValueError("theta_star must be nonnegative")
         if abs(th.integral() - 1.0) > 1e-9:
             raise ValueError("theta_star must integrate to 1")
-        check_norm_bound(self, self.basis.coeff_norm_bound_M)
 
 
 def check_norm_bound(env: Environment, M: float):
@@ -77,27 +75,24 @@ def _finite_rank_eval(rank, X, A, omega_nodes, s):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _bump_theta_star(omega_grid: QuadratureGrid, bumps, M: float) -> GridFunction:
+# (center, height, width) of each Gaussian bump added to the uniform density
+BUMPS = (((0.3,), 2.0, 0.12), ((0.75,), -0.8, 0.1))
+
+
+def _bump_theta_star(omega_grid: QuadratureGrid) -> GridFunction:
     values = np.ones(omega_grid.size)
-    for center, height, width in bumps:
+    for center, height, width in BUMPS:
         center = np.asarray(center, dtype=float)
         dist2 = np.sum((omega_grid.nodes - center) ** 2, axis=1)
         values = values + height * np.exp(-dist2 / (2.0 * width**2))
     values = np.maximum(values, 0.0)
     values = values / float(omega_grid.weights @ values)
-    theta = GridFunction(omega_grid, values)
-    if theta.norm() > M + 1e-9:
-        raise ValueError("bump mixture violates the norm bound M")
-    return theta
-
-
-DEFAULT_BUMPS = (((0.3,), 2.0, 0.12), ((0.75,), -0.8, 0.1))
+    return GridFunction(omega_grid, values)
 
 
 def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGrid,
                      context_dim: int = 2, action_count: int = 5,
-                     theta_star: str = "uniform", bumps=DEFAULT_BUMPS,
-                     rank: int = 8) -> Environment:
+                     theta_star: str = "uniform", rank: int = 8) -> Environment:
     """Catalog environments.
 
     rank1-uniform: phi(x,a,w,s) = s for every argument (degenerate sanity
@@ -107,12 +102,12 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     """
     if name == "rank1-uniform":
         basis = CdfBasis("rank1-uniform", _rank1_eval, lipschitz_L0=0.0,
-                         kernel_floor_eta=1.0 / 3.0, coeff_norm_bound_M=2.0,
-                         covering_constant_A=1.0, omega_dim=omega_grid.dim)
+                         kernel_floor_eta=1.0 / 3.0, covering_constant_A=1.0,
+                         omega_dim=omega_grid.dim)
     elif name == "kumaraswamy":
         basis = CdfBasis("kumaraswamy", _kumaraswamy_eval, lipschitz_L0=2.5,
-                         kernel_floor_eta=0.2, coeff_norm_bound_M=2.0,
-                         covering_constant_A=1.0, omega_dim=omega_grid.dim)
+                         kernel_floor_eta=0.2, covering_constant_A=1.0,
+                         omega_dim=omega_grid.dim)
     elif name == "finite-rank-r":
         def evaluator(X, A, omega_nodes, s, _rank=rank):
             return _finite_rank_eval(_rank, X, A, omega_nodes, s)
@@ -122,15 +117,15 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
         # edges.  The kernel floor is the squared mass of the last cell's
         # ramp, width/3 = 1/(6 rank), declared with a safety margin.
         basis = CdfBasis("finite-rank-%d" % rank, evaluator, lipschitz_L0=60.0,
-                         kernel_floor_eta=1.0 / (8.0 * rank), coeff_norm_bound_M=2.0,
-                         covering_constant_A=1.0, omega_dim=omega_grid.dim)
+                         kernel_floor_eta=1.0 / (8.0 * rank), covering_constant_A=1.0,
+                         omega_dim=omega_grid.dim)
     else:
         raise ValueError("unknown catalog environment %r" % name)
 
     if theta_star == "uniform":
         theta = GridFunction(omega_grid, np.ones(omega_grid.size))
     elif theta_star == "bumps":
-        theta = _bump_theta_star(omega_grid, bumps, basis.coeff_norm_bound_M)
+        theta = _bump_theta_star(omega_grid)
     else:
         raise ValueError("unknown theta_star %r" % theta_star)
 
@@ -164,14 +159,3 @@ def sample_outcomes(env: Environment, x, a: int, size: int,
     """``size`` inverse-CDF draws from F*(x, a, .) on the outcome grid."""
     f = true_cdf(env, x, a)
     return inverse_cdf(f.values, rng.random(size), f.grid.coords())
-
-
-def optimal_action(env: Environment, functional, x) -> tuple[int, float]:
-    """Exhaustive argmax of the functional over true CDFs, all K actions in
-    one basis call; ties break to the lowest index."""
-    K = env.action_count
-    X = np.tile(np.asarray(x, dtype=float), (K, 1))
-    phi = basis_values(env.basis, X, np.arange(K), env.omega_grid, env.s_grid)
-    utilities = functional((env.omega_grid.weights * env.theta_star.values) @ phi, env.s_grid)
-    best = int(np.argmax(utilities))
-    return best, float(utilities[best])

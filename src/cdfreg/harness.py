@@ -15,7 +15,7 @@ from .environments import (Environment, check_norm_bound, inverse_cdf, make_cata
                            sample_context)
 from .functionals import make_functional
 from .numerics import build_cdf_grid, build_uniform_grid
-from .operators import estimate_eigendecay, mixture_cdfs
+from .operators import basis_chunks, estimate_eigendecay
 from .regression import regress
 
 
@@ -104,8 +104,8 @@ def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
     w_theta = env.omega_grid.weights * env.theta_star.values
     s_coords = env.s_grid.coords()
     y = np.empty(n)
-    for sl, F in mixture_cdfs(env.basis, w_theta, X, A, env.omega_grid, env.s_grid):
-        y[sl] = [inverse_cdf(f, v, s_coords) for f, v in zip(F, u[sl])]
+    for sl, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
+        y[sl] = [inverse_cdf(f, v, s_coords) for f, v in zip(w_theta @ phi, u[sl])]
     return [(X[i], int(A[i]), float(y[i])) for i in range(n)]
 
 
@@ -124,8 +124,8 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
         A[i] = rng.integers(env.action_count)
     w_diff = env.omega_grid.weights * (estimate.theta_hat.values - env.theta_star.values)
     total = 0.0
-    for _, diff in mixture_cdfs(env.basis, w_diff, X, A, env.omega_grid, env.s_grid):
-        total += float(np.sum(diff**2 @ env.s_grid.weights))
+    for _, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
+        total += float(np.sum((w_diff @ phi) ** 2 @ env.s_grid.weights))
     return total / n_pairs
 
 
@@ -182,17 +182,22 @@ def run_config(config: ExperimentConfig, seed: int) -> RegretTrace:
                        gamma_source=source)
 
 
+def _exact(value) -> str:
+    """A double with 17 significant digits, which reads back bit for bit."""
+    return "%.17g" % value
+
+
 def write_trace_csv(trace: RegretTrace, path):
     """Rows: round, epoch, context components x0..x{d-1}, action,
-    optimal_action, gap, cum_regret. Contexts are written with 17
-    significant digits, so they read back bit for bit."""
+    optimal_action, gap, cum_regret. Contexts are written by ``_exact``, so
+    they read back bit for bit."""
     dim = len(trace.records[0][2])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "epoch"] + ["x%d" % i for i in range(dim)]
                         + ["action", "optimal_action", "gap", "cum_regret"])
         for t, m, x, a, a_star, gap, cum in trace.records:
-            writer.writerow([t, m] + ["%.17g" % c for c in x]
+            writer.writerow([t, m] + [_exact(c) for c in x]
                             + [a, a_star, "%.12g" % gap, "%.12g" % cum])
 
 
@@ -229,14 +234,15 @@ def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None
 
 
 def write_dataset_csv(dataset, path):
-    """Rows: round, context components, action, y."""
+    """Rows: round, context components x0..x{d-1}, action, y. Contexts and
+    y are written by ``_exact``, so a dataset reads back bit for bit."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim = len(np.atleast_1d(dataset[0][0]))
         writer.writerow(["round"] + ["x%d" % i for i in range(dim)] + ["action", "y"])
         for i, (x, a, y) in enumerate(dataset):
-            writer.writerow([i + 1] + ["%.12g" % c for c in np.atleast_1d(x)]
-                            + [a, "%.12g" % y])
+            writer.writerow([i + 1] + [_exact(c) for c in np.atleast_1d(x)]
+                            + [a, _exact(y)])
 
 
 def read_dataset_csv(path):

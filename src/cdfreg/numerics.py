@@ -1,6 +1,6 @@
 """Quadrature grids, grid-function algebra, and integral-operator eigensolvers.
 
-Functions on a compact box are represented by their values at quadrature
+Functions on the unit box are represented by their values at quadrature
 nodes, so every inner product and operator application is a finite weighted
 sum. Two node layouts are used: midpoint rules for the coefficient domain,
 and a right-endpoint rule for the outcome domain so that the last node sits
@@ -25,31 +25,27 @@ def _readonly(a):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Nodes and positive weights on an axis-aligned box.
+    """Nodes and positive weights on the unit box [0,1]^dim.
 
-    ``nodes`` has shape (n, dim), ``weights`` shape (n,); the weights sum to
-    the box volume (1.0 for the unit box).
+    ``nodes`` has shape (n, dim), ``weights`` shape (n,); the weights sum
+    to 1, the volume of the box.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    bounds: np.ndarray  # shape (dim, 2)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _readonly(np.atleast_2d(self.nodes)))
         object.__setattr__(self, "weights", _readonly(self.weights))
-        object.__setattr__(self, "bounds", _readonly(np.atleast_2d(self.bounds)))
         if self.nodes.shape[0] != self.weights.shape[0]:
             raise ValueError("node and weight counts differ")
         # each check states its pass condition, so a NaN fails it
         if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
-        volume = float(np.prod(self.bounds[:, 1] - self.bounds[:, 0]))
-        if not abs(self.weights.sum() - volume) <= 1e-12 * max(1.0, volume):
-            raise ValueError("weights do not sum to the box measure")
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        if not (np.all(self.nodes >= lo - 1e-12) and np.all(self.nodes <= hi + 1e-12)):
-            raise ValueError("nodes outside the box")
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
+            raise ValueError("weights do not sum to 1, the unit box's measure")
+        if not (np.all(self.nodes >= -1e-12) and np.all(self.nodes <= 1.0 + 1e-12)):
+            raise ValueError("nodes outside the unit box")
 
     @property
     def size(self) -> int:
@@ -103,8 +99,7 @@ def build_uniform_grid(dim: int, nodes_per_dim: int) -> QuadratureGrid:
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     weights = np.full(nodes.shape[0], nodes_per_dim ** (-float(dim)))
-    bounds = np.tile([0.0, 1.0], (dim, 1))
-    return QuadratureGrid(nodes, weights, bounds)
+    return QuadratureGrid(nodes, weights)
 
 
 def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
@@ -119,7 +114,7 @@ def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
         raise ValueError("grid would exceed the node limit")
     nodes = (np.arange(n_nodes) + 1.0) / n_nodes
     weights = np.full(n_nodes, 1.0 / n_nodes)
-    return QuadratureGrid(nodes[:, None], weights, [[0.0, 1.0]])
+    return QuadratureGrid(nodes[:, None], weights)
 
 
 def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,6 +164,24 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues must be descending")
 
 
+def quadrature_eig(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> SpectralDecomposition:
+    """Eigenpairs of the integral operator whose symmetric positive
+    semidefinite kernel has values ``kernel_matrix`` at the grid's nodes.
+
+    With D = diag(weights) the weighted problem K D e = lambda e is
+    symmetrized as D^(1/2) K D^(1/2); the eigenfunctions D^(-1/2) v are then
+    orthonormal under the grid's quadrature. Negative eigenvalues are
+    round-off for a positive operator: they are clamped to zero and kept,
+    so n nodes give n eigenpairs. One below -max(1e-10 lambda_1, 1e-12)
+    means the kernel is not positive semidefinite.
+    """
+    sqw = np.sqrt(grid.weights)
+    vals, vecs = sym_eig(sqw[:, None] * kernel_matrix * sqw[None, :])
+    if vals[-1] < -max(1e-10 * max(vals[0], 0.0), 1e-12):
+        raise ValueError("kernel operator is not positive semidefinite")
+    return SpectralDecomposition(np.maximum(vals, 0.0), vecs / sqw[:, None], grid)
+
+
 def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
     """Eigenpairs of the integral operator with symmetric kernel on [0,1]^2.
 
@@ -181,9 +194,9 @@ def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
     diagonal of quadrature weights, and the eigenfunctions come out exactly
     orthonormal under the returned grid's quadrature.
 
-    Negative numerical eigenvalues (round-off for these positive operators)
-    are clamped to zero and dropped; one below -max(1e-10 lambda_1, 1e-12)
-    means the kernel is not positive semidefinite.
+    The kernel matrix must be symmetric to 1e-8 relative to its largest
+    entry; it is then symmetrized and solved by ``quadrature_eig``, so all
+    n*r eigenpairs are returned, round-off negatives clamped to zero.
     """
     if n < 1 or not 1 <= r <= 16:
         raise ValueError("need n >= 1 and 1 <= r <= 16")
@@ -200,24 +213,6 @@ def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
     kmat = np.asarray(kernel(*np.meshgrid(omega, omega, indexing="ij")), dtype=float)
     if kmat.shape != (omega.size, omega.size):
         raise ValueError("kernel must map node arrays to an array of their shape")
-    if np.max(np.abs(kmat - kmat.T)) > 1e-8 * max(1.0, np.max(np.abs(kmat))):
-        raise ValueError("kernel is not symmetric")
-
-    sqw = np.sqrt(weights)
-    sym = sqw[:, None] * kmat * sqw[None, :]
-    try:
-        vals, vecs = sym_eig(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError("eigensolver failed on the degenerate-kernel matrix") from exc
-
-    lam_max = max(vals[0], 0.0) if vals.size else 0.0
-    if vals.size and vals[-1] < -max(1e-10 * lam_max, 1e-12):
-        raise ValueError("kernel operator is not positive semidefinite")
-    keep = vals >= 0.0  # round-off negatives are clamped to zero and dropped
-    vals = vals[keep]
-    vecs = vecs[:, keep]
-
-    grid = QuadratureGrid(omega[:, None], weights, [[0.0, 1.0]])
-    funcs = vecs / sqw[:, None]
-    funcs = funcs / np.sqrt(weights @ funcs**2)
-    return SpectralDecomposition(np.maximum(vals, 0.0), funcs, grid)
+    if not np.max(np.abs(kmat - kmat.T)) <= 1e-8 * max(1.0, np.max(np.abs(kmat))):
+        raise ValueError("kernel is not finite and symmetric")
+    return quadrature_eig((kmat + kmat.T) / 2.0, QuadratureGrid(omega[:, None], weights))

@@ -16,8 +16,8 @@ from .numerics import (
     GridFunction,
     QuadratureGrid,
     SpectralDecomposition,
+    quadrature_eig,
     same_grid,
-    sym_eig,
 )
 
 # Pairs per basis evaluation in chunked passes over a dataset: a chunk's
@@ -37,17 +37,18 @@ class CdfBasis:
     single pair is a batch of one. Callers go through ``basis_values``,
     which checks the shape and the [0, 1] range once per batch.
     ``lipschitz_L0`` bounds |phi(x,a,w,s) - phi(x,a,r,s)| / ||w - r||_inf,
-    ``kernel_floor_eta`` lower-bounds the point-kernel entries,
-    ``coeff_norm_bound_M`` bounds the L2 norm of admissible coefficient
-    functions, and ``covering_constant_A`` enters the covering-number
-    constant of the random-design error bound.
+    ``kernel_floor_eta`` lower-bounds the point-kernel entries, and
+    ``covering_constant_A`` enters the covering-number constant of the
+    random-design error bound. The norm bound M of the admissible set C is
+    not a property of the basis: the oracle and the engine take it as an
+    argument, and ``environments.check_norm_bound`` checks theta* against
+    it.
     """
 
     name: str
     eval_matrix: callable = field(repr=False)
     lipschitz_L0: float
     kernel_floor_eta: float
-    coeff_norm_bound_M: float
     covering_constant_A: float
     omega_dim: int
 
@@ -108,16 +109,6 @@ def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
         yield sl, basis_values(basis, X[sl], A[sl], omega_grid, s_grid)
 
 
-def mixture_cdfs(basis: CdfBasis, w, X, A, omega_grid: QuadratureGrid,
-                 s_grid: QuadratureGrid):
-    """Yield (slice, w @ phi) over successive chunks of BASIS_CHUNK pairs:
-    for a quadrature-weighted coefficient vector w of shape (n_w,), the
-    mixtures sum_i w_i phi(X[b], A[b], w_i, .) of shape (chunk, n_s). With
-    w = weights * theta this is the CDF that theta induces."""
-    for sl, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
-        yield sl, w @ phi
-
-
 def kernel_sum(phi: np.ndarray, s_weights: np.ndarray) -> np.ndarray:
     """sum_b sum_k s_w_k phi[b,i,k] phi[b,j,k], one batched product for the
     chunk; not symmetrized."""
@@ -147,17 +138,9 @@ def design_operator(basis: CdfBasis, pairs, omega_grid: QuadratureGrid,
 
 
 def spectral_decompose(op: DesignOperator) -> SpectralDecomposition:
-    """Eigenpairs of the design operator under the quadrature inner product.
-
-    With D = diag(weights) the weighted problem K D e = lambda e is
-    symmetrized as D^(1/2) K D^(1/2); eigenfunctions D^(-1/2) v are then
-    orthonormal under the quadrature inner product.
-    """
-    sqw = np.sqrt(op.grid.weights)
-    sym = sqw[:, None] * op.kernel_matrix * sqw[None, :]
-    vals, vecs = sym_eig(sym)
-    vals = np.maximum(vals, 0.0)  # the operator is provably positive
-    return SpectralDecomposition(vals, vecs / sqw[:, None], op.grid)
+    """Eigenpairs of the design operator under the quadrature inner product
+    (``numerics.quadrature_eig``)."""
+    return quadrature_eig(op.kernel_matrix, op.grid)
 
 
 def weighted_quadratic(op: DesignOperator, theta_values: np.ndarray) -> float:

@@ -54,20 +54,11 @@ class Diagnostics:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientEstimate:
-    """A feasible coefficient function (in C) with fit diagnostics."""
+    """A coefficient function in C, as ``project_to_C`` certifies it, with
+    fit diagnostics."""
 
     theta_hat: GridFunction
-    norm_bound_M: float
     diagnostics: Diagnostics
-
-    def __post_init__(self):
-        th = self.theta_hat
-        if np.min(th.values) < -1e-9:
-            raise ValueError("estimate has negative values")
-        if abs(th.integral() - 1.0) > 1e-6:
-            raise ValueError("estimate does not integrate to 1")
-        if th.norm() > self.norm_bound_M + 1e-6:
-            raise ValueError("estimate exceeds the norm bound M")
 
 
 @dataclass(frozen=True)
@@ -169,15 +160,6 @@ def data_statistics(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
         raise ValueError("dataset must be nonempty")
     op = DesignOperator((kernel + kernel.T) / 2.0, omega_grid, count)
     return op, GridFunction(omega_grid, target), indicator_sq
-
-
-def solve_least_squares(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
-                        s_grid: QuadratureGrid, spec: SpectralDecomposition,
-                        plan: TruncationPlan) -> GridFunction:
-    """Least-squares solution over the retained eigenspace: the pseudo-inverse
-    applied to the empirical target."""
-    target = empirical_target(dataset, basis, omega_grid, s_grid)
-    return pseudo_inverse_apply(spec, plan, target)
 
 
 def _project_unit_mass(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -350,9 +332,9 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
     weights = op.grid.weights
     start = _cap_l2_norm(_project_unit_mass(theta.values, weights), weights, M)
     if not np.any(op.kernel_matrix):
-        return CoefficientEstimate(GridFunction(op.grid, start), M, Diagnostics())
+        return CoefficientEstimate(GridFunction(op.grid, start), Diagnostics())
     y, diag = _solve_projection(start, theta.values, op, M)
-    return CoefficientEstimate(GridFunction(op.grid, y), M, diag)
+    return CoefficientEstimate(GridFunction(op.grid, y), diag)
 
 
 def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
@@ -397,4 +379,4 @@ def regress(dataset, basis: CdfBasis, gamma: float, M: float,
     fit = (indicator_sq - 2.0 * float((omega_grid.weights * theta.values) @ target.values)
            + weighted_quadratic(op, theta.values))
     diag = replace(estimate.diagnostics, n_eps=plan.n_eps, loss=fit)
-    return CoefficientEstimate(theta, M, diag)
+    return CoefficientEstimate(theta, diag)

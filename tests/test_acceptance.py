@@ -20,12 +20,14 @@ from cdfreg import (
     build_uniform_grid,
     degenerate_kernel_eig,
     design_operator,
+    empirical_target,
     error_budget,
     generate_dataset,
     igw_distribution,
     loss,
     make_catalog_env,
     project_to_C,
+    pseudo_inverse_apply,
     regress,
     regret_slope,
     run_config,
@@ -37,7 +39,6 @@ from cdfreg import (
     true_cdf,
     weighted_norm,
 )
-from cdfreg.regression import solve_least_squares
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -108,7 +109,7 @@ def test_criterion_3_least_squares_optimality(report):
         op = design_operator(env.basis, [(x, a) for x, a, _ in data], OMEGA, S)
         spec = spectral_decompose(op)
         plan = select_truncation(spec, len(data), 0.1)
-        theta_d = solve_least_squares(data, env.basis, OMEGA, S, spec, plan)
+        theta_d = pseudo_inverse_apply(spec, plan, empirical_target(data, env.basis, OMEGA, S))
         base = loss(theta_d, data, env.basis, OMEGA, S)
         for j in range(plan.n_eps):
             e = spec.eigenfunctions[:, j]

@@ -95,6 +95,12 @@ def test_igw_rejects_nan_varsigma():
         igw_distribution([1.0, 0.0], np.nan)
 
 
+def test_igw_rejects_infinite_varsigma():
+    # inf * 0 at a tied maximum would make the row NaN
+    with pytest.raises(ValueError):
+        igw_distribution([1.0, 1.0, 0.0], np.inf)
+
+
 def _igw_vector_reference(v, varsigma):
     """The one-vector inverse-gap weighting, written out directly."""
     v = np.asarray(v, dtype=float)
@@ -158,6 +164,20 @@ def test_exploration_param_rejects_first_epoch():
 def test_exploration_param_rejects_nan_scale():
     with pytest.raises(ValueError):
         exploration_param(2, 5, _budget(1.0), scale=np.nan)
+
+
+def test_exploration_param_rejects_infinite_scale():
+    with pytest.raises(ValueError):
+        exploration_param(2, 5, _budget(1.0), scale=np.inf)
+
+
+def test_run_episode_ties_break_to_lowest_action():
+    # every action of rank1-uniform has the same CDF, so all utilities tie
+    env = make_catalog_env("rank1-uniform", OMEGA, S)
+    trace = run_episode(env, make_functional("mean"), 64, 0.1, 1.0, 2.0, seed=2)
+    assert len(trace.records) == 64
+    assert all(a_star == 0 and gap == 0.0 for _, _, _, _, a_star, gap, _ in trace.records)
+    assert trace.summary["final_regret"] == 0.0
 
 
 def test_run_episode_smoke():

@@ -1,5 +1,5 @@
-"""Catalog environments: basis contracts, ground-truth CDFs, outcome
-sampling, and optimal-action oracles."""
+"""Catalog environments: basis contracts, ground-truth CDFs, and outcome
+sampling."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,12 @@ from cdfreg import (
     build_uniform_grid,
     design_operator,
     make_catalog_env,
-    make_functional,
-    optimal_action,
     sample_context,
     sample_outcomes,
     spectral_decompose,
     true_cdf,
 )
-from cdfreg.environments import _finite_rank_eval, _kumaraswamy_eval
+from cdfreg.environments import _finite_rank_eval, _kumaraswamy_eval, check_norm_bound
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -41,7 +39,7 @@ def test_theta_star_bumps_in_C():
     th = env.theta_star
     assert np.min(th.values) >= 0.0
     assert th.integral() == pytest.approx(1.0, abs=1e-9)
-    assert th.norm() <= env.basis.coeff_norm_bound_M + 1e-9
+    check_norm_bound(env, 2.0)
 
 
 def test_finite_rank_spectrum_bounded_by_rank():
@@ -126,25 +124,6 @@ def test_sampling_ks_fidelity():
     coords = S.coords()
     ecdf = np.searchsorted(np.sort(y), coords, side="right") / y.size
     assert np.max(np.abs(ecdf - f.values)) <= 0.01 + 1.0 / 64
-
-
-def test_optimal_action_tie_break():
-    env = make_catalog_env("rank1-uniform", OMEGA, S)
-    best, util = optimal_action(env, make_functional("mean"), np.array([0.5, 0.5]))
-    assert best == 0
-    assert util == pytest.approx(0.498, abs=1e-2)
-
-
-def test_optimal_action_matches_exhaustive():
-    env = make_catalog_env("finite-rank-r", OMEGA, S, rank=8)
-    fn = make_functional("mean")
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        x = sample_context(env, rng)
-        best, util = optimal_action(env, fn, x)
-        utils = [fn(true_cdf(env, x, a).values, S) for a in range(env.action_count)]
-        assert best == int(np.argmax(utils))
-        assert util == pytest.approx(max(utils))
 
 
 def _kumaraswamy_out_of_place(X, A, omega_nodes, s):

@@ -14,6 +14,7 @@ from cdfreg import (
     fit_loglog_slope,
     make_catalog_env,
     make_functional,
+    regress,
     regret_slope,
     run_episode,
 )
@@ -109,6 +110,22 @@ def test_dataset_csv_round_trip_keeps_context_order(tmp_path):
     back = read_dataset_csv(path)
     for (x, _, _), (x2, _, _) in zip(data, back):
         assert np.allclose(x, x2)
+
+
+@pytest.mark.parametrize("context_dim", [1, 2, 12])
+def test_dataset_csv_round_trip_regresses_identically(tmp_path, context_dim):
+    env = make_catalog_env("kumaraswamy", OMEGA, S, context_dim=context_dim,
+                           theta_star="bumps")
+    data = generate_dataset(env, 64, np.random.default_rng(1))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(data, path)
+    back = read_dataset_csv(path)
+    assert len(back) == len(data)
+    for (x, a, y), (x2, a2, y2) in zip(data, back):
+        assert np.array_equal(x, x2) and a == a2 and y == y2
+    theta = regress(data, env.basis, 0.1, 2.0, OMEGA, S).theta_hat.values
+    theta_back = regress(back, env.basis, 0.1, 2.0, OMEGA, S).theta_hat.values
+    assert np.array_equal(theta, theta_back)
 
 
 def test_trace_round_trip_and_summary(tmp_path):

@@ -50,7 +50,7 @@ def test_grid_function_integral_and_norm():
 
 def test_quadrature_grid_rejects_nan_weight():
     with pytest.raises(ValueError):
-        QuadratureGrid([[0.25], [0.75]], [0.5, np.nan], [[0.0, 1.0]])
+        QuadratureGrid([[0.25], [0.75]], [0.5, np.nan])
 
 
 def test_gauss_legendre_exact_for_polynomials():
@@ -112,6 +112,37 @@ def test_degenerate_kernel_eigenfunctions_orthonormal():
     gram = funcs.T @ (spec.grid.weights[:, None] * funcs)
     k = min(6, funcs.shape[1])
     assert np.allclose(gram[:k, :k], np.eye(k), atol=1e-8)
+
+
+@pytest.mark.parametrize("kernel", [lambda s, t: s * t, lambda s, t: np.ones_like(s + t)],
+                         ids=["prod", "const"])
+def test_degenerate_kernel_keeps_all_eigenpairs(kernel):
+    # rank one: every eigenvalue past the first is round-off, clamped to 0
+    # and kept, whatever its sign came out as
+    spec = degenerate_kernel_eig(kernel, 8, 4)
+    assert spec.eigenvalues.shape == (32,)
+    assert np.all(spec.eigenvalues[1:] < 1e-10)
+    funcs = spec.eigenfunctions
+    gram = funcs.T @ (spec.grid.weights[:, None] * funcs)
+    assert np.allclose(gram, np.eye(32), atol=1e-10)
+
+
+def _min_kernel_plus(eps):
+    """min(s, t) plus an asymmetric part of size eps."""
+    return lambda s, t: np.minimum(s, t) + eps * (s > t)
+
+
+@pytest.mark.parametrize("n, eps", [(1, 1e-9), (16, 5e-9)])
+def test_degenerate_kernel_symmetrizes_nearly_symmetric_kernel(n, eps):
+    spec = degenerate_kernel_eig(_min_kernel_plus(eps), n, 4)
+    symmetrized = degenerate_kernel_eig(
+        lambda s, t: np.minimum(s, t) + 0.5 * eps * (s != t), n, 4)
+    assert np.max(np.abs(spec.eigenvalues - symmetrized.eigenvalues)) <= 1e-8
+
+
+def test_degenerate_kernel_rejects_asymmetric_kernel():
+    with pytest.raises(ValueError):
+        degenerate_kernel_eig(_min_kernel_plus(1e-7), 16, 4)
 
 
 def test_spectral_decomposition_checks_eigenfunction_array():

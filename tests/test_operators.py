@@ -22,7 +22,7 @@ from cdfreg import (
     sym_eig,
     weighted_norm,
 )
-from cdfreg import operators
+from cdfreg import numerics
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -72,7 +72,7 @@ def test_basis_contract_violations_raise():
 
     for evaluator in (per_pair, out_of_range, nan_entry):
         basis = CdfBasis("broken", evaluator, lipschitz_L0=1.0, kernel_floor_eta=0.1,
-                         coeff_norm_bound_M=2.0, covering_constant_A=1.0, omega_dim=1)
+                         covering_constant_A=1.0, omega_dim=1)
         with pytest.raises(ValueError):
             basis_values(basis, [x, x], [a, a], OMEGA, S)
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ def test_regress_decomposes_design_operator_once(monkeypatch):
         calls.append(matrix.shape)
         return sym_eig(matrix)
 
-    monkeypatch.setattr(operators, "sym_eig", counting_sym_eig)
+    monkeypatch.setattr(numerics, "sym_eig", counting_sym_eig)
     regress(data, env.basis, 0.1, 2.0, OMEGA, S)
     assert calls == [(OMEGA.size, OMEGA.size)]
 

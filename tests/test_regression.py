@@ -17,6 +17,7 @@ from cdfreg import (
     make_catalog_env,
     predict_cdf,
     project_to_C,
+    pseudo_inverse_apply,
     regress,
     sample_context,
     select_truncation,
@@ -89,9 +90,8 @@ def test_least_squares_is_a_loss_minimum():
     data = generate_dataset(env, 32, rng)
     op = design_operator(env.basis, [(x, a) for x, a, _ in data], OMEGA, S)
     spec = spectral_decompose(op)
-    from cdfreg.regression import solve_least_squares
     plan = select_truncation(spec, len(data), 0.1)
-    theta_d = solve_least_squares(data, env.basis, OMEGA, S, spec, plan)
+    theta_d = pseudo_inverse_apply(spec, plan, empirical_target(data, env.basis, OMEGA, S))
     base = loss(theta_d, data, env.basis, OMEGA, S)
     for j in range(plan.n_eps):
         e = spec.eigenfunctions[:, j]
