@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: eig (eigenvalues of a named kernel or catalog basis), decay
-(eigendecay report), regress (one-shot oracle on a dataset file), run (one
-decision-making episode per seed), sweep (regression error vs n), and
-fit-slope (log-log slope of saved regret traces).
+Subcommands: eig (eigenvalues of a named kernel), decay (eigendecay report;
+with --pairs 1 it prints one random pair's design-operator spectrum),
+regress (one-shot oracle on a dataset file), run (one decision-making
+episode per seed), sweep (regression error vs n), and fit-slope (log-log
+slope of a saved trace CSV or summary JSON).
+
+Every file a command writes holds each float as its shortest round-trip
+repr, so it reads back bit for bit.
 
 Exit codes: 0 success, 2 bad usage or config, 3 numeric contract violation,
 4 missing file.
@@ -12,6 +16,7 @@ Exit codes: 0 success, 2 bad usage or config, 3 numeric contract violation,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -21,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
+from .engine import dyadic_checkpoints
 from .environments import sample_context
 from .numerics import degenerate_kernel_eig
-from .operators import design_operator, estimate_eigendecay, spectral_decompose
+from .operators import estimate_eigendecay
 from .regression import regress
 
 EXIT_OK = 0
@@ -36,12 +42,6 @@ NAMED_KERNELS = {
     "prod": lambda s, t: s * t,
     "const": lambda s, t: np.ones_like(s + t),
 }
-
-
-def _load_config(path) -> harness.ExperimentConfig:
-    if not Path(path).exists():
-        raise FileNotFoundError(path)
-    return harness.ExperimentConfig.load(path)
 
 
 def _apply_overrides(config, args):
@@ -60,16 +60,7 @@ def _apply_overrides(config, args):
 
 
 def cmd_eig(args) -> int:
-    if args.kernel is not None:
-        kernel = NAMED_KERNELS[args.kernel]
-        spec = degenerate_kernel_eig(kernel, args.n, args.r)
-    else:
-        config = _load_config(args.config)
-        env = harness.build_environment(config)
-        rng = np.random.default_rng(args.seed)
-        pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))]
-        op = design_operator(env.basis, pairs, env.omega_grid, env.s_grid)
-        spec = spectral_decompose(op)
+    spec = degenerate_kernel_eig(NAMED_KERNELS[args.kernel], args.n, args.r)
     top = spec.eigenvalues[: args.top]
     for i, lam in enumerate(top, start=1):
         print("lambda_%d = %.10g" % (i, lam))
@@ -77,7 +68,7 @@ def cmd_eig(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    config = _load_config(args.config)
+    config = harness.ExperimentConfig.load(args.config)
     env = harness.build_environment(config)
     rng = np.random.default_rng(args.seed)
     pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))
@@ -85,12 +76,12 @@ def cmd_decay(args) -> int:
     fit = estimate_eigendecay(env.basis, pairs, args.kmax, env.omega_grid, env.s_grid)
     print("gamma = %.2f" % fit.gamma)
     print("s0 = %.6g" % fit.s0)
-    print("tau =", " ".join("%.6g" % t for t in fit.tau))
+    print("tau =", " ".join("%.10g" % t for t in fit.tau))
     return EXIT_OK
 
 
 def cmd_regress(args) -> int:
-    config = _load_config(args.config)
+    config = harness.ExperimentConfig.load(args.config)
     dataset = harness.read_dataset_csv(args.dataset)
     env = harness.build_environment(config)
     gamma, _s0, _src = harness.resolve_gamma(config, env)
@@ -99,10 +90,11 @@ def cmd_regress(args) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     theta_path = outdir / "theta_hat.csv"
-    with open(theta_path, "w") as fh:
-        fh.write("node,theta\n")
+    with open(theta_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["w%d" % i for i in range(env.omega_grid.dim)] + ["theta"])
         for node, val in zip(env.omega_grid.nodes, estimate.theta_hat.values):
-            fh.write("%s,%.12g\n" % (";".join("%.12g" % c for c in node), val))
+            writer.writerow([*node, val])
     diag = dataclasses.asdict(estimate.diagnostics)
     (outdir / "diagnostics.json").write_text(json.dumps(diag, indent=2))
     print("wrote %s" % theta_path)
@@ -110,7 +102,7 @@ def cmd_regress(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _apply_overrides(harness.ExperimentConfig.load(args.config), args)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for seed in config.seeds:
@@ -127,7 +119,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _apply_overrides(harness.ExperimentConfig.load(args.config), args)
     env = harness.build_environment(config)
     gamma, _s0, _src = harness.resolve_gamma(config, env)
     rows = harness.sweep_regression_error(env, config.sweep_n, config.seeds,
@@ -135,11 +127,11 @@ def cmd_sweep(args) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "sweep.csv"
-    with open(path, "w") as fh:
-        fh.write("n,median,q1,q3\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "median", "q1", "q3"])
         for row in rows:
-            fh.write("%d,%.12g,%.12g,%.12g\n" % (row["n"], row["median"],
-                                                 row["q1"], row["q3"]))
+            writer.writerow([row["n"], row["median"], row["q1"], row["q3"]])
             print("n=%d median=%.6g" % (row["n"], row["median"]))
     print("wrote %s" % path)
     return EXIT_OK
@@ -147,21 +139,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit_slope(args) -> int:
     path = Path(args.input)
-    if not path.exists():
-        raise FileNotFoundError(path)
     if path.suffix == ".json":
-        summary = json.loads(path.read_text())
-        points = [(r, v) for r, v in summary["checkpoints"] if v > 0]
+        checkpoints = json.loads(path.read_text())["checkpoints"]
     else:
-        rows = harness.read_trace_csv(path)
-        by_round = {row["round"]: row["cum_regret"] for row in rows}
-        points = []
-        k = 1
-        while 2**k in by_round:
-            if by_round[2**k] > 0:
-                points.append((2**k, by_round[2**k]))
-            k += 1
-    slope = harness.fit_loglog_slope(points)
+        checkpoints = dyadic_checkpoints([row["cum_regret"]
+                                          for row in harness.read_trace_csv(path)])
+    # skip zero-regret checkpoints only: a NaN or negative one fails the fit
+    slope = harness.fit_loglog_slope([(r, v) for r, v in checkpoints if v != 0])
     print("slope = %.6g" % slope)
     return EXIT_OK
 
@@ -170,13 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cdfreg")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eig", help="eigenvalues of a named kernel or basis")
-    p.add_argument("--kernel", choices=sorted(NAMED_KERNELS))
-    p.add_argument("--config", help="config file (used when no --kernel)")
+    p = sub.add_parser("eig", help="eigenvalues of a named kernel")
+    p.add_argument("--kernel", choices=sorted(NAMED_KERNELS), required=True)
     p.add_argument("--n", type=int, default=32, help="partition cells")
     p.add_argument("--r", type=int, default=4, help="polynomial degree")
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eig)
 
     p = sub.add_parser("decay", help="empirical eigendecay report")

@@ -35,6 +35,12 @@ class RegretTrace:
         return [(int(r), float(v)) for r, v in self.summary["checkpoints"]]
 
 
+def dyadic_checkpoints(cum_regret) -> list[tuple[int, float]]:
+    """(2^k, cumulative regret after round 2^k) for k >= 1 while 2^k <= T,
+    where ``cum_regret[t - 1]`` is the cumulative regret after round t."""
+    return [(2**k, cum_regret[2**k - 1]) for k in range(1, len(cum_regret).bit_length())]
+
+
 def igw_distribution(utilities, varsigma: float) -> np.ndarray:
     """Inverse-gap-weighting distributions over the last axis.
 
@@ -177,20 +183,15 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             del phi  # free it before the next block allocates its own (peak RSS)
             chosen = _choose_actions(p, u_action[lo:lo + B])
             best = np.argmax(true_utils, axis=-1)
+            y = inverse_cdf(true_cdfs[np.arange(B), chosen], u_outcome[lo:lo + B], s_coords)
             for i in range(B):
                 r, a_t, a_star = lo + i, int(chosen[i]), int(best[i])
-                y = float(inverse_cdf(true_cdfs[i, a_t], u_outcome[r], s_coords))
                 gap = float(true_utils[i, a_star] - true_utils[i, a_t])
                 cum_regret += gap
                 records.append((first + r + 1, m, tuple(X[r]), a_t, a_star, gap, cum_regret))
-                epoch_data.append((X[r], a_t, y))
+                epoch_data.append((X[r], a_t, float(y[i])))
         prev_epoch_data = epoch_data
 
-    checkpoints = []
-    k = 1
-    while 2**k <= T:
-        checkpoints.append((2**k, records[2**k - 1][6]))
-        k += 1
     summary = {
         "T": T,
         "seed": seed,
@@ -202,7 +203,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
         "M": M,
         "exploration_scale": exploration_scale,
         "final_regret": cum_regret,
-        "checkpoints": checkpoints,
+        "checkpoints": dyadic_checkpoints([rec[6] for rec in records]),
         "oracle_calls": oracle_calls,
         "varsigmas": varsigmas,
         "nonconverged_projections": nonconverged,

@@ -147,10 +147,12 @@ def sample_context(env: Environment, rng: np.random.Generator) -> np.ndarray:
 
 
 def inverse_cdf(cdf_values: np.ndarray, u, s_coords: np.ndarray):
-    """Inverse-CDF draws snapped to the outcome grid: for each uniform u the
-    smallest node s_k with F(s_k) >= u, i.e. searchsorted(F, u, "left")
-    clamped to the last node."""
-    idx = np.searchsorted(cdf_values, u, side="left")
+    """Inverse-CDF draws snapped to the outcome grid: CDF rows (..., n_s)
+    against uniforms (...), broadcast together. For each uniform u the draw
+    is the smallest node s_k with F(s_k) >= u, clamped to the last node; its
+    index is the count of F < u, which is searchsorted(F, u, "left") on a
+    nondecreasing row."""
+    idx = np.count_nonzero(np.asarray(cdf_values) < np.asarray(u)[..., None], axis=-1)
     return s_coords[np.minimum(idx, s_coords.shape[0] - 1)]
 
 

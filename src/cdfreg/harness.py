@@ -105,7 +105,7 @@ def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
     s_coords = env.s_grid.coords()
     y = np.empty(n)
     for sl, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
-        y[sl] = [inverse_cdf(f, v, s_coords) for f, v in zip(w_theta @ phi, u[sl])]
+        y[sl] = inverse_cdf(w_theta @ phi, u[sl], s_coords)
     return [(X[i], int(A[i]), float(y[i])) for i in range(n)]
 
 
@@ -117,6 +117,8 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
     Per pair the draws are context, then action; the CDF differences
     (w (theta_hat - theta*)) @ phi are evaluated chunk by chunk.
     """
+    if n_pairs < 1:
+        raise ValueError("heldout_cdf_error needs at least one pair")
     X = np.empty((n_pairs, env.context_dim))
     A = np.empty(n_pairs, dtype=int)
     for i in range(n_pairs):
@@ -156,18 +158,19 @@ def fit_loglog_slope(checkpoints) -> float:
         raise ValueError("need at least 3 checkpoints")
     rounds = np.array([p[0] for p in pts])
     values = np.array([p[1] for p in pts])
-    if np.any(np.diff(rounds) <= 0):
-        raise ValueError("rounds must be increasing")
-    if np.any(values <= 0):
-        raise ValueError("checkpoint values must be positive")
+    # each test states the pass condition, so NaN fails it
+    if not (np.all((0 < rounds) & (rounds < np.inf)) and np.all(np.diff(rounds) > 0)):
+        raise ValueError("rounds must be finite, positive and strictly increasing")
+    if not np.all((0 < values) & (values < np.inf)):
+        raise ValueError("checkpoint values must be finite and positive")
     slope, _ = np.polyfit(np.log(rounds), np.log(values), 1)
     return float(slope)
 
 
 def regret_slope(trace: RegretTrace) -> float | None:
     """Log-log slope of cumulative regret over dyadic checkpoints, skipping
-    leading zero-regret checkpoints; None if fewer than 3 remain."""
-    pts = [(r, v) for r, v in trace.checkpoints() if v > 0]
+    zero-regret checkpoints; None if fewer than 3 remain."""
+    pts = [(r, v) for r, v in trace.checkpoints() if v != 0]
     if len(pts) < 3:
         return None
     return fit_loglog_slope(pts)
@@ -182,23 +185,17 @@ def run_config(config: ExperimentConfig, seed: int) -> RegretTrace:
                        gamma_source=source)
 
 
-def _exact(value) -> str:
-    """A double with 17 significant digits, which reads back bit for bit."""
-    return "%.17g" % value
-
-
 def write_trace_csv(trace: RegretTrace, path):
     """Rows: round, epoch, context components x0..x{d-1}, action,
-    optimal_action, gap, cum_regret. Contexts are written by ``_exact``, so
-    they read back bit for bit."""
+    optimal_action, gap, cum_regret. ``csv.writer`` writes each float as its
+    shortest round-trip repr, so every field reads back bit for bit."""
     dim = len(trace.records[0][2])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "epoch"] + ["x%d" % i for i in range(dim)]
                         + ["action", "optimal_action", "gap", "cum_regret"])
         for t, m, x, a, a_star, gap, cum in trace.records:
-            writer.writerow([t, m] + [_exact(c) for c in x]
-                            + [a, a_star, "%.12g" % gap, "%.12g" % cum])
+            writer.writerow([t, m, *x, a, a_star, gap, cum])
 
 
 def _context_columns(row) -> list:
@@ -225,7 +222,6 @@ def read_trace_csv(path):
 def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None = None,
                        wall_time: float | None = None):
     summary = dict(trace.summary)
-    summary["checkpoints"] = [[int(r), float(v)] for r, v in summary["checkpoints"]]
     if config is not None:
         summary["config"] = config.to_dict()
     if wall_time is not None:
@@ -234,15 +230,14 @@ def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None
 
 
 def write_dataset_csv(dataset, path):
-    """Rows: round, context components x0..x{d-1}, action, y. Contexts and
-    y are written by ``_exact``, so a dataset reads back bit for bit."""
+    """Rows: round, context components x0..x{d-1}, action, y; a dataset
+    reads back bit for bit (see ``write_trace_csv``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim = len(np.atleast_1d(dataset[0][0]))
         writer.writerow(["round"] + ["x%d" % i for i in range(dim)] + ["action", "y"])
         for i, (x, a, y) in enumerate(dataset):
-            writer.writerow([i + 1] + [_exact(c) for c in np.atleast_1d(x)]
-                            + [a, _exact(y)])
+            writer.writerow([i + 1, *np.atleast_1d(x), a, y])
 
 
 def read_dataset_csv(path):

@@ -197,6 +197,14 @@ def test_run_episode_smoke():
     assert rounds == [2, 4, 8, 16, 32, 64, 128]
 
 
+def test_dyadic_checkpoints():
+    from cdfreg.engine import dyadic_checkpoints
+    cum = [0.5 * t for t in range(1, 11)]
+    assert dyadic_checkpoints(cum) == [(2, 1.0), (4, 2.0), (8, 4.0)]
+    assert dyadic_checkpoints(cum[:8]) == [(2, 1.0), (4, 2.0), (8, 4.0)]
+    assert dyadic_checkpoints(cum[:1]) == []
+
+
 def test_run_episode_reproducible():
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     fn = make_functional("mean")

@@ -98,6 +98,23 @@ def test_inverse_cdf_is_clamped_left_searchsorted():
     assert inverse_cdf(np.full(S.size, 0.5), 0.9, S.coords()) == S.coords()[-1]
 
 
+def test_inverse_cdf_rows_equal_per_row_calls():
+    from cdfreg import inverse_cdf
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    rng = np.random.default_rng(7)
+    F = np.array([[true_cdf(env, rng.random(2), a).values for a in range(5)]
+                  for _ in range(3)])
+    F[0, 0] = 0.5  # a flat row: uniforms above it clamp to the last node
+    u = rng.random((3, 5))
+    u[1, 2] = F[1, 2, 10]  # a tie with a node's CDF value
+    u[2, 4] = 0.0
+    rows = inverse_cdf(F, u, S.coords())
+    assert rows.shape == (3, 5)
+    for i in range(3):
+        for a in range(5):
+            assert rows[i, a] == inverse_cdf(F[i, a], u[i, a], S.coords())
+
+
 def test_sample_outcome_mass_at_first_node():
     from cdfreg import inverse_cdf
     # a CDF identically 1 puts all mass on the first node

@@ -1,6 +1,7 @@
 """Experiment configs, dataset/trace round-trips, slope fitting, and the
 command-line front end."""
 
+import csv
 import dataclasses
 import json
 
@@ -17,6 +18,7 @@ from cdfreg import (
     regress,
     regret_slope,
     run_episode,
+    sweep_regression_error,
 )
 from cdfreg.cli import main
 from cdfreg.harness import (
@@ -135,7 +137,7 @@ def test_trace_round_trip_and_summary(tmp_path):
     write_trace_csv(trace, tpath)
     rows = read_trace_csv(tpath)
     assert len(rows) == 64
-    assert rows[-1]["cum_regret"] == pytest.approx(trace.summary["final_regret"])
+    assert rows[-1]["cum_regret"] == trace.summary["final_regret"]
     spath = tmp_path / "summary.json"
     write_summary_json(trace, spath, wall_time=1.0)
     summary = json.loads(spath.read_text())
@@ -158,10 +160,35 @@ def test_trace_csv_round_trips_contexts(tmp_path, capsys, context_dim):
         assert np.array_equal(row["context"], np.array(x))
         assert (row["round"], row["epoch"], row["action"], row["optimal_action"]) == (
             t, m, a, a_star)
-        assert row["gap"] == pytest.approx(gap) and row["cum_regret"] == pytest.approx(cum)
+        assert row["gap"] == gap and row["cum_regret"] == cum
     capsys.readouterr()
     assert main(["fit-slope", str(path)]) == 0
     assert "slope" in capsys.readouterr().out
+
+
+def test_trace_csv_reads_back_bit_for_bit(tmp_path, capsys):
+    from cdfreg.engine import dyadic_checkpoints
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    trace = run_episode(env, make_functional("mean"), 1024, 0.1, 1.0, 2.0, seed=1)
+    tpath = tmp_path / "trace.csv"
+    write_trace_csv(trace, tpath)
+    rows = read_trace_csv(tpath)
+    assert len(rows) == 1024
+    for (t, m, x, a, a_star, gap, cum), row in zip(trace.records, rows):
+        assert row["round"] == t and row["epoch"] == m
+        assert np.array_equal(row["context"], np.array(x))
+        assert row["action"] == a and row["optimal_action"] == a_star
+        assert row["gap"] == gap and row["cum_regret"] == cum
+    checkpoints = dyadic_checkpoints([row["cum_regret"] for row in rows])
+    assert checkpoints == trace.checkpoints()
+    assert fit_loglog_slope(checkpoints) == regret_slope(trace)
+    spath = tmp_path / "summary.json"
+    write_summary_json(trace, spath)
+    capsys.readouterr()
+    assert main(["fit-slope", str(tpath)]) == 0
+    assert main(["fit-slope", str(spath)]) == 0
+    from_csv, from_json = capsys.readouterr().out.splitlines()
+    assert from_csv == from_json == "slope = %.6g" % regret_slope(trace)
 
 
 def test_fit_loglog_slope_analytic():
@@ -181,6 +208,18 @@ def test_fit_loglog_slope_validation():
         fit_loglog_slope([(4, 1.0), (2, 2.0), (8, 3.0)])
 
 
+@pytest.mark.parametrize("bad", [
+    [(2, np.nan), (4, 2.0), (8, 3.0)],
+    [(2, 1.0), (4, np.inf), (8, 3.0)],
+    [(2, 1.0), (np.nan, 2.0), (8, 3.0)],
+    [(2, 1.0), (4, 2.0), (np.inf, 3.0)],
+    [(0, 1.0), (4, 2.0), (8, 3.0)],
+])
+def test_fit_loglog_slope_rejects_nan_inf_and_zero(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_loglog_slope(bad)
+
+
 def test_regret_slope_skips_leading_zeros():
     class Fake:
         summary = {"checkpoints": [(2, 0.0), (4, 0.0), (8, 1.0), (16, 2.0), (32, 4.0)]}
@@ -189,6 +228,17 @@ def test_regret_slope_skips_leading_zeros():
             return self.summary["checkpoints"]
 
     assert regret_slope(Fake()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_regret_slope_rejects_nan_checkpoint():
+    class Fake:
+        summary = {"checkpoints": [(2, np.nan), (4, 0.0), (8, 1.0), (16, 2.0), (32, 4.0)]}
+
+        def checkpoints(self):
+            return self.summary["checkpoints"]
+
+    with pytest.raises(ValueError, match="must be finite"):
+        regret_slope(Fake())
 
 
 def test_run_config_uses_estimated_gamma():
@@ -201,7 +251,6 @@ def test_run_config_uses_estimated_gamma():
 
 
 def test_sweep_needs_five_seeds():
-    from cdfreg import sweep_regression_error
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     with pytest.raises(ValueError):
         sweep_regression_error(env, (16,), (0, 1), 0.1, 2.0)
@@ -216,8 +265,45 @@ def test_cli_eig_named_kernel(capsys):
     assert lam1 == pytest.approx(1.0 / (0.25 * np.pi**2), rel=1e-3)
 
 
-def test_cli_missing_config_exit_code():
+def test_cli_eig_takes_only_named_kernels(tmp_path):
+    cpath = tmp_path / "config.json"
+    ExperimentConfig().save(cpath)
+    for argv in (["eig"], ["eig", "--config", str(cpath)],
+                 ["eig", "--kernel", "min", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("environment", [{"name": "finite-rank-r", "rank": 8},
+                                         {"name": "kumaraswamy"}])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_cli_decay_one_pair_prints_its_spectrum(tmp_path, capsys, environment, seed):
+    from cdfreg import design_operator, sample_context, spectral_decompose
+    cfg = ExperimentConfig(environment=environment)
+    cpath = tmp_path / "config.json"
+    cfg.save(cpath)
+    capsys.readouterr()
+    assert main(["decay", "--config", str(cpath), "--pairs", "1",
+                 "--seed", str(seed)]) == 0
+    tau_line = capsys.readouterr().out.splitlines()[2]
+    env = build_environment(cfg)
+    rng = np.random.default_rng(seed)
+    pair = (sample_context(env, rng), int(rng.integers(env.action_count)))
+    op = design_operator(env.basis, [pair], env.omega_grid, env.s_grid)
+    top = spectral_decompose(op).eigenvalues[:16]
+    assert tau_line == "tau = " + " ".join("%.10g" % lam for lam in top)
+
+
+def test_cli_missing_config_exit_code(tmp_path):
     assert main(["decay", "--config", "/nonexistent/config.json"]) == 4
+    assert main(["run", "--config", "/nonexistent/config.json"]) == 4
+    assert main(["fit-slope", "/nonexistent/summary.json"]) == 4
+    assert main(["fit-slope", "/nonexistent/trace.csv"]) == 4
+    cpath = tmp_path / "config.json"
+    ExperimentConfig().save(cpath)
+    assert main(["regress", "--config", str(cpath),
+                 "--dataset", "/nonexistent/data.csv"]) == 4
 
 
 def test_cli_run_and_fit_slope(tmp_path, capsys):
@@ -246,6 +332,22 @@ def test_cli_fit_slope_synthetic_five_sixths(tmp_path, capsys):
     assert slope == pytest.approx(5.0 / 6.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("first", [float("nan"), -1.0])
+def test_cli_fit_slope_rejects_nan_or_negative_checkpoint(tmp_path, first):
+    summary = {"checkpoints": [[2, first]] + [[2**k, float(2**k)] for k in range(2, 11)]}
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(summary))
+    assert main(["fit-slope", str(path)]) == 3
+
+
+def test_cli_sweep_rejects_zero_heldout_pairs(tmp_path):
+    cfg = ExperimentConfig(gamma=0.1, seeds=(0, 1, 2, 3, 4), sweep_n=(16,),
+                           heldout_pairs=0, output_dir=str(tmp_path / "out"))
+    cpath = tmp_path / "config.json"
+    cfg.save(cpath)
+    assert main(["sweep", "--config", str(cpath)]) == 3
+
+
 def test_cli_regress_and_sweep(tmp_path, capsys):
     cfg = ExperimentConfig(environment={"name": "kumaraswamy", "theta_star": "bumps"},
                            gamma=0.1, seeds=(0, 1, 2, 3, 4), sweep_n=(16, 32),
@@ -257,7 +359,12 @@ def test_cli_regress_and_sweep(tmp_path, capsys):
     dpath = tmp_path / "data.csv"
     write_dataset_csv(data, dpath)
     assert main(["regress", "--config", str(cpath), "--dataset", str(dpath)]) == 0
-    assert (tmp_path / "out" / "theta_hat.csv").exists()
+    with open(tmp_path / "out" / "theta_hat.csv", newline="") as fh:
+        theta_rows = list(csv.DictReader(fh))
+    assert list(theta_rows[0]) == ["w0", "theta"]
+    theta_hat = regress(data, env.basis, 0.1, cfg.M, env.omega_grid, env.s_grid).theta_hat
+    assert np.array_equal([float(r["w0"]) for r in theta_rows], env.omega_grid.nodes[:, 0])
+    assert np.array_equal([float(r["theta"]) for r in theta_rows], theta_hat.values)
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert list(diag) == [f.name for f in dataclasses.fields(Diagnostics)]
     assert diag["n_eps"] >= 1
@@ -268,3 +375,10 @@ def test_cli_regress_and_sweep(tmp_path, capsys):
     sweep_rows = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
     assert sweep_rows[0] == "n,median,q1,q3"
     assert len(sweep_rows) == 3
+    expected = sweep_regression_error(env, cfg.sweep_n, cfg.seeds, 0.1, cfg.M,
+                                      cfg.heldout_pairs)
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        for row, want in zip(csv.DictReader(fh), expected):
+            assert int(row["n"]) == want["n"]
+            assert [float(row[k]) for k in ("median", "q1", "q3")] == [
+                want["median"], want["q1"], want["q3"]]
