@@ -52,11 +52,16 @@ def _apply_overrides(config, args):
     if getattr(args, "seeds", None):
         updates["seeds"] = tuple(args.seeds)
     if getattr(args, "gamma", None) is not None:
-        g = args.gamma
-        updates["gamma"] = g if g == "estimate" else float(g)
+        updates["gamma"] = args.gamma
     if updates:
         config = harness.ExperimentConfig.from_dict({**config.to_dict(), **updates})
     return config
+
+
+def gamma(text):
+    """The --gamma value: "estimate" or a number (argparse reports a
+    ValueError as a usage error)."""
+    return text if text == "estimate" else float(text)
 
 
 def cmd_eig(args) -> int:
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int)
         p.add_argument("--delta", type=float)
         p.add_argument("--M", type=float)
-        p.add_argument("--gamma")
+        p.add_argument("--gamma", type=gamma)
         p.add_argument("--exploration-scale", dest="exploration_scale", type=float)
         p.add_argument("--omega-nodes", dest="omega_nodes", type=int)
         p.add_argument("--s-nodes", dest="s_nodes", type=int)

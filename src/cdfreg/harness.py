@@ -39,6 +39,10 @@ class ExperimentConfig:
     sweep_n: tuple = (64, 256, 1024, 4096)
     heldout_pairs: int = 64
 
+    def __post_init__(self):
+        if len(self.seeds) == 0:
+            raise ValueError("seeds must name at least one seed")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["seeds"] = list(self.seeds)

@@ -6,8 +6,9 @@ The admissible set C consists of nonnegative functions with unit integral
 and L2 norm at most M; estimates are projected onto it under the
 design-operator seminorm. The projection is a small convex quadratic
 program, solved exactly by an active-set method (Nocedal and Wright,
-Numerical Optimization, ch. 16) with bisection on the norm-cap multiplier,
-and certified by its KKT residual.
+Numerical Optimization, ch. 16) with safeguarded Newton steps on the
+norm-cap multiplier's secular equation (More and Sorensen 1983), and
+certified by its KKT residual.
 """
 
 from __future__ import annotations
@@ -190,15 +191,43 @@ def _cap_l2_norm(values: np.ndarray, weights: np.ndarray, m_bound: float) -> np.
     return 1.0 + t * (values - 1.0)
 
 
-def _active_set_face(quad, bx, w, start, max_faces=200):
-    """Minimize y' quad y / 2 - bx . y over {y >= 0, w . y = 1}.
+def _face_system(quad, w, free):
+    """The bordered KKT matrix of a face: the free block of the quadratic,
+    bordered by the mass constraint's weights."""
+    nf = free.size
+    kkt = np.zeros((nf + 1, nf + 1))
+    kkt[:nf, :nf] = quad[np.ix_(free, free)]
+    kkt[:nf, nf] = -w[free]
+    kkt[nf, :nf] = w[free]
+    return kkt
+
+
+def _face_solve(kkt, rhs, mu):
+    """Solve a face system. For mu > 0 it is nonsingular and is solved
+    directly; at mu = 0, or where round-off on a rank-deficient design makes
+    the factorization singular, by least squares."""
+    if mu > 0.0:
+        try:
+            return np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+
+
+def _active_set_face(b_mat, bx, w, mu, start, max_faces=200):
+    """Minimize y' (B + mu W) y / 2 - bx . y over {y >= 0, w . y = 1}, with
+    W = diag(w).
 
     On each face (a fixed zero set) the minimizer solves a linear KKT
     system; faces are swapped primal-dual style until the bound
-    multipliers are all nonnegative. Returns the minimizer and the number
-    of KKT systems solved.
+    multipliers are all nonnegative, to 1e-10 at mu = 0 and to 1e-13 of
+    the largest entry of bx for mu > 0, where the cap's multiplier can be
+    small enough that the absolute tolerance picks a wrong face. Returns
+    the minimizer and the number of KKT systems solved.
     """
     n = start.shape[0]
+    quad = b_mat + mu * np.diag(w)
+    mult_tol = 1e-10 if mu == 0.0 else 1e-13 * float(np.max(np.abs(bx)))
     current = np.maximum(start, 0.0)
     active = current <= 1e-12
     solves = 0
@@ -207,12 +236,8 @@ def _active_set_face(quad, bx, w, start, max_faces=200):
         if free.size == 0:
             break
         nf = free.size
-        kkt = np.zeros((nf + 1, nf + 1))
-        kkt[:nf, :nf] = quad[np.ix_(free, free)]
-        kkt[:nf, nf] = -w[free]
-        kkt[nf, :nf] = w[free]
         rhs = np.concatenate([bx[free], [1.0]])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        sol = _face_solve(_face_system(quad, w, free), rhs, mu)
         solves += 1
         cand = np.zeros(n)
         cand[free] = sol[:nf]
@@ -221,7 +246,7 @@ def _active_set_face(quad, bx, w, start, max_faces=200):
             cand = np.maximum(cand, 0.0)
             mult = (quad @ cand - bx - lam * w)[active]
             current = cand
-            if mult.size == 0 or np.min(mult) >= -1e-10:
+            if mult.size == 0 or np.min(mult) >= -mult_tol:
                 break
             release = np.nonzero(active)[0][int(np.argmin(mult))]
             active[release] = False
@@ -235,6 +260,43 @@ def _active_set_face(quad, bx, w, start, max_faces=200):
             current = np.maximum(current + alpha * direction, 0.0)
             active = current <= 1e-12
     return current, solves
+
+
+def _face_derivative(b_mat, w, mu, y):
+    """d y / d mu of the penalized minimizer y on its face (the support of
+    y): the face's KKT system with the right-hand side (-w_F y_F, 0)."""
+    free = np.nonzero(y > 0.0)[0]
+    kkt = _face_system(b_mat + mu * np.diag(w), w, free)
+    sol = _face_solve(kkt, np.concatenate([-w[free] * y[free], [0.0]]), mu)
+    dy = np.zeros_like(y)
+    dy[free] = sol[: free.size]
+    return dy
+
+
+def _newton_step(y, dy, w, mu, M):
+    """The Newton step on psi(mu) = 1/||e|| - 1/E over y's face, and the
+    step of the power law ||e|| ~ mu^s through y; NaN where undefined.
+
+    e = y - y_inf is the deviation from the face's uniform density (the
+    limit of y as mu grows), so ||y||^2 = ||y_inf||^2 + ||e||^2 and
+    E^2 = M^2 - ||y_inf||^2. On a fixed face ||e||^2 is a sum of
+    c_i^2 / (lambda_i + mu)^2, as in a trust-region subproblem, so psi is
+    concave and nearly linear (More and Sorensen 1983), while ||y|| itself
+    is flat far from the root."""
+    face = y > 0.0
+    face_w = float(w[face].sum())
+    if face_w <= 0.0 or M * M <= 1.0 / face_w:
+        return math.nan, math.nan
+    e = y - face / face_w
+    e_sq = float(w @ e**2)
+    de = float(w @ (e * dy))  # (d ||e||^2 / d mu) / 2
+    if e_sq <= 0.0 or mu * de >= 0.0:
+        return math.nan, math.nan
+    E_sq = M * M - 1.0 / face_w
+    newton = mu - (1.0 / math.sqrt(e_sq) - 1.0 / math.sqrt(E_sq)) * e_sq**1.5 / -de
+    # d log ||e|| / d log mu = mu de / e_sq; clamped against overflow
+    power = mu * math.exp(min(max(0.5 * math.log(E_sq / e_sq) * e_sq / (mu * de), -50.0), 50.0))
+    return newton, power
 
 
 def _kkt_residual(y, x, b_mat, w, mu, M) -> float:
@@ -262,45 +324,70 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
                       M: float) -> tuple[np.ndarray, Diagnostics]:
     """Exact projection of x onto C by active-set solves from a feasible start.
 
-    The active-set solver handles nonnegativity and mass; when the norm cap
-    binds, its multiplier mu is found by bisection, since the norm of the
-    mu-penalized solution decreases monotonically in mu. The candidate is
-    accepted only when it has positive mass, is feasible and is no worse
-    than the start; otherwise the start is returned with converged=False.
+    The active-set solver handles nonnegativity and mass at a fixed
+    norm-cap multiplier mu; the norm r(mu) of its minimizer decreases in
+    mu. From a first solve at mu = 1, mu solves r(mu) = M by Newton steps
+    (``_newton_step``), each solve warm-started from the last, inside a
+    bracket [lo, hi] with r(lo) > M >= r(hi). A step that leaves the
+    bracket is replaced by its geometric midpoint, by tenfold growth while
+    hi is unknown, or, while lo is 0, by the power-law step held within
+    [1e-3, 0.5] mu. Only if r stays at or below M down to a negligible mu
+    does the unpenalized solve from the start decide whether the cap binds
+    at all. The iteration stops when r is within 1e-10 of M (1e-10 M at
+    most), or when the bracket collapses or r stops approaching M within
+    1e-8 M, its round-off floor on ill-conditioned designs; then the last
+    solve with r <= M is taken. The candidate is accepted only when it has
+    positive mass, is feasible and is no worse than the start; otherwise
+    the start is returned with converged=False.
     """
     w = op.grid.weights
     b_mat = w[:, None] * op.kernel_matrix * w[None, :]
     bx = b_mat @ x
-    w_diag = np.diag(w)
+    # below this mu the penalty is negligible next to the design's trace
+    mu_floor = 1e-12 * float(np.sum(np.diag(b_mat) / w))
     solves = 0
 
     def penalized(mu, warm):
         nonlocal solves
-        y, k = _active_set_face(b_mat + mu * w_diag, bx, w, warm)
+        y, k = _active_set_face(b_mat, bx, w, mu, warm)
         solves += k
         return y
 
     def norm_of(v):
         return math.sqrt(float(w @ v**2))
 
-    cand, mu = penalized(0.0, start), 0.0
-    if norm_of(cand) > M:
-        lo, hi = 0.0, 1.0
-        hi_cand = penalized(hi, cand)
-        for _ in range(60):
-            if norm_of(hi_cand) <= M:
+    mu, lo, hi = 1.0, 0.0, math.inf
+    y = penalized(mu, start)
+    cand, gap, closest, stale, zero_checked = None, math.inf, math.inf, 0, False
+    for _ in range(100):
+        r = norm_of(y)
+        if abs(r - M) <= 1e-10:
+            cand = (y, mu)
+            break
+        if r > M:
+            lo = mu
+        else:
+            hi, cand, gap = mu, (y, mu), M - r
+        stale = 0 if abs(r - M) < closest else stale + 1
+        closest = min(closest, abs(r - M))
+        if hi - lo <= 1e-12 * hi < math.inf or (stale >= 2 and gap <= 1e-8 * M):
+            break
+        newton, power = _newton_step(y, _face_derivative(b_mat, w, mu, y), w, mu, M)
+        solves += 1
+        if lo < newton < hi:
+            mu = newton
+        elif lo > 0.0:
+            mu = math.sqrt(lo * hi) if math.isfinite(hi) else 10.0 * mu
+        else:
+            mu = min(max(power, 1e-3 * mu), 0.5 * mu) if power > 0.0 else 1e-3 * mu
+        if lo == 0.0 and mu < mu_floor and not zero_checked:
+            zero_checked = True
+            y0 = penalized(0.0, start)
+            if norm_of(y0) <= M:
+                cand = (y0, 0.0)
                 break
-            lo, hi = hi, 2.0 * hi
-            hi_cand = penalized(hi, hi_cand)
-        cand, mu = hi_cand, hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            mid_cand = penalized(mid, cand)
-            if norm_of(mid_cand) > M:
-                lo = mid
-            else:
-                hi = mid
-                cand, mu = mid_cand, mid
+        y = penalized(mu, y)
+    cand, mu = cand if cand is not None else (y, mu)
 
     mass = float(w @ cand)
     cand = cand / mass if mass > 0.0 else start
@@ -319,13 +406,14 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
     under the design-operator seminorm.
 
     The input is clipped and renormalized into C (the canonical selection
-    when the seminorm has a kernel), and that start is sharpened by one
-    active-set solve of the projection's quadratic program, with bisection
-    on the norm-cap multiplier. ``projection_iterations`` counts the KKT
-    systems solved; ``converged`` means the solve was accepted and its KKT
-    residual ``projection_residual`` is at most ``KKT_TOLERANCE``. Under a
-    zero operator every point of C is a projection and the start is
-    returned.
+    when the seminorm has a kernel), and that start is sharpened by
+    active-set solves of the projection's quadratic program, with Newton
+    steps on the norm-cap multiplier (``_solve_projection``).
+    ``projection_iterations`` counts the KKT systems solved, one per
+    active-set step and one per Newton derivative; ``converged`` means the
+    solve was accepted and its KKT residual ``projection_residual`` is at
+    most ``KKT_TOLERANCE``. Under a zero operator every point of C is a
+    projection and the start is returned.
     """
     if M < 1.0:
         raise ValueError("M must be at least 1 (C must contain the uniform density)")

@@ -306,6 +306,29 @@ def test_cli_missing_config_exit_code(tmp_path):
                  "--dataset", "/nonexistent/data.csv"]) == 4
 
 
+def test_config_rejects_empty_seeds(tmp_path):
+    with pytest.raises(ValueError):
+        ExperimentConfig(seeds=())
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"seeds": [], "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_gamma_is_estimate_or_a_number(tmp_path):
+    cpath = tmp_path / "config.json"
+    ExperimentConfig().save(cpath)
+    for value in ("abc", "", "estimat"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cpath), "--gamma", value])
+        assert exc.value.code == 2
+    from cdfreg.cli import build_parser
+    parser = build_parser()
+    for text, parsed in (("estimate", "estimate"), ("0.5", 0.5), ("1", 1.0)):
+        args = parser.parse_args(["run", "--config", str(cpath), "--gamma", text])
+        assert args.gamma == parsed
+
+
 def test_cli_run_and_fit_slope(tmp_path, capsys):
     cfg = ExperimentConfig(environment={"name": "finite-rank-r", "rank": 4,
                                         "theta_star": "uniform"},

@@ -171,10 +171,159 @@ def test_projection_fallback_is_not_converged(monkeypatch):
     x = np.random.default_rng(46).normal(1.0, 0.8, OMEGA.size)
     # a face solver that loses all mass forces the fallback to the start
     monkeypatch.setattr(regression, "_active_set_face",
-                        lambda quad, bx, w, start: (np.zeros_like(start), 1))
+                        lambda b_mat, bx, w, mu, start: (np.zeros_like(start), 1))
     est = project_to_C(GridFunction(OMEGA, x), op, 2.0)
     assert not est.diagnostics.converged
     assert np.array_equal(est.theta_hat.values, _clipped_start(x, 2.0))
+
+
+def _reference_face(quad, bx, w, start):
+    """The active-set face solver with least-squares KKT solves, as the
+    bisection reference below used it."""
+    n = start.shape[0]
+    current = np.maximum(start, 0.0)
+    active = current <= 1e-12
+    for _ in range(200):
+        free = np.nonzero(~active)[0]
+        if free.size == 0:
+            break
+        nf = free.size
+        kkt = np.zeros((nf + 1, nf + 1))
+        kkt[:nf, :nf] = quad[np.ix_(free, free)]
+        kkt[:nf, nf] = -w[free]
+        kkt[nf, :nf] = w[free]
+        sol = np.linalg.lstsq(kkt, np.concatenate([bx[free], [1.0]]), rcond=None)[0]
+        cand = np.zeros(n)
+        cand[free] = sol[:nf]
+        if np.min(cand[free]) >= -1e-12:
+            cand = np.maximum(cand, 0.0)
+            mult = (quad @ cand - bx - sol[nf] * w)[active]
+            current = cand
+            if mult.size == 0 or np.min(mult) >= -1e-10:
+                break
+            active[np.nonzero(active)[0][int(np.argmin(mult))]] = False
+        else:
+            direction = cand - current
+            shrinking = direction < -1e-15
+            steps = -current[shrinking] / direction[shrinking]
+            alpha = min(1.0, float(np.min(steps))) if steps.size else 1.0
+            current = np.maximum(current + alpha * direction, 0.0)
+            active = current <= 1e-12
+    return current
+
+
+def _reference_projection(x, op, M):
+    """Projection onto C with the norm-cap multiplier found by doubling and
+    60 bisection halvings: slow, but simple enough to trust."""
+    w = OMEGA.weights
+    b_mat = w[:, None] * op.kernel_matrix * w[None, :]
+    bx = b_mat @ x
+
+    def penalized(mu, warm):
+        return _reference_face(b_mat + mu * np.diag(w), bx, w, warm)
+
+    def norm_of(v):
+        return float(np.sqrt(w @ v**2))
+
+    cand = penalized(0.0, _clipped_start(x, M))
+    if norm_of(cand) > M:
+        lo, hi = 0.0, 1.0
+        cand = penalized(hi, cand)
+        while norm_of(cand) > M:
+            lo, hi = hi, 2.0 * hi
+            cand = penalized(hi, cand)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            mid_cand = penalized(mid, cand)
+            if norm_of(mid_cand) > M:
+                lo = mid
+            else:
+                hi, cand = mid, mid_cand
+    return cand / float(w @ cand)
+
+
+def test_projection_matches_bisection_reference():
+    M = 2.0
+    for seed in (60, 61, 62):
+        rng = np.random.default_rng(seed)
+        op = _criterion4_operator(rng)
+        for _ in range(4):
+            x = rng.normal(1.0, 0.8, OMEGA.size)
+            ref = _reference_projection(x, op, M)
+            assert GridFunction(OMEGA, ref).norm() == pytest.approx(M, abs=1e-7)  # cap binds
+            est = project_to_C(GridFunction(OMEGA, x), op, M)
+            theta = est.theta_hat.values
+            assert est.diagnostics.converged
+            assert est.diagnostics.projection_residual <= KKT_TOLERANCE
+            assert est.theta_hat.norm() <= M + 1e-9
+            assert (np.sqrt(weighted_quadratic(op, theta - ref))
+                    <= 1e-8 * np.sqrt(weighted_quadratic(op, ref)))
+            objective, ref_objective = (weighted_quadratic(op, v - x) for v in (theta, ref))
+            assert objective <= ref_objective * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("name,n_pairs", [("kumaraswamy", 1), ("kumaraswamy", 2),
+                                          ("kumaraswamy", 4), ("rank1-uniform", 1),
+                                          ("rank1-uniform", 4)])
+def test_projection_on_rank_deficient_designs(name, n_pairs):
+    env = make_catalog_env(name, OMEGA, S)
+    rng = np.random.default_rng(80 + n_pairs)
+    pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))
+             for _ in range(n_pairs)]
+    op = design_operator(env.basis, pairs, OMEGA, S)
+    for _ in range(5):
+        # a spiky input: its clipped start has norm above M
+        x = rng.exponential(size=OMEGA.size) ** 3
+        est = project_to_C(GridFunction(OMEGA, x), op, 2.0)
+        theta = est.theta_hat
+        assert est.diagnostics.converged
+        assert est.diagnostics.projection_residual <= KKT_TOLERANCE
+        assert np.min(theta.values) >= 0.0
+        assert theta.integral() == pytest.approx(1.0, abs=1e-12)
+        assert theta.norm() <= 2.0 + 1e-9
+        if name == "kumaraswamy":
+            assert theta.norm() == pytest.approx(2.0, abs=1e-9)  # the cap binds
+        # rank1-uniform's kernel is constant, so the objective is constant
+        # on the unit-mass set and the cap never has to bind
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_projection_is_invariant_to_operator_scale(scale):
+    # scaling B scales the norm-cap multiplier with it: at 1e6 the first
+    # solve (mu = 1) already exceeds M, at 1e-6 it is far inside
+    rng = np.random.default_rng(48)
+    op = _criterion4_operator(rng)
+    scaled = DesignOperator(scale * op.kernel_matrix, OMEGA, op.data_count)
+    for _ in range(5):
+        x = GridFunction(OMEGA, rng.normal(1.0, 0.8, OMEGA.size))
+        theta = project_to_C(x, op, 2.0).theta_hat.values
+        est = project_to_C(x, scaled, 2.0)
+        assert est.diagnostics.converged
+        diff = est.theta_hat.values - theta
+        assert np.sqrt(weighted_quadratic(op, diff)) <= 1e-8 * np.sqrt(weighted_quadratic(op, theta))
+
+
+def test_face_solve_falls_back_to_least_squares():
+    # an exactly singular bordered system: two identical free rows
+    kkt = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 0.0]])
+    rhs = np.array([2.0, 2.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(kkt, rhs)
+    sol = regression._face_solve(kkt, rhs, 1e-3)
+    assert np.allclose(kkt @ sol, rhs)
+    assert sol[0] == pytest.approx(sol[1])  # the minimum-norm solution
+
+
+def test_projection_solve_count():
+    # the criterion-4 inputs: 200 pairs of projections on one 16-pair design
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    rng = np.random.default_rng(404)
+    pairs = [(sample_context(env, rng), int(rng.integers(5))) for _ in range(16)]
+    op = design_operator(env.basis, pairs, OMEGA, S)
+    solves = [project_to_C(GridFunction(OMEGA, rng.normal(1.0, 0.8, OMEGA.size)), op, 2.0)
+              .diagnostics.projection_iterations for _ in range(400)]
+    # the 60-halving bisection took a median of 147
+    assert np.median(solves) <= 73
 
 
 def test_projection_zero_operator_returns_start():
