@@ -1,6 +1,8 @@
 """Catalog environments: basis contracts, ground-truth CDFs, and outcome
 sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,20 @@ def test_unknown_names_rejected():
         make_catalog_env("no-such-world", OMEGA, S)
     with pytest.raises(ValueError):
         make_catalog_env("kumaraswamy", OMEGA, S, theta_star="spikes")
+
+
+@pytest.mark.parametrize("params", [
+    {"rank": 0}, {"rank": -3}, {"rank": 2.5}, {"rank": True},
+    {"context_dim": 0}, {"action_count": 0},
+])
+def test_bad_catalog_parameters_rejected(params):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        make_catalog_env("finite-rank-r", OMEGA, S, **params)
+
+
+def test_catalog_rank_accepts_numpy_integer():
+    env = make_catalog_env("finite-rank-r", OMEGA, S, rank=np.int64(4))
+    assert env.basis.name == "finite-rank-4"
 
 
 def test_theta_star_bumps_in_C():
@@ -143,13 +159,16 @@ def test_sampling_ks_fidelity():
     assert np.max(np.abs(ecdf - f.values)) <= 0.01 + 1.0 / 64
 
 
-def _kumaraswamy_out_of_place(X, A, omega_nodes, s):
+def _kumaraswamy_pow(X, A, omega_nodes, s):
+    """The catalog formula 1 - (1 - s^alpha)^beta as two array pows, and
+    alpha, beta of shape (B, n_w, 1)."""
     xm = X.mean(axis=1)[:, None]
     a1 = (A + 1)[:, None]
     wm = omega_nodes.mean(axis=1)
     alpha = 1.0 + 0.5 * (1.0 + np.sin(2.0 * np.pi * (xm + 0.7 * wm + 0.31 * a1)))
     beta = 1.0 + 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * wm + 0.13 * a1)))
-    return 1.0 - (1.0 - s ** alpha[:, :, None]) ** beta[:, :, None]
+    alpha, beta = alpha[:, :, None], beta[:, :, None]
+    return 1.0 - (1.0 - s ** alpha) ** beta, alpha, beta
 
 
 def _finite_rank_out_of_place(rank, X, A, omega_nodes, s):
@@ -164,11 +183,39 @@ def _finite_rank_out_of_place(rank, X, A, omega_nodes, s):
 
 @pytest.mark.parametrize("B", [1, 5, 16, 80, 333])
 def test_in_place_evaluators_equal_out_of_place_expressions(B):
+    # ranks whose ramp width 0.5 / rank is a power of two: the fused
+    # s / width - left / width rounds exactly as (s - left) / width
     rng = np.random.default_rng(B)
     X, A = rng.random((B, 3)), rng.integers(0, 7, size=B)
     nodes, s = OMEGA.nodes, S.coords()
-    assert np.array_equal(_kumaraswamy_eval(X, A, nodes, s),
-                          _kumaraswamy_out_of_place(X, A, nodes, s))
-    for rank in (1, 8):
+    for rank in (1, 4, 8):
         assert np.array_equal(_finite_rank_eval(rank, X, A, nodes, s),
                               _finite_rank_out_of_place(rank, X, A, nodes, s))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is not extended precision here")
+@pytest.mark.parametrize("n_s", [64, 4096])
+@pytest.mark.parametrize("B", [1, 5, 16, 80, 333])
+def test_kumaraswamy_eval_within_4_eps_of_longdouble(B, n_s):
+    # the exp/log evaluator and the two-pow expression both lie within
+    # 4 eps (absolute) of the formula in 80-bit arithmetic, end to end on
+    # the support: s = 0 gives exactly 0 and s = 1 exactly 1
+    rng = np.random.default_rng(B)
+    X, A = rng.random((B, 3)), rng.integers(0, 7, size=B)
+    nodes = OMEGA.nodes if n_s == 64 else build_uniform_grid(1, 2).nodes
+    s = np.concatenate(([0.0], build_cdf_grid(n_s).coords()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = _kumaraswamy_eval(X, A, nodes, s)
+        phi_pow, alpha, beta = _kumaraswamy_pow(X, A, nodes, s)
+        ld = np.longdouble
+        with np.errstate(divide="ignore"):
+            log_s = np.log(s.astype(ld))
+            ref = 1 - np.exp(beta.astype(ld) * np.log(1 - np.exp(alpha.astype(ld) * log_s)))
+    tol = 4 * np.finfo(float).eps
+    assert np.max(np.abs(phi - ref)) <= tol
+    assert np.max(np.abs(phi_pow - ref)) <= tol
+    assert np.all(phi[..., 0] == 0.0) and np.all(phi[..., -1] == 1.0)
+    assert np.min(phi) >= 0.0 and np.max(phi) <= 1.0
+    assert np.all(np.diff(phi, axis=-1) >= 0.0)

@@ -315,6 +315,21 @@ def test_config_rejects_empty_seeds(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("params", [
+    {"name": "finite-rank-r", "rank": 0},
+    {"name": "finite-rank-r", "rank": -3},
+    {"name": "finite-rank-r", "rank": 2.5},
+    {"name": "kumaraswamy", "context_dim": 0},
+])
+def test_cli_run_rejects_bad_catalog_parameters(tmp_path, capsys, params):
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"environment": params, "horizon": 8,
+                                 "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace_seed0.csv").exists()
+
+
 def test_cli_gamma_is_estimate_or_a_number(tmp_path):
     cpath = tmp_path / "config.json"
     ExperimentConfig().save(cpath)
