@@ -13,9 +13,8 @@ from cdfreg import (
     build_cdf_grid,
     build_uniform_grid,
     degenerate_kernel_eig,
-    estimate_eigendecay,
+    eigendecay_prepass,
     make_catalog_env,
-    sample_context,
 )
 
 
@@ -30,10 +29,7 @@ def main():
     omega = build_uniform_grid(1, 32)
     s = build_cdf_grid(64)
     env = make_catalog_env("kumaraswamy", omega, s)
-    rng = np.random.default_rng(0)
-    pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))
-             for _ in range(25)]
-    fit = estimate_eigendecay(env.basis, pairs, 8, omega, s)
+    fit = eigendecay_prepass(env, seed=0, n_pairs=25, k_max=8)
     print("\nkumaraswamy point operators, dominating sequence over 25 pairs")
     print("  tau:", np.array2string(fit.tau, precision=4))
     print("  fitted decay exponent gamma = %.2f, power sum s0 = %.3f"

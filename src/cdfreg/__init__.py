@@ -59,6 +59,7 @@ from .engine import (
 )
 from .harness import (
     ExperimentConfig,
+    eigendecay_prepass,
     fit_loglog_slope,
     generate_dataset,
     heldout_cdf_error,

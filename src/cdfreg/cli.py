@@ -6,6 +6,10 @@ regress (one-shot oracle on a dataset file), run (one decision-making
 episode per seed), sweep (regression error vs n), and fit-slope (log-log
 slope of a saved trace CSV or summary JSON).
 
+decay, regress, run and sweep read every experiment setting from the JSON
+config named by --config (``harness.ExperimentConfig``); decay's --pairs,
+--kmax and --seed shape its report only.
+
 Every file a command writes holds each float as its shortest round-trip
 repr, so it reads back bit for bit.
 
@@ -27,9 +31,7 @@ import numpy as np
 
 from . import harness
 from .engine import dyadic_checkpoints
-from .environments import sample_context
 from .numerics import degenerate_kernel_eig
-from .operators import estimate_eigendecay
 from .regression import regress
 
 EXIT_OK = 0
@@ -44,26 +46,6 @@ NAMED_KERNELS = {
 }
 
 
-def _apply_overrides(config, args):
-    fields = ["horizon", "delta", "M", "exploration_scale", "omega_nodes",
-              "s_nodes", "output_dir"]
-    updates = {f: getattr(args, f) for f in fields
-               if getattr(args, f, None) is not None}
-    if getattr(args, "seeds", None):
-        updates["seeds"] = tuple(args.seeds)
-    if getattr(args, "gamma", None) is not None:
-        updates["gamma"] = args.gamma
-    if updates:
-        config = harness.ExperimentConfig.from_dict({**config.to_dict(), **updates})
-    return config
-
-
-def gamma(text):
-    """The --gamma value: "estimate" or a number (argparse reports a
-    ValueError as a usage error)."""
-    return text if text == "estimate" else float(text)
-
-
 def cmd_eig(args) -> int:
     spec = degenerate_kernel_eig(NAMED_KERNELS[args.kernel], args.n, args.r)
     top = spec.eigenvalues[: args.top]
@@ -75,10 +57,7 @@ def cmd_eig(args) -> int:
 def cmd_decay(args) -> int:
     config = harness.ExperimentConfig.load(args.config)
     env = harness.build_environment(config)
-    rng = np.random.default_rng(args.seed)
-    pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))
-             for _ in range(args.pairs)]
-    fit = estimate_eigendecay(env.basis, pairs, args.kmax, env.omega_grid, env.s_grid)
+    fit = harness.eigendecay_prepass(env, args.seed, args.pairs, args.kmax)
     print("gamma = %.2f" % fit.gamma)
     print("s0 = %.6g" % fit.s0)
     print("tau =", " ".join("%.10g" % t for t in fit.tau))
@@ -107,13 +86,13 @@ def cmd_regress(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(harness.ExperimentConfig.load(args.config), args)
+    config = harness.ExperimentConfig.load(args.config)
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for seed in config.seeds:
         start = time.perf_counter()
         trace = harness.run_config(config, seed)
         wall = time.perf_counter() - start
+        outdir.mkdir(parents=True, exist_ok=True)
         harness.write_trace_csv(trace, outdir / ("trace_seed%d.csv" % seed))
         harness.write_summary_json(trace, outdir / ("summary_seed%d.json" % seed),
                                    config, wall)
@@ -124,7 +103,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _apply_overrides(harness.ExperimentConfig.load(args.config), args)
+    config = harness.ExperimentConfig.load(args.config)
     env = harness.build_environment(config)
     gamma, _s0, _src = harness.resolve_gamma(config, env)
     rows = harness.sweep_regression_error(env, config.sweep_n, config.seeds,
@@ -168,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decay", help="empirical eigendecay report")
     p.add_argument("--config", required=True)
-    p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--kmax", type=int, default=16)
+    p.add_argument("--pairs", type=int, default=harness.DECAY_PAIRS)
+    p.add_argument("--kmax", type=int, default=harness.DECAY_KMAX)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decay)
 
@@ -181,15 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("run", cmd_run), ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--M", type=float)
-        p.add_argument("--gamma", type=gamma)
-        p.add_argument("--exploration-scale", dest="exploration_scale", type=float)
-        p.add_argument("--omega-nodes", dest="omega_nodes", type=int)
-        p.add_argument("--s-nodes", dest="s_nodes", type=int)
-        p.add_argument("--seeds", type=int, nargs="+")
-        p.add_argument("--output-dir", dest="output_dir")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("fit-slope", help="log-log slope of a trace or summary")

@@ -15,7 +15,7 @@ from .environments import (Environment, check_norm_bound, inverse_cdf, make_cata
                            sample_context)
 from .functionals import make_functional
 from .numerics import build_cdf_grid, build_uniform_grid
-from .operators import basis_chunks, estimate_eigendecay
+from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
 from .regression import regress
 
 
@@ -30,7 +30,7 @@ class ExperimentConfig:
     s_nodes: int = 64
     horizon: int = 256
     delta: float = 0.1
-    gamma: float | str = 1.0  # numeric, or "estimate"
+    gamma: float | str = 1.0  # in (0, 1], or "estimate"
     s0: float = 1.0
     M: float = 2.0
     exploration_scale: float = 1.0
@@ -42,6 +42,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.seeds) == 0:
             raise ValueError("seeds must name at least one seed")
+        numeric = isinstance(self.gamma, (int, float)) and not isinstance(self.gamma, bool)
+        # NaN fails the range test
+        if self.gamma != "estimate" and not (numeric and 0.0 < self.gamma <= 1.0):
+            raise ValueError('gamma must be "estimate" or a number in (0, 1], not %r'
+                             % (self.gamma,))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -80,14 +85,25 @@ def build_functional(config: ExperimentConfig):
     return make_functional(name, **params)
 
 
+# The eigendecay pre-pass behind gamma = "estimate" and ``cdfreg decay``.
+DECAY_PAIRS = 20
+DECAY_KMAX = 16
+
+
+def eigendecay_prepass(env: Environment, seed: int, n_pairs: int = DECAY_PAIRS,
+                       k_max: int = DECAY_KMAX) -> EigendecayFit:
+    """Eigendecay fit over n_pairs random (context, action) pairs drawn from
+    ``default_rng(seed)``, context then action per pair."""
+    rng = np.random.default_rng(seed)
+    pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))
+             for _ in range(n_pairs)]
+    return estimate_eigendecay(env.basis, pairs, k_max, env.omega_grid, env.s_grid)
+
+
 def resolve_gamma(config: ExperimentConfig, env: Environment, seed: int = 0):
-    """Numeric (gamma, s0, source) from config or an eigendecay pre-pass
-    over 20 random (context, action) pairs with k_max = 16."""
+    """Numeric (gamma, s0, source) from config or ``eigendecay_prepass``."""
     if config.gamma == "estimate":
-        rng = np.random.default_rng(seed)
-        pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))
-                 for _ in range(20)]
-        fit = estimate_eigendecay(env.basis, pairs, 16, env.omega_grid, env.s_grid)
+        fit = eigendecay_prepass(env, seed)
         return fit.gamma, max(fit.s0, 1e-6), "estimate"
     return float(config.gamma), float(config.s0), "config"
 

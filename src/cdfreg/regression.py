@@ -33,6 +33,9 @@ from .operators import (
 # exact solves land near 1e-14 on the designs the tests and benchmark use.
 KKT_TOLERANCE = 1e-8
 
+# Faces one active-set solve visits at most.
+MAX_FACES = 200
+
 
 @dataclass(frozen=True)
 class TruncationPlan:
@@ -214,7 +217,7 @@ def _face_solve(kkt, rhs, mu):
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
 
 
-def _active_set_face(b_mat, bx, w, mu, start, max_faces=200):
+def _active_set_face(b_mat, bx, w, mu, start):
     """Minimize y' (B + mu W) y / 2 - bx . y over {y >= 0, w . y = 1}, with
     W = diag(w).
 
@@ -223,7 +226,8 @@ def _active_set_face(b_mat, bx, w, mu, start, max_faces=200):
     multipliers are all nonnegative, to 1e-10 at mu = 0 and to 1e-13 of
     the largest entry of bx for mu > 0, where the cap's multiplier can be
     small enough that the absolute tolerance picks a wrong face. Returns
-    the minimizer and the number of KKT systems solved.
+    the minimizer (the last iterate if ``MAX_FACES`` faces do not reach
+    it) and the number of KKT systems solved.
     """
     n = start.shape[0]
     quad = b_mat + mu * np.diag(w)
@@ -231,7 +235,7 @@ def _active_set_face(b_mat, bx, w, mu, start, max_faces=200):
     current = np.maximum(start, 0.0)
     active = current <= 1e-12
     solves = 0
-    for _ in range(max_faces):
+    for _ in range(MAX_FACES):
         free = np.nonzero(~active)[0]
         if free.size == 0:
             break
@@ -338,7 +342,8 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
     1e-8 M, its round-off floor on ill-conditioned designs; then the last
     solve with r <= M is taken. The candidate is accepted only when it has
     positive mass, is feasible and is no worse than the start; otherwise
-    the start is returned with converged=False.
+    the start is returned with mu = 0. Either way ``converged`` certifies
+    the returned point by its own KKT residual.
     """
     w = op.grid.weights
     b_mat = w[:, None] * op.kernel_matrix * w[None, :]
@@ -397,7 +402,7 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
     y, mu = (cand, mu) if accepted else (start, 0.0)
     residual = _kkt_residual(y, x, b_mat, w, mu, M)
     return y, Diagnostics(projection_iterations=solves,
-                          converged=accepted and residual <= KKT_TOLERANCE,
+                          converged=residual <= KKT_TOLERANCE,
                           projection_residual=residual)
 
 
@@ -411,8 +416,9 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
     steps on the norm-cap multiplier (``_solve_projection``).
     ``projection_iterations`` counts the KKT systems solved, one per
     active-set step and one per Newton derivative; ``converged`` means the
-    solve was accepted and its KKT residual ``projection_residual`` is at
-    most ``KKT_TOLERANCE``. Under a zero operator every point of C is a
+    KKT residual ``projection_residual`` of the returned point is at most
+    ``KKT_TOLERANCE``, whether that point is the solve's candidate or the
+    start it fell back to. Under a zero operator every point of C is a
     projection and the start is returned.
     """
     if M < 1.0:

@@ -27,6 +27,7 @@ from cdfreg.harness import (
     generate_dataset,
     read_dataset_csv,
     read_trace_csv,
+    resolve_gamma,
     run_config,
     write_dataset_csv,
     write_summary_json,
@@ -295,6 +296,20 @@ def test_cli_decay_one_pair_prints_its_spectrum(tmp_path, capsys, environment, s
     assert tau_line == "tau = " + " ".join("%.10g" % lam for lam in top)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_cli_decay_prints_the_estimated_gamma(tmp_path, capsys, seed):
+    cfg = ExperimentConfig(environment={"name": "finite-rank-r", "rank": 8},
+                           gamma="estimate")
+    cpath = tmp_path / "config.json"
+    cfg.save(cpath)
+    capsys.readouterr()
+    assert main(["decay", "--config", str(cpath), "--seed", str(seed)]) == 0
+    gamma_line, s0_line = capsys.readouterr().out.splitlines()[:2]
+    gamma, s0, source = resolve_gamma(cfg, build_environment(cfg), seed=seed)
+    assert source == "estimate"
+    assert (gamma_line, s0_line) == ("gamma = %.2f" % gamma, "s0 = %.6g" % s0)
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     assert main(["decay", "--config", "/nonexistent/config.json"]) == 4
     assert main(["run", "--config", "/nonexistent/config.json"]) == 4
@@ -330,18 +345,51 @@ def test_cli_run_rejects_bad_catalog_parameters(tmp_path, capsys, params):
     assert not (tmp_path / "out" / "trace_seed0.csv").exists()
 
 
-def test_cli_gamma_is_estimate_or_a_number(tmp_path):
+@pytest.mark.parametrize("gamma", ["abc", "", "estimat", "0.5", 0, -0.1, 1.5, float("nan"),
+                                   True])
+def test_config_rejects_bad_gamma(tmp_path, gamma):
+    # the config file is where gamma is set, so its rule is checked at load
+    with pytest.raises(ValueError, match="gamma must be"):
+        ExperimentConfig(gamma=gamma)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"gamma": gamma, "output_dir": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match="gamma must be"):
+        ExperimentConfig.load(cpath)
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gamma", ["estimate", 1e-9, 0.5, 1, 1.0])
+def test_config_accepts_estimate_or_gamma_in_unit_interval(gamma):
+    assert ExperimentConfig(gamma=gamma).gamma == gamma
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_run_and_sweep_take_only_a_config(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: cdfreg %s [-h] --config CONFIG\n" % command)
     cpath = tmp_path / "config.json"
     ExperimentConfig().save(cpath)
-    for value in ("abc", "", "estimat"):
+    for flag, value in (("--gamma", "0.5"), ("--horizon", "8"), ("--seeds", "1"),
+                        ("--output-dir", str(tmp_path / "out"))):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(cpath), "--gamma", value])
+            main([command, "--config", str(cpath), flag, value])
         assert exc.value.code == 2
-    from cdfreg.cli import build_parser
-    parser = build_parser()
-    for text, parsed in (("estimate", "estimate"), ("0.5", 0.5), ("1", 1.0)):
-        args = parser.parse_args(["run", "--config", str(cpath), "--gamma", text])
-        assert args.gamma == parsed
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_failed_run_writes_nothing(tmp_path, capsys):
+    # bumps has norm above 1.1, so check_norm_bound refuses the first episode
+    cfg = ExperimentConfig(environment={"name": "kumaraswamy", "theta_star": "bumps"},
+                           horizon=8, M=1.1, output_dir=str(tmp_path / "out"))
+    cpath = tmp_path / "config.json"
+    cfg.save(cpath)
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert "contract violation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_and_fit_slope(tmp_path, capsys):

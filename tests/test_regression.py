@@ -177,6 +177,22 @@ def test_projection_fallback_is_not_converged(monkeypatch):
     assert np.array_equal(est.theta_hat.values, _clipped_start(x, 2.0))
 
 
+def test_projection_certifies_points_on_the_cap():
+    # a point of C is its own projection; on a 256-pair design the solver's
+    # candidate is refused by round-off, and the start it returns instead is
+    # still certified by its KKT residual
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    data = generate_dataset(env, 256, np.random.default_rng(0))
+    op = design_operator(env.basis, [(x, a) for x, a, _ in data], OMEGA, S)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        x = _clipped_start(rng.exponential(size=OMEGA.size) ** 3, 2.0)
+        assert GridFunction(OMEGA, x).norm() == pytest.approx(2.0, abs=1e-12)
+        est = project_to_C(GridFunction(OMEGA, x), op, 2.0)
+        assert est.diagnostics.converged
+        assert np.max(np.abs(est.theta_hat.values - x)) <= 1e-12
+
+
 def _reference_face(quad, bx, w, start):
     """The active-set face solver with least-squares KKT solves, as the
     bisection reference below used it."""
