@@ -24,6 +24,7 @@ from .operators import (
 )
 from .regression import (
     CoefficientEstimate,
+    DataStatistics,
     ErrorBudget,
     TruncationPlan,
     empirical_target,

@@ -9,23 +9,26 @@ inversely proportional to K plus the scaled utility gap to the greedy one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .environments import Environment, check_norm_bound, inverse_cdf
 from .functionals import UtilityFunctional
-from .operators import basis_values
-from .regression import ErrorBudget, error_budget, regress
+from .operators import BASIS_CHUNK, basis_values
+from .regression import DataStatistics, ErrorBudget, error_budget, regress
 
 
 @dataclass(frozen=True, eq=False)
 class RegretTrace:
     """Per-round regret accounting plus a run summary.
 
-    ``records`` rows are (round, epoch, context, action, optimal_action,
-    gap, cum_regret); ``summary`` echoes the configuration and holds final
-    regret, dyadic checkpoints, and the oracle-call count.
+    ``records`` is a list of T rows (round, epoch, context, action,
+    optimal_action, gap, cum_regret) of Python ints, floats and a tuple of
+    context floats, built once from the episode's column arrays;
+    ``summary`` echoes the configuration and holds final regret, dyadic
+    checkpoints, and the oracle-call count.
     """
 
     records: list = field(repr=False)
@@ -99,11 +102,6 @@ def exploration_param(m: int, K: int, budget: ErrorBudget, scale: float = 1.0) -
     return scale * 0.5 * math.sqrt(K / budget.est)
 
 
-# Rounds per block: one basis call covers ROUND_BLOCK * K (context, action)
-# pairs, about 0.7 MB of phi at K = 5 on the default 32 x 64 grids.
-ROUND_BLOCK = 8
-
-
 def run_episode(env: Environment, functional: UtilityFunctional, T: int,
                 delta: float, gamma: float, M: float, seed: int,
                 exploration_scale: float = 1.0, s0: float = 1.0,
@@ -119,9 +117,16 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     ``rng.choice(K, p=p)`` would, and the uniform of the outcome's
     inverse-CDF draw. The oracle is frozen within an epoch, so each epoch
     draws its n rounds as one (n, d + 2) array and plays them in blocks of
-    ROUND_BLOCK rounds; the records equal those of a round-by-round loop
-    bit for bit.
+    ``BASIS_CHUNK`` rounds; the records equal those of a round-by-round
+    loop bit for bit. Each block's chosen (context, action) rows of phi are
+    exactly one ``data_statistics`` chunk of the epoch's dataset, so the
+    engine accumulates the oracle's ``DataStatistics`` from the phi it has
+    already evaluated and hands them to ``regress`` with the dataset; the
+    last epoch, which is never regressed, accumulates none.
     """
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral):
+        raise ValueError("horizon T must be an integer, not %r" % (T,))
+    T = int(T)
     if T < 2:
         raise ValueError("horizon T must be at least 2")
     if not 0.0 < delta < 1.0:
@@ -137,13 +142,13 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     s_coords = s_grid.coords()
     w_theta_star = omega_grid.weights * env.theta_star.values
 
-    records = []
-    cum_regret = 0.0
+    # per-epoch columns of the trace: contexts, actions, optimal actions, gaps
+    columns = []
     oracle_calls = 0
     varsigmas = []
     nonconverged = 0
     max_residual = 0.0
-    prev_epoch_data: list = []
+    data, stats = None, None
     varsigma, w_theta_hat = 1.0, None  # epoch 1 has no estimate
 
     for m in range(1, len(bounds)):
@@ -156,7 +161,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
                 eta=basis.kernel_floor_eta,
             )
             varsigma = exploration_param(m, K, budget, exploration_scale)
-            estimate = regress(prev_epoch_data, basis, gamma, M, omega_grid, s_grid)
+            estimate = regress(data, basis, gamma, M, omega_grid, s_grid, statistics=stats)
             oracle_calls += 1
             if not estimate.diagnostics.converged:
                 nonconverged += 1
@@ -164,14 +169,17 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             w_theta_hat = omega_grid.weights * estimate.theta_hat.values
         varsigmas.append(varsigma)
 
-        first, n = bounds[m - 1], bounds[m] - bounds[m - 1]
+        n = bounds[m] - bounds[m - 1]
         draws = rng.random((n, d + 2))
         X, u_action, u_outcome = draws[:, :d], draws[:, d], draws[:, d + 1]
-        epoch_data = []
-        for lo in range(0, n, ROUND_BLOCK):
-            B = min(ROUND_BLOCK, n - lo)
+        actions, optimal = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        gaps, y = np.empty(n), np.empty(n)
+        stats = DataStatistics(omega_grid, s_grid) if m < len(bounds) - 1 else None
+        for lo in range(0, n, BASIS_CHUNK):
+            B = min(BASIS_CHUNK, n - lo)
+            block, rows = slice(lo, lo + B), np.arange(B)
             # pair b * K + a is (context of round lo + b, action a)
-            phi = basis_values(basis, np.repeat(X[lo:lo + B], K, axis=0),
+            phi = basis_values(basis, np.repeat(X[block], K, axis=0),
                                np.tile(np.arange(K), B), omega_grid, s_grid)
             true_cdfs = (w_theta_star @ phi).reshape(B, K, s_grid.size)
             true_utils = functional(true_cdfs, s_grid)
@@ -180,17 +188,24 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             else:
                 hat_cdfs = (w_theta_hat @ phi).reshape(B, K, s_grid.size)
                 p = igw_distribution(functional(hat_cdfs, s_grid), varsigma)
+            chosen = _choose_actions(p, u_action[block])
+            y[block] = inverse_cdf(true_cdfs[rows, chosen], u_outcome[block], s_coords)
+            if stats is not None:
+                stats.add(phi[rows * K + chosen], y[block])
             del phi  # free it before the next block allocates its own (peak RSS)
-            chosen = _choose_actions(p, u_action[lo:lo + B])
             best = np.argmax(true_utils, axis=-1)
-            y = inverse_cdf(true_cdfs[np.arange(B), chosen], u_outcome[lo:lo + B], s_coords)
-            for i in range(B):
-                r, a_t, a_star = lo + i, int(chosen[i]), int(best[i])
-                gap = float(true_utils[i, a_star] - true_utils[i, a_t])
-                cum_regret += gap
-                records.append((first + r + 1, m, tuple(X[r]), a_t, a_star, gap, cum_regret))
-                epoch_data.append((X[r], a_t, float(y[i])))
-        prev_epoch_data = epoch_data
+            actions[block], optimal[block] = chosen, best
+            gaps[block] = true_utils[rows, best] - true_utils[rows, chosen]
+        columns.append((X, actions, optimal, gaps))
+        if stats is not None:
+            data = list(zip(X, actions.tolist(), y.tolist()))
+
+    X, actions, optimal, gaps = (np.concatenate(c) for c in zip(*columns))
+    epochs = np.repeat(np.arange(1, len(bounds)), np.diff(bounds))
+    # cumsum adds in round order, as a running float sum does
+    cum_regret = np.cumsum(gaps).tolist()
+    records = list(zip(range(1, T + 1), epochs.tolist(), map(tuple, X.tolist()),
+                       actions.tolist(), optimal.tolist(), gaps.tolist(), cum_regret))
 
     summary = {
         "T": T,
@@ -202,8 +217,8 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
         "s0": s0,
         "M": M,
         "exploration_scale": exploration_scale,
-        "final_regret": cum_regret,
-        "checkpoints": dyadic_checkpoints([rec[6] for rec in records]),
+        "final_regret": cum_regret[-1],
+        "checkpoints": dyadic_checkpoints(cum_regret),
         "oracle_calls": oracle_calls,
         "varsigmas": varsigmas,
         "nonconverged_projections": nonconverged,

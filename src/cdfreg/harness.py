@@ -42,6 +42,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.seeds) == 0:
             raise ValueError("seeds must name at least one seed")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 2:
+            raise ValueError("horizon must be an integer >= 2, not %r" % (self.horizon,))
         numeric = isinstance(self.gamma, (int, float)) and not isinstance(self.gamma, bool)
         # NaN fails the range test
         if self.gamma != "estimate" and not (numeric and 0.0 < self.gamma <= 1.0):

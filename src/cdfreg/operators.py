@@ -22,7 +22,10 @@ from .numerics import (
 
 # Pairs per basis evaluation in chunked passes over a dataset: a chunk's
 # phi is BASIS_CHUNK * n_w * n_s doubles (256 KB on the default 32 x 64
-# grids), so no pass holds an array that grows with the dataset.
+# grids), so no pass holds an array that grows with the dataset. It is also
+# the engine's block of rounds, whose one basis call holds BASIS_CHUNK * K
+# pairs of phi (1.3 MB at K = 5), so that each block's chosen rows are one
+# chunk of the oracle's statistics.
 BASIS_CHUNK = 16
 
 

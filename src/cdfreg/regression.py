@@ -102,38 +102,72 @@ def pseudo_inverse_apply(spec: SpectralDecomposition, plan: TruncationPlan,
     return GridFunction(spec.grid, out)
 
 
-def _check_dataset(dataset):
+def _indicators(y, s_coords: np.ndarray) -> np.ndarray:
+    """Indicator targets 1{s_k >= y_j}, shape (B, n_s), of outcomes y (B,)."""
+    y = np.asarray(y, dtype=float)
+    if not np.all((0.0 <= y) & (y <= 1.0)):  # NaN fails
+        raise ValueError("outcome outside the support S = [0, 1]")
+    return (s_coords >= y[:, None]).astype(float)
+
+
+class DataStatistics:
+    """The four sums the oracle reads from a dataset of (x, a, y) records:
+    the design kernel (``kernel_sum``, not yet symmetrized), the empirical
+    target, the summed squared L2(S) norm of the indicator targets, and
+    the record count.
+
+    ``add`` takes one chunk, so the same chunks in the same order give the
+    same sums bit for bit: ``data_statistics`` adds a dataset in
+    ``BASIS_CHUNK`` chunks, and the engine adds each block's chosen rows of
+    the phi it has already evaluated.
+    """
+
+    def __init__(self, omega_grid: QuadratureGrid, s_grid: QuadratureGrid):
+        self.omega_grid, self.s_grid = omega_grid, s_grid
+        self.kernel = np.zeros((omega_grid.size, omega_grid.size))
+        self.target = np.zeros(omega_grid.size)
+        self.indicator_sq = 0.0
+        self.count = 0
+
+    def add(self, phi: np.ndarray, y) -> None:
+        """Add B records: phi (B, n_w, n_s) of their pairs and outcomes y (B,)."""
+        s_w = self.s_grid.weights
+        indicator = _indicators(y, self.s_grid.coords())
+        self.kernel += kernel_sum(phi, s_w)
+        self.target += np.einsum("bws,bs->w", phi, indicator * s_w)
+        self.indicator_sq += float(np.sum(indicator @ s_w))  # 0/1, so ind^2 = ind
+        self.count += phi.shape[0]
+
+    def design_operator(self) -> DesignOperator:
+        return DesignOperator((self.kernel + self.kernel.T) / 2.0, self.omega_grid, self.count)
+
+
+def _dataset_chunks(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
+                    s_grid: QuadratureGrid):
+    """(phi, y) over successive chunks of a dataset of (x, a, y) records,
+    one ``basis_chunks`` evaluation each."""
     dataset = list(dataset)
-    for _, _, y in dataset:
-        if not 0.0 <= y <= 1.0:
-            raise ValueError("outcome outside the support S = [0, 1]")
-    return dataset
-
-
-def _chunked_pass(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
-                  s_grid: QuadratureGrid):
-    """The one pass over a dataset's samples: per chunk, phi (B, n_w, n_s)
-    and the indicator targets 1{s_k >= y_j} (B, n_s)."""
-    dataset = _check_dataset(dataset)
-    s = s_grid.coords()
-    X = [x for x, _, _ in dataset]
-    A = [a for _, a, _ in dataset]
-    y = np.array([y for _, _, y in dataset], dtype=float)
+    if not dataset:
+        return
+    X, A, y = zip(*dataset)
+    y = np.array(y, dtype=float)
     for sl, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
-        yield phi, (s >= y[sl, None]).astype(float)
+        yield phi, y[sl]
 
 
-def _target_of(phi, indicator, s_weights):
-    return np.einsum("bws,bs->w", phi, indicator * s_weights)
+def data_statistics(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
+                    s_grid: QuadratureGrid) -> DataStatistics:
+    """Everything the oracle needs from a dataset, from one basis pass."""
+    stats = DataStatistics(omega_grid, s_grid)
+    for phi, y in _dataset_chunks(dataset, basis, omega_grid, s_grid):
+        stats.add(phi, y)
+    return stats
 
 
 def empirical_target(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
                      s_grid: QuadratureGrid) -> GridFunction:
     """sum_j integral_S 1{y_j <= s} phi(x_j, a_j, w, s) dm(s) on the Omega grid."""
-    total = np.zeros(omega_grid.size)
-    for phi, indicator in _chunked_pass(dataset, basis, omega_grid, s_grid):
-        total += _target_of(phi, indicator, s_grid.weights)
-    return GridFunction(omega_grid, total)
+    return GridFunction(omega_grid, data_statistics(dataset, basis, omega_grid, s_grid).target)
 
 
 def loss(theta: GridFunction, dataset, basis: CdfBasis,
@@ -141,29 +175,11 @@ def loss(theta: GridFunction, dataset, basis: CdfBasis,
     """Summed squared L2(S) distance between indicator targets and the
     mixture CDFs induced by theta."""
     wtheta = omega_grid.weights * theta.values
+    s_coords = s_grid.coords()
     total = 0.0
-    for phi, indicator in _chunked_pass(dataset, basis, omega_grid, s_grid):
-        total += float(np.sum((indicator - wtheta @ phi) ** 2 @ s_grid.weights))
+    for phi, y in _dataset_chunks(dataset, basis, omega_grid, s_grid):
+        total += float(np.sum((_indicators(y, s_coords) - wtheta @ phi) ** 2 @ s_grid.weights))
     return total
-
-
-def data_statistics(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
-                    s_grid: QuadratureGrid):
-    """Everything the oracle needs from a dataset, from one basis pass: the
-    design operator, the empirical target, and the summed squared L2(S)
-    norm of the indicator targets."""
-    kernel = np.zeros((omega_grid.size, omega_grid.size))
-    target = np.zeros(omega_grid.size)
-    indicator_sq, count = 0.0, 0
-    for phi, indicator in _chunked_pass(dataset, basis, omega_grid, s_grid):
-        kernel += kernel_sum(phi, s_grid.weights)
-        target += _target_of(phi, indicator, s_grid.weights)
-        indicator_sq += float(np.sum(indicator @ s_grid.weights))  # 0/1, so ind^2 = ind
-        count += phi.shape[0]
-    if count == 0:
-        raise ValueError("dataset must be nonempty")
-    op = DesignOperator((kernel + kernel.T) / 2.0, omega_grid, count)
-    return op, GridFunction(omega_grid, target), indicator_sq
 
 
 def _project_unit_mass(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -459,18 +475,35 @@ def predict_cdf(estimate: CoefficientEstimate, basis: CdfBasis, x, a: int,
 
 
 def regress(dataset, basis: CdfBasis, gamma: float, M: float,
-            omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> CoefficientEstimate:
+            omega_grid: QuadratureGrid, s_grid: QuadratureGrid,
+            statistics: DataStatistics | None = None) -> CoefficientEstimate:
     """The full oracle: design operator, spectral truncation, least squares,
-    projection onto C. Deterministic given its inputs. One basis pass
-    yields the design operator, the target and the loss diagnostic."""
-    op, target, indicator_sq = data_statistics(dataset, basis, omega_grid, s_grid)
+    projection onto C. Deterministic given its inputs.
+
+    Everything it reads from the dataset is its ``DataStatistics``, whose
+    sums also give the loss diagnostic. Without ``statistics`` they come
+    from one basis pass over the dataset (``data_statistics``); a caller
+    that already holds phi for the dataset's pairs, as the engine does,
+    passes the statistics it accumulated instead, and no basis is
+    evaluated. Statistics whose count is not the dataset's are refused.
+    """
+    if statistics is None:
+        statistics = data_statistics(dataset, basis, omega_grid, s_grid)
+    elif statistics.count != len(dataset):
+        raise ValueError("statistics count %d does not match the dataset's %d records"
+                         % (statistics.count, len(dataset)))
+    if statistics.count == 0:
+        raise ValueError("dataset must be nonempty")
+    op = statistics.design_operator()
+    target = GridFunction(omega_grid, statistics.target)
     spec = spectral_decompose(op)
     plan = select_truncation(spec, op.data_count, gamma)
     theta_d = pseudo_inverse_apply(spec, plan, target)
     estimate = project_to_C(theta_d, op, M)
     # loss = sum_j ||ind_j - F_theta_j||^2 expanded over the pass's sums
     theta = estimate.theta_hat
-    fit = (indicator_sq - 2.0 * float((omega_grid.weights * theta.values) @ target.values)
+    fit = (statistics.indicator_sq
+           - 2.0 * float((omega_grid.weights * theta.values) @ target.values)
            + weighted_quadratic(op, theta.values))
     diag = replace(estimate.diagnostics, n_eps=plan.n_eps, loss=fit)
     return CoefficientEstimate(theta, diag)

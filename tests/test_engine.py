@@ -217,10 +217,12 @@ def test_run_episode_reproducible():
 def test_run_episode_rejects_bad_horizon():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
     fn = make_functional("mean")
-    with pytest.raises(ValueError):
-        run_episode(env, fn, 1, 0.1, 1.0, 2.0, seed=0)
+    for T in (1, 0, 64.0, 2.5, True):
+        with pytest.raises(ValueError, match="horizon"):
+            run_episode(env, fn, T, 0.1, 1.0, 2.0, seed=0)
     with pytest.raises(ValueError):
         run_episode(env, fn, 64, 1.5, 1.0, 2.0, seed=0)
+    assert len(run_episode(env, fn, np.int64(8), 0.1, 1.0, 2.0, seed=0).records) == 8
 
 
 def test_run_episode_rejects_M_below_theta_star_norm():
@@ -292,3 +294,38 @@ def test_block_engine_equals_per_round_loop(K, context_dim, functional):
     assert trace.summary["oracle_calls"] == calls
     if K > 1:
         assert len({r[3] for r in records}) > 1
+
+
+@pytest.mark.parametrize("name, params", [("kumaraswamy", {"theta_star": "bumps"}),
+                                          ("finite-rank-r", {"rank": 8})])
+@pytest.mark.parametrize("K", [1, 3])
+def test_engine_statistics_equal_data_statistics(monkeypatch, name, params, K):
+    # T = 100: epochs of 2, 2, 4 and 8 rounds are shorter than one block,
+    # the epoch of 32 is two blocks, and the capped last epoch of 36 ends
+    # mid-block and is never regressed
+    from cdfreg import engine, regression
+    env = make_catalog_env(name, OMEGA, S, action_count=K, **params)
+    built, handed = [], []
+
+    class Counted(regression.DataStatistics):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def oracle(data, *args, statistics=None, **kwargs):
+        handed.append((list(data), statistics))
+        return regression.regress(data, *args, statistics=statistics, **kwargs)
+
+    monkeypatch.setattr(engine, "DataStatistics", Counted)
+    monkeypatch.setattr(engine, "regress", oracle)
+    trace = run_episode(env, make_functional("mean"), 100, 0.1, 0.5, 2.0, seed=13,
+                        exploration_scale=1e4)
+    assert trace.summary["oracle_calls"] == len(handed) == 6
+    assert [len(data) for data, _ in handed] == [2, 2, 4, 8, 16, 32]
+    assert [id(stats) for _, stats in handed] == [id(stats) for stats in built]
+    for data, stats in handed:
+        fresh = regression.data_statistics(data, env.basis, OMEGA, S)
+        assert stats.kernel.tobytes() == fresh.kernel.tobytes()
+        assert stats.target.tobytes() == fresh.target.tobytes()
+        assert stats.indicator_sq == fresh.indicator_sq
+        assert stats.count == fresh.count == len(data)

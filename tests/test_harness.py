@@ -359,6 +359,20 @@ def test_config_rejects_bad_gamma(tmp_path, gamma):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("horizon", [64.0, 2.5, True, 1, 0, -8, "64", None])
+def test_config_rejects_bad_horizon(tmp_path, capsys, horizon):
+    # a float horizon used to reach run_episode and crash in bit_length
+    with pytest.raises(ValueError, match="horizon must be"):
+        ExperimentConfig(horizon=horizon)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"horizon": horizon, "output_dir": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match="horizon must be"):
+        ExperimentConfig.load(cpath)
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert "horizon must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("gamma", ["estimate", 1e-9, 0.5, 1, 1.0])
 def test_config_accepts_estimate_or_gamma_in_unit_interval(gamma):
     assert ExperimentConfig(gamma=gamma).gamma == gamma

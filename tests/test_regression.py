@@ -7,6 +7,7 @@ import pytest
 from cdfreg import (
     DesignOperator,
     GridFunction,
+    basis_values,
     build_cdf_grid,
     build_uniform_grid,
     design_operator,
@@ -420,7 +421,6 @@ def test_regress_deterministic():
 
 def _per_sample_statistics(data, basis):
     """Reference sums with one B=1 evaluation per sample."""
-    from cdfreg import basis_values
     kernel = np.zeros((OMEGA.size, OMEGA.size))
     target = np.zeros(OMEGA.size)
     indicator_sq = 0.0
@@ -438,7 +438,8 @@ def test_chunked_statistics_match_per_sample_sums(n):
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
     data = generate_dataset(env, n, np.random.default_rng(53))
     kernel, target, indicator_sq = _per_sample_statistics(data, env.basis)
-    op, stats_target, stats_indicator_sq = regression.data_statistics(data, env.basis, OMEGA, S)
+    stats = regression.data_statistics(data, env.basis, OMEGA, S)
+    op = stats.design_operator()
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -447,9 +448,9 @@ def test_chunked_statistics_match_per_sample_sums(n):
     assert close(op.kernel_matrix, kernel)
     assert close(design_operator(env.basis, [(x, a) for x, a, _ in data], OMEGA, S)
                  .kernel_matrix, kernel)
-    assert close(stats_target.values, target)
+    assert close(stats.target, target)
     assert close(empirical_target(data, env.basis, OMEGA, S).values, target)
-    assert stats_indicator_sq == pytest.approx(indicator_sq, rel=1e-12)
+    assert stats.indicator_sq == pytest.approx(indicator_sq, rel=1e-12)
     theta = env.theta_star
     direct = sum(float(S.weights @ ((S.coords() >= y) - true_cdf(env, x, a).values) ** 2)
                  for x, a, y in data)
@@ -463,3 +464,34 @@ def test_regress_loss_diagnostic_matches_loss():
         est = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
         direct = loss(est.theta_hat, data, env.basis, OMEGA, S)
         assert est.diagnostics.loss == pytest.approx(direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("name, params", [("kumaraswamy", {"theta_star": "bumps"}),
+                                          ("finite-rank-r", {"rank": 8})])
+def test_regress_from_statistics_equals_dataset_path(name, params):
+    env = make_catalog_env(name, OMEGA, S, **params)
+    data = generate_dataset(env, 2 * BASIS_CHUNK + 5, np.random.default_rng(61))
+    stats = regression.data_statistics(data, env.basis, OMEGA, S)
+    fresh = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
+    given = regress(data, env.basis, 0.1, 2.0, OMEGA, S, statistics=stats)
+    assert given.theta_hat.values.tobytes() == fresh.theta_hat.values.tobytes()
+    assert given.diagnostics == fresh.diagnostics
+    # the accumulator adds chunk by chunk, so the same chunks give the same bits
+    again = regression.DataStatistics(OMEGA, S)
+    for lo in range(0, len(data), BASIS_CHUNK):
+        X, A, y = zip(*data[lo:lo + BASIS_CHUNK])
+        again.add(basis_values(env.basis, X, A, OMEGA, S), y)
+    assert again.kernel.tobytes() == stats.kernel.tobytes()
+    assert again.target.tobytes() == stats.target.tobytes()
+    assert (again.indicator_sq, again.count) == (stats.indicator_sq, stats.count)
+
+
+def test_regress_refuses_statistics_of_another_dataset():
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    data = generate_dataset(env, 20, np.random.default_rng(67))
+    stats = regression.data_statistics(data, env.basis, OMEGA, S)
+    for other in (data[:-1], data + data[:1], []):
+        with pytest.raises(ValueError, match="statistics count"):
+            regress(other, env.basis, 0.1, 2.0, OMEGA, S, statistics=stats)
+    with pytest.raises(ValueError, match="outside the support"):
+        stats.add(basis_values(env.basis, [data[0][0]], [0], OMEGA, S), [1.5])
