@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=sorted(NAMED_KERNELS), required=True)
     p.add_argument("--n", type=int, default=32, help="partition cells")
     p.add_argument("--r", type=int, default=4, help="polynomial degree")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=int, default=10, help="eigenvalues printed (at least 1)")
     p.set_defaults(func=cmd_eig)
 
     p = sub.add_parser("decay", help="empirical eigendecay report")
@@ -171,6 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eig" and args.top < 1:
+        parser.error("argument --top: must be at least 1, not %d" % args.top)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

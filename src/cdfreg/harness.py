@@ -49,6 +49,9 @@ class ExperimentConfig:
         if self.gamma != "estimate" and not (numeric and 0.0 < self.gamma <= 1.0):
             raise ValueError('gamma must be "estimate" or a number in (0, 1], not %r'
                              % (self.gamma,))
+        if not (isinstance(self.M, (int, float)) and not isinstance(self.M, bool)
+                and 1.0 <= self.M < float("inf")):
+            raise ValueError("M must be a finite number of at least 1, not %r" % (self.M,))
 
     def to_dict(self) -> dict:
         d = asdict(self)

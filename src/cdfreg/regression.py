@@ -6,9 +6,9 @@ The admissible set C consists of nonnegative functions with unit integral
 and L2 norm at most M; estimates are projected onto it under the
 design-operator seminorm. The projection is a small convex quadratic
 program, solved exactly by an active-set method (Nocedal and Wright,
-Numerical Optimization, ch. 16) with safeguarded Newton steps on the
-norm-cap multiplier's secular equation (More and Sorensen 1983), and
-certified by its KKT residual.
+Numerical Optimization, ch. 16) on the unit-trace design, with safeguarded
+Newton steps on the norm-cap multiplier's secular equation (More and
+Sorensen 1983), and certified by its KKT residual and duality gap.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .operators import (
 )
 
 # Relative KKT residual at or below which a projection counts as converged;
-# exact solves land near 1e-14 on the designs the tests and benchmark use.
+# exact solves land below 1e-10 on the designs the tests and benchmark use.
 KKT_TOLERANCE = 1e-8
 
 # Faces one active-set solve visits at most.
@@ -239,15 +239,14 @@ def _active_set_face(b_mat, bx, w, mu, start):
 
     On each face (a fixed zero set) the minimizer solves a linear KKT
     system; faces are swapped primal-dual style until the bound
-    multipliers are all nonnegative, to 1e-10 at mu = 0 and to 1e-13 of
-    the largest entry of bx for mu > 0, where the cap's multiplier can be
-    small enough that the absolute tolerance picks a wrong face. Returns
-    the minimizer (the last iterate if ``MAX_FACES`` faces do not reach
-    it) and the number of KKT systems solved.
+    multipliers are all nonnegative to 1e-13 of the largest entry of bx,
+    a tolerance that scales with B. Returns the minimizer (the last
+    iterate if ``MAX_FACES`` faces do not reach it) and the number of KKT
+    systems solved.
     """
     n = start.shape[0]
     quad = b_mat + mu * np.diag(w)
-    mult_tol = 1e-10 if mu == 0.0 else 1e-13 * float(np.max(np.abs(bx)))
+    mult_tol = 1e-13 * float(np.max(np.abs(bx)))
     current = np.maximum(start, 0.0)
     active = current <= 1e-12
     solves = 0
@@ -320,52 +319,53 @@ def _newton_step(y, dy, w, mu, M):
 
 
 def _kkt_residual(y, x, b_mat, w, mu, M) -> float:
-    """Relative KKT residual of y for min (y-x)' B (y-x) / 2 over C.
+    """Relative KKT residual of y for min f(y) = (y-x)' B (y-x) / 2 over C.
 
     At the minimizer g = B (y - x) + mu w y equals lam w + nu, with nu >= 0
     vanishing on the support of y and mu >= 0 the norm-cap multiplier. With
     lam fitted on the support, the residual is the worst stationarity error
-    on the support, sign error of nu off it, or norm-cap complementarity
-    gap, relative to the largest term entering g.
+    on the support or sign error of nu off it, relative to the largest term
+    entering g, or if larger the duality gap mu (M^2 - ||y||^2) / 2 (f minus
+    the Lagrangian dual bound at a stationary point) relative to f(y).
     """
     by, bx, w_max = b_mat @ y, b_mat @ x, float(np.max(w))
     g = by - bx + mu * w * y
     support = y > 0.0
     lam = float(w[support] @ g[support]) / float(w[support] @ w[support])
     nu = g - lam * w
-    worst = max(float(np.max(np.abs(nu[support]))), float(np.max(-nu[~support], initial=0.0)),
-                mu * w_max * abs(M**2 - float(w @ y**2)) / M)
+    worst = max(float(np.max(np.abs(nu[support]))), float(np.max(-nu[~support], initial=0.0)))
     scale = max(float(np.max(np.abs(by))), float(np.max(np.abs(bx))),
                 abs(lam) * w_max, mu * w_max * float(np.max(y)))
-    return worst / scale if scale > 0.0 else 0.0
+    f, gap = float((y - x) @ (by - bx)) / 2.0, mu * abs(M * M - float(w @ y**2)) / 2.0
+    return max(worst / scale if scale > 0.0 else 0.0, gap / f if f > 0.0 else 0.0)
 
 
 def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
                       M: float) -> tuple[np.ndarray, Diagnostics]:
     """Exact projection of x onto C by active-set solves from a feasible start.
 
-    The active-set solver handles nonnegativity and mass at a fixed
-    norm-cap multiplier mu; the norm r(mu) of its minimizer decreases in
-    mu. From a first solve at mu = 1, mu solves r(mu) = M by Newton steps
-    (``_newton_step``), each solve warm-started from the last, inside a
-    bracket [lo, hi] with r(lo) > M >= r(hi). A step that leaves the
-    bracket is replaced by its geometric midpoint, by tenfold growth while
-    hi is unknown, or, while lo is 0, by the power-law step held within
-    [1e-3, 0.5] mu. Only if r stays at or below M down to a negligible mu
-    does the unpenalized solve from the start decide whether the cap binds
-    at all. The iteration stops when r is within 1e-10 of M (1e-10 M at
-    most), or when the bracket collapses or r stops approaching M within
-    1e-8 M, its round-off floor on ill-conditioned designs; then the last
-    solve with r <= M is taken. The candidate is accepted only when it has
-    positive mass, is feasible and is no worse than the start; otherwise
-    the start is returned with mu = 0. Either way ``converged`` certifies
-    the returned point by its own KKT residual.
+    B = W K W is divided by its quadrature trace sum_i B_ii / w_i, which
+    leaves the minimizer alone, so mu and every tolerance are relative.
+    At a fixed norm-cap multiplier mu the active-set solver handles
+    nonnegativity and mass; the norm r(mu) of its minimizer decreases in
+    mu. From mu = 1, mu solves r(mu) = M by Newton steps (``_newton_step``),
+    each solve warm-started from the last, inside a bracket [lo, hi] with
+    r(lo) > M >= r(hi). A step that leaves it is replaced by its geometric
+    midpoint, by tenfold growth while hi is unknown, or, while lo is 0, by
+    the power-law step held within [1e-3, 0.5] mu. Only if r stays at or
+    below M down to mu = 1e-12 does the unpenalized solve from the start
+    decide whether the cap binds at all. The iteration stops when r is
+    within 1e-10 of M, or when the bracket collapses or r stops approaching
+    M within 1e-8 M (round-off on ill-conditioned designs); the last solve
+    with r <= M is the candidate. It is accepted when it has positive mass,
+    is feasible and its objective is within 1 + 1e-12 times the start's;
+    otherwise the start is returned with mu = 0. Either way ``converged``
+    certifies the returned point by ``_kkt_residual``.
     """
     w = op.grid.weights
     b_mat = w[:, None] * op.kernel_matrix * w[None, :]
+    b_mat /= float(np.sum(np.diag(b_mat) / w))
     bx = b_mat @ x
-    # below this mu the penalty is negligible next to the design's trace
-    mu_floor = 1e-12 * float(np.sum(np.diag(b_mat) / w))
     solves = 0
 
     def penalized(mu, warm):
@@ -401,7 +401,7 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
             mu = math.sqrt(lo * hi) if math.isfinite(hi) else 10.0 * mu
         else:
             mu = min(max(power, 1e-3 * mu), 0.5 * mu) if power > 0.0 else 1e-3 * mu
-        if lo == 0.0 and mu < mu_floor and not zero_checked:
+        if lo == 0.0 and mu < 1e-12 and not zero_checked:
             zero_checked = True
             y0 = penalized(0.0, start)
             if norm_of(y0) <= M:
@@ -413,8 +413,8 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
     mass = float(w @ cand)
     cand = cand / mass if mass > 0.0 else start
     accepted = (mass > 0.0 and norm_of(cand) <= M + 1e-9
-                and weighted_quadratic(op, cand - x)
-                <= weighted_quadratic(op, start - x) + 1e-15)
+                and (cand - x) @ b_mat @ (cand - x)
+                <= (start - x) @ b_mat @ (start - x) * (1.0 + 1e-12))
     y, mu = (cand, mu) if accepted else (start, 0.0)
     residual = _kkt_residual(y, x, b_mat, w, mu, M)
     return y, Diagnostics(projection_iterations=solves,
@@ -424,7 +424,7 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
 
 def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> CoefficientEstimate:
     """Exact projection onto C = {theta >= 0, integral = 1, ||theta|| <= M}
-    under the design-operator seminorm.
+    under the design-operator seminorm, for a finite M >= 1.
 
     The input is clipped and renormalized into C (the canonical selection
     when the seminorm has a kernel), and that start is sharpened by
@@ -432,13 +432,13 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
     steps on the norm-cap multiplier (``_solve_projection``).
     ``projection_iterations`` counts the KKT systems solved, one per
     active-set step and one per Newton derivative; ``converged`` means the
-    KKT residual ``projection_residual`` of the returned point is at most
-    ``KKT_TOLERANCE``, whether that point is the solve's candidate or the
-    start it fell back to. Under a zero operator every point of C is a
-    projection and the start is returned.
+    relative residual ``projection_residual`` (``_kkt_residual``) of the
+    returned point, candidate or start, is at most ``KKT_TOLERANCE``.
+    Scaling the operator moves all three by round-off only. Under a zero
+    operator every point of C is a projection and the start is returned.
     """
-    if M < 1.0:
-        raise ValueError("M must be at least 1 (C must contain the uniform density)")
+    if not 1.0 <= M < math.inf:  # NaN fails
+        raise ValueError("M must be finite and at least 1 (C holds the uniform density)")
     weights = op.grid.weights
     start = _cap_l2_norm(_project_unit_mass(theta.values, weights), weights, M)
     if not np.any(op.kernel_matrix):

@@ -276,6 +276,16 @@ def test_cli_eig_takes_only_named_kernels(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("top", ["0", "-3"])
+def test_cli_eig_rejects_top_below_one(capsys, top):
+    # --top 0 printed nothing and -3 dropped the last three eigenvalues
+    with pytest.raises(SystemExit) as exc:
+        main(["eig", "--kernel", "min", "--top", top])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--top" in captured.err
+
+
 @pytest.mark.parametrize("environment", [{"name": "finite-rank-r", "rank": 8},
                                          {"name": "kumaraswamy"}])
 @pytest.mark.parametrize("seed", [0, 3])
@@ -371,6 +381,32 @@ def test_config_rejects_bad_horizon(tmp_path, capsys, horizon):
     assert main(["run", "--config", str(cpath)]) == 3
     assert "horizon must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("M", [float("nan"), float("inf"), float("-inf"), 0.5, 0, "2",
+                               True, None])
+def test_config_rejects_bad_M(tmp_path, capsys, M):
+    # a NaN M used to end regress in a ZeroDivisionError, and an infinite one
+    # to write a theta_hat; both are refused at load
+    with pytest.raises(ValueError, match="M must be"):
+        ExperimentConfig(M=M)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"M": M, "horizon": 8, "output_dir": str(tmp_path / "out")}))
+    with pytest.raises(ValueError, match="M must be"):
+        ExperimentConfig.load(cpath)
+    dpath = tmp_path / "data.csv"
+    write_dataset_csv(generate_dataset(build_environment(ExperimentConfig()), 16,
+                                       np.random.default_rng(0)), dpath)
+    for argv in (["regress", "--config", str(cpath), "--dataset", str(dpath)],
+                 ["run", "--config", str(cpath)]):
+        assert main(argv) == 3
+        assert "M must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("M", [1, 1.0, 2.0, 1e6])
+def test_config_accepts_finite_M_of_at_least_one(M):
+    assert ExperimentConfig(M=M).M == M
 
 
 @pytest.mark.parametrize("gamma", ["estimate", 1e-9, 0.5, 1, 1.0])

@@ -130,8 +130,10 @@ def test_projection_feasibility_and_nonexpansiveness():
 def test_projection_rejects_small_M():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
     op = design_operator(env.basis, [(np.array([0.1, 0.1]), 0)], OMEGA, S)
-    with pytest.raises(ValueError):
-        project_to_C(GridFunction(OMEGA, np.ones(OMEGA.size)), op, 0.5)
+    # NaN passed an "M < 1" test and then divided by zero; C needs a finite M
+    for M in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="M must be"):
+            project_to_C(GridFunction(OMEGA, np.ones(OMEGA.size)), op, M)
 
 
 def _criterion4_operator(rng):
@@ -306,18 +308,42 @@ def test_projection_on_rank_deficient_designs(name, n_pairs):
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6])
 def test_projection_is_invariant_to_operator_scale(scale):
-    # scaling B scales the norm-cap multiplier with it: at 1e6 the first
-    # solve (mu = 1) already exceeds M, at 1e-6 it is far inside
+    # scaling B leaves the minimizer alone; at M = 2 the cap binds, at M = 6
+    # it does not and the unpenalized (mu = 0) solve decides, so every
+    # tolerance on both paths must be relative to B's scale
     rng = np.random.default_rng(48)
     op = _criterion4_operator(rng)
     scaled = DesignOperator(scale * op.kernel_matrix, OMEGA, op.data_count)
     for _ in range(5):
         x = GridFunction(OMEGA, rng.normal(1.0, 0.8, OMEGA.size))
-        theta = project_to_C(x, op, 2.0).theta_hat.values
-        est = project_to_C(x, scaled, 2.0)
-        assert est.diagnostics.converged
-        diff = est.theta_hat.values - theta
-        assert np.sqrt(weighted_quadratic(op, diff)) <= 1e-8 * np.sqrt(weighted_quadratic(op, theta))
+        for M in (2.0, 6.0):
+            theta = project_to_C(x, op, M).theta_hat.values
+            est = project_to_C(x, scaled, M)
+            assert est.diagnostics.converged
+            diff = est.theta_hat.values - theta
+            assert (np.sqrt(weighted_quadratic(op, diff))
+                    <= 1e-8 * np.sqrt(weighted_quadratic(op, theta)))
+
+
+def test_certificate_sees_a_loose_cap():
+    # criterion-4 input 239 (0-based; the inputs of test_projection_solve_count):
+    # its face minimizer at mu = 8.5e-9 is stationary, but leaves the cap
+    # 2.2e-3 loose with an objective 1.8e-6 above the optimum; only the
+    # duality gap sees it, as mu (M^2 - ||y||^2) is tiny next to B's entries
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    rng = np.random.default_rng(404)
+    pairs = [(sample_context(env, rng), int(rng.integers(5))) for _ in range(16)]
+    op = design_operator(env.basis, pairs, OMEGA, S)
+    for _ in range(240):
+        x = rng.normal(1.0, 0.8, OMEGA.size)
+    w, mu, M = OMEGA.weights, 8.5e-9, 2.0
+    b_mat = w[:, None] * op.kernel_matrix * w[None, :]
+    y, _ = regression._active_set_face(b_mat, b_mat @ x, w, mu, _clipped_start(x, M))
+    assert GridFunction(OMEGA, y).norm() < M - 1e-3
+    assert regression._kkt_residual(y, x, b_mat, w, mu, M) > KKT_TOLERANCE
+    est = project_to_C(GridFunction(OMEGA, x), op, M)
+    assert est.diagnostics.converged
+    assert weighted_quadratic(op, est.theta_hat.values - x) < weighted_quadratic(op, y - x)
 
 
 def test_face_solve_falls_back_to_least_squares():
