@@ -20,13 +20,18 @@ from .numerics import (
     same_grid,
 )
 
-# Pairs per basis evaluation in chunked passes over a dataset: a chunk's
-# phi is BASIS_CHUNK * n_w * n_s doubles (256 KB on the default 32 x 64
-# grids), so no pass holds an array that grows with the dataset. It is also
-# the engine's block of rounds, whose one basis call holds BASIS_CHUNK * K
-# pairs of phi (1.3 MB at K = 5), so that each block's chosen rows are one
-# chunk of the oracle's statistics.
+# Passes over a dataset use two sizes. The statistics chunk: they hand
+# their consumers phi in chunks of BASIS_CHUNK pairs, which is also the
+# engine's block of rounds, whose one basis call holds BASIS_CHUNK * K pairs
+# of phi (1.3 MB at K = 5), so that each block's chosen rows are one chunk
+# of the oracle's statistics and both add the same sums bit for bit. The
+# evaluation batch: ``basis_chunks`` evaluates phi for as many whole chunks
+# as fit in EVAL_BYTES of doubles, and at least one (64 pairs on the default
+# 32 x 64 grids, 16 where one chunk already exceeds it), so that the
+# evaluator's per-call overhead is paid less often while no pass holds an
+# array that grows with the dataset.
 BASIS_CHUNK = 16
+EVAL_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +110,15 @@ def basis_values(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
 
 def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
                  s_grid: QuadratureGrid):
-    """Yield (slice, phi) over successive chunks of BASIS_CHUNK pairs."""
+    """Yield (slice, phi) over successive chunks of BASIS_CHUNK pairs, phi a
+    contiguous view into one evaluation batch of whole chunks."""
     X, A = np.asarray(X, dtype=float), np.asarray(A, dtype=int)
-    for lo in range(0, A.shape[0], BASIS_CHUNK):
-        sl = slice(lo, lo + BASIS_CHUNK)
-        yield sl, basis_values(basis, X[sl], A[sl], omega_grid, s_grid)
+    pair_bytes = 8 * omega_grid.size * s_grid.size
+    batch = BASIS_CHUNK * max(1, EVAL_BYTES // (BASIS_CHUNK * pair_bytes))
+    for lo in range(0, A.shape[0], batch):
+        phi = basis_values(basis, X[lo:lo + batch], A[lo:lo + batch], omega_grid, s_grid)
+        for c in range(0, phi.shape[0], BASIS_CHUNK):
+            yield slice(lo + c, lo + c + BASIS_CHUNK), phi[c:c + BASIS_CHUNK]
 
 
 def kernel_sum(phi: np.ndarray, s_weights: np.ndarray) -> np.ndarray:

@@ -144,8 +144,9 @@ class DataStatistics:
 
 def _dataset_chunks(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
                     s_grid: QuadratureGrid):
-    """(phi, y) over successive chunks of a dataset of (x, a, y) records,
-    one ``basis_chunks`` evaluation each."""
+    """(phi, y) over successive ``BASIS_CHUNK`` chunks of a dataset of
+    (x, a, y) records, from ``basis_chunks``, which evaluates phi once per
+    batch of whole chunks up to ``EVAL_BYTES``."""
     dataset = list(dataset)
     if not dataset:
         return
@@ -240,16 +241,18 @@ def _active_set_face(b_mat, bx, w, mu, start):
     On each face (a fixed zero set) the minimizer solves a linear KKT
     system; faces are swapped primal-dual style until the bound
     multipliers are all nonnegative to 1e-13 of the largest entry of bx,
-    a tolerance that scales with B. Returns the minimizer (the last
-    iterate if ``MAX_FACES`` faces do not reach it) and the number of KKT
-    systems solved.
+    a tolerance that scales with B, or until a feasible face repeats (at
+    mu = 0 on a rank-deficient B, round-off in the multipliers can
+    otherwise cycle among faces). Returns the minimizer (the last iterate
+    if ``MAX_FACES`` faces do not reach it) and the number of KKT systems
+    solved.
     """
     n = start.shape[0]
     quad = b_mat + mu * np.diag(w)
     mult_tol = 1e-13 * float(np.max(np.abs(bx)))
     current = np.maximum(start, 0.0)
     active = current <= 1e-12
-    solves = 0
+    solves, seen = 0, set()
     for _ in range(MAX_FACES):
         free = np.nonzero(~active)[0]
         if free.size == 0:
@@ -265,8 +268,10 @@ def _active_set_face(b_mat, bx, w, mu, start):
             cand = np.maximum(cand, 0.0)
             mult = (quad @ cand - bx - lam * w)[active]
             current = cand
-            if mult.size == 0 or np.min(mult) >= -mult_tol:
+            face = active.tobytes()
+            if mult.size == 0 or np.min(mult) >= -mult_tol or face in seen:
                 break
+            seen.add(face)
             release = np.nonzero(active)[0][int(np.argmin(mult))]
             active[release] = False
         else:
@@ -349,7 +354,8 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
     At a fixed norm-cap multiplier mu the active-set solver handles
     nonnegativity and mass; the norm r(mu) of its minimizer decreases in
     mu. From mu = 1, mu solves r(mu) = M by Newton steps (``_newton_step``),
-    each solve warm-started from the last, inside a bracket [lo, hi] with
+    each solve warm-started from the last minimizer moved along its face
+    derivative to the new mu, inside a bracket [lo, hi] with
     r(lo) > M >= r(hi). A step that leaves it is replaced by its geometric
     midpoint, by tenfold growth while hi is unknown, or, while lo is 0, by
     the power-law step held within [1e-3, 0.5] mu. Only if r stays at or
@@ -393,8 +399,10 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
         closest = min(closest, abs(r - M))
         if hi - lo <= 1e-12 * hi < math.inf or (stale >= 2 and gap <= 1e-8 * M):
             break
-        newton, power = _newton_step(y, _face_derivative(b_mat, w, mu, y), w, mu, M)
+        dy = _face_derivative(b_mat, w, mu, y)
+        newton, power = _newton_step(y, dy, w, mu, M)
         solves += 1
+        mu_prev = mu
         if lo < newton < hi:
             mu = newton
         elif lo > 0.0:
@@ -407,7 +415,10 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
             if norm_of(y0) <= M:
                 cand = (y0, 0.0)
                 break
-        y = penalized(mu, y)
+        # warm start: y moved to first order along its face, back onto unit mass
+        guess = np.maximum(y + (mu - mu_prev) * dy, 0.0)
+        mass = float(w @ guess)
+        y = penalized(mu, guess / mass if mass > 0.0 else y)
     cand, mu = cand if cand is not None else (y, mu)
 
     mass = float(w @ cand)

@@ -1,6 +1,9 @@
 """The truncated-spectral regression oracle: truncation rule, empirical
 target, loss, projection onto C, and error budgets."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from cdfreg import (
     true_cdf,
 )
 from cdfreg import regression
-from cdfreg.operators import BASIS_CHUNK, weighted_quadratic
+from cdfreg.operators import BASIS_CHUNK, basis_chunks, weighted_quadratic
 from cdfreg.regression import KKT_TOLERANCE
 
 OMEGA = build_uniform_grid(1, 32)
@@ -194,6 +197,9 @@ def test_projection_certifies_points_on_the_cap():
         est = project_to_C(GridFunction(OMEGA, x), op, 2.0)
         assert est.diagnostics.converged
         assert np.max(np.abs(est.theta_hat.values - x)) <= 1e-12
+        # the unpenalized solve stops when a face repeats instead of cycling
+        # among faces until MAX_FACES (input 2 took 216 solves)
+        assert est.diagnostics.projection_iterations <= 40
 
 
 def _reference_face(quad, bx, w, start):
@@ -492,11 +498,16 @@ def test_regress_loss_diagnostic_matches_loss():
         assert est.diagnostics.loss == pytest.approx(direct, rel=1e-9)
 
 
-@pytest.mark.parametrize("name, params", [("kumaraswamy", {"theta_star": "bumps"}),
-                                          ("finite-rank-r", {"rank": 8})])
-def test_regress_from_statistics_equals_dataset_path(name, params):
+@pytest.mark.parametrize("name, params, n", [
+    pytest.param("kumaraswamy", {"theta_star": "bumps"}, 37, id="kumaraswamy-params0"),
+    pytest.param("finite-rank-r", {"rank": 8}, 37, id="finite-rank-r-params1"),
+    pytest.param("kumaraswamy", {"theta_star": "bumps"}, 149, id="kumaraswamy-149"),
+    pytest.param("finite-rank-r", {"rank": 8}, 149, id="finite-rank-r-149")])
+def test_regress_from_statistics_equals_dataset_path(name, params, n):
+    # 37 pairs are one evaluation batch; 149 are two 64-pair batches and a
+    # remainder
     env = make_catalog_env(name, OMEGA, S, **params)
-    data = generate_dataset(env, 2 * BASIS_CHUNK + 5, np.random.default_rng(61))
+    data = generate_dataset(env, n, np.random.default_rng(61))
     stats = regression.data_statistics(data, env.basis, OMEGA, S)
     fresh = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
     given = regress(data, env.basis, 0.1, 2.0, OMEGA, S, statistics=stats)
@@ -510,6 +521,33 @@ def test_regress_from_statistics_equals_dataset_path(name, params):
     assert again.kernel.tobytes() == stats.kernel.tobytes()
     assert again.target.tobytes() == stats.target.tobytes()
     assert (again.indicator_sq, again.count) == (stats.indicator_sq, stats.count)
+
+
+@pytest.mark.parametrize("omega_nodes, s_nodes, batch", [(32, 64, 64), (64, 512, BASIS_CHUNK)])
+def test_data_statistics_evaluates_phi_in_batches_of_chunks(omega_nodes, s_nodes, batch):
+    # a chunk of phi is 256 KB on 32 x 64 grids, so four chunks make a
+    # 1 MiB batch; on 64 x 512 grids one chunk is 4 MiB and its own batch
+    omega, s = build_uniform_grid(1, omega_nodes), build_cdf_grid(s_nodes)
+    env = make_catalog_env("kumaraswamy", omega, s, theta_star="bumps")
+    n = 149
+    data = generate_dataset(env, n, np.random.default_rng(71))
+    sizes = []
+
+    def counted(X, A, omega_nodes, s_coords):
+        sizes.append(len(A))
+        return env.basis.eval_matrix(X, A, omega_nodes, s_coords)
+
+    basis = dataclasses.replace(env.basis, eval_matrix=counted)
+    stats = regression.data_statistics(data, basis, omega, s)
+    assert stats.count == n
+    assert len(sizes) == math.ceil(n / batch) and max(sizes) == batch
+    # consumers still see BASIS_CHUNK-row chunks, contiguous in memory
+    X, A, _ = zip(*data)
+    chunks = list(basis_chunks(env.basis, X, A, omega, s))
+    assert [sl for sl, _ in chunks] == [slice(lo, lo + BASIS_CHUNK)
+                                        for lo in range(0, n, BASIS_CHUNK)]
+    assert [phi.shape[0] for _, phi in chunks] == [BASIS_CHUNK] * (n // BASIS_CHUNK) + [n % BASIS_CHUNK]
+    assert all(phi.flags.c_contiguous for _, phi in chunks)
 
 
 def test_regress_refuses_statistics_of_another_dataset():
