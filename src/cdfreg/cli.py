@@ -13,8 +13,8 @@ config named by --config (``harness.ExperimentConfig``); decay's --pairs,
 Every file a command writes holds each float as its shortest round-trip
 repr, so it reads back bit for bit.
 
-Exit codes: 0 success, 2 bad usage or config, 3 numeric contract violation,
-4 missing file.
+Exit codes: 0 success, 2 bad usage, config or input file (a CSV field that
+does not parse included), 3 numeric contract violation, 4 missing file.
 """
 
 from __future__ import annotations
@@ -68,6 +68,12 @@ def cmd_regress(args) -> int:
     config = harness.ExperimentConfig.load(args.config)
     dataset = harness.read_dataset_csv(args.dataset)
     env = harness.build_environment(config)
+    K, d = env.action_count, env.context_dim
+    for x, a, _y in dataset:
+        if not (0 <= a < K and len(x) == d):
+            raise ValueError("record (action %d, context of %d columns) is not one the "
+                             "environment produces (actions 0..%d, %d columns)"
+                             % (a, len(x), K - 1, d))
     gamma, _s0, _src = harness.resolve_gamma(config, env)
     estimate = regress(dataset, env.basis, gamma, config.M,
                        env.omega_grid, env.s_grid)
@@ -178,7 +184,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print("missing file: %s" % exc, file=sys.stderr)
         return EXIT_MISSING
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (json.JSONDecodeError, csv.Error, TypeError, KeyError) as exc:
         print("malformed config or input: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -72,20 +72,15 @@ def igw_distribution(utilities, varsigma: float) -> np.ndarray:
     return p.reshape(v.shape)
 
 
-# sum-to-one tolerance of numpy's Generator.choice
-_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
-
-
 def _choose_actions(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise draws from distributions p (B, K) with uniforms u (B,).
 
     Each row gets what ``rng.choice(K, p=p[b])`` returns when its one
     ``random()`` is u[b]: the count of entries of cumsum(p[b]) /
     cumsum(p[b])[-1] that are <= u[b], i.e. searchsorted(..., "right").
+    The rows are ``igw_distribution``'s or uniform, so they are finite,
+    nonnegative and sum to 1 by construction.
     """
-    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
-            and np.all(np.abs(p.sum(axis=-1) - 1.0) <= _CHOICE_ATOL)):
-        raise ValueError("action probabilities must be finite, nonnegative and sum to 1")
     cdf = np.cumsum(p, axis=-1)
     cdf /= cdf[:, -1:]
     return np.count_nonzero(cdf <= u[:, None], axis=-1)
@@ -115,14 +110,16 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     Each round takes d + 2 doubles from the seeded generator, in this order:
     the context (d), the uniform that picks the action as
     ``rng.choice(K, p=p)`` would, and the uniform of the outcome's
-    inverse-CDF draw. The oracle is frozen within an epoch, so each epoch
-    draws its n rounds as one (n, d + 2) array and plays them in blocks of
+    inverse-CDF draw. The episode draws all T rounds as one (T, d + 2)
+    array and fills episode-wide columns; an epoch is a slice of them. The
+    oracle is frozen within an epoch, so each epoch plays in blocks of
     ``BASIS_CHUNK`` rounds; the records equal those of a round-by-round
     loop bit for bit. Each block's chosen (context, action) rows of phi are
     exactly one ``data_statistics`` chunk of the epoch's dataset, so the
     engine accumulates the oracle's ``DataStatistics`` from the phi it has
-    already evaluated and hands them to ``regress`` with the dataset; the
-    last epoch, which is never regressed, accumulates none.
+    already evaluated; the next epoch hands them to ``regress`` with the
+    (x, a, y) records of this epoch's slice. The last epoch, which is never
+    regressed, accumulates none.
     """
     if isinstance(T, bool) or not isinstance(T, numbers.Integral):
         raise ValueError("horizon T must be an integer, not %r" % (T,))
@@ -142,41 +139,32 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     s_coords = s_grid.coords()
     w_theta_star = omega_grid.weights * env.theta_star.values
 
-    # per-epoch columns of the trace: contexts, actions, optimal actions, gaps
-    columns = []
-    oracle_calls = 0
-    varsigmas = []
-    nonconverged = 0
-    max_residual = 0.0
-    data, stats = None, None
+    draws = rng.random((T, d + 2))
+    X, u_action, u_outcome = draws[:, :d], draws[:, d], draws[:, d + 1]
+    actions, optimal = np.empty(T, dtype=int), np.empty(T, dtype=int)
+    gaps, y = np.empty(T), np.empty(T)
+    varsigmas, diagnostics, stats = [], [], None
     varsigma, w_theta_hat = 1.0, None  # epoch 1 has no estimate
 
     for m in range(1, len(bounds)):
         if m >= 2:
-            n_prev = bounds[m - 1] - bounds[m - 2]
+            prev = slice(bounds[m - 2], bounds[m - 1])
             budget = error_budget(
-                n=n_prev, delta=delta / (2.0 * m * m), gamma=gamma, s0=s0,
-                M=M, L=functional.lipschitz_L, L0=basis.lipschitz_L0,
+                n=prev.stop - prev.start, delta=delta / (2.0 * m * m), gamma=gamma,
+                s0=s0, M=M, L=functional.lipschitz_L, L0=basis.lipschitz_L0,
                 A=basis.covering_constant_A, d=basis.omega_dim,
                 eta=basis.kernel_floor_eta,
             )
             varsigma = exploration_param(m, K, budget, exploration_scale)
+            data = list(zip(X[prev], actions[prev].tolist(), y[prev].tolist()))
             estimate = regress(data, basis, gamma, M, omega_grid, s_grid, statistics=stats)
-            oracle_calls += 1
-            if not estimate.diagnostics.converged:
-                nonconverged += 1
-            max_residual = max(max_residual, estimate.diagnostics.projection_residual)
+            diagnostics.append(estimate.diagnostics)
             w_theta_hat = omega_grid.weights * estimate.theta_hat.values
         varsigmas.append(varsigma)
 
-        n = bounds[m] - bounds[m - 1]
-        draws = rng.random((n, d + 2))
-        X, u_action, u_outcome = draws[:, :d], draws[:, d], draws[:, d + 1]
-        actions, optimal = np.empty(n, dtype=int), np.empty(n, dtype=int)
-        gaps, y = np.empty(n), np.empty(n)
         stats = DataStatistics(omega_grid, s_grid) if m < len(bounds) - 1 else None
-        for lo in range(0, n, BASIS_CHUNK):
-            B = min(BASIS_CHUNK, n - lo)
+        for lo in range(bounds[m - 1], bounds[m], BASIS_CHUNK):
+            B = min(BASIS_CHUNK, bounds[m] - lo)
             block, rows = slice(lo, lo + B), np.arange(B)
             # pair b * K + a is (context of round lo + b, action a)
             phi = basis_values(basis, np.repeat(X[block], K, axis=0),
@@ -196,11 +184,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             best = np.argmax(true_utils, axis=-1)
             actions[block], optimal[block] = chosen, best
             gaps[block] = true_utils[rows, best] - true_utils[rows, chosen]
-        columns.append((X, actions, optimal, gaps))
-        if stats is not None:
-            data = list(zip(X, actions.tolist(), y.tolist()))
 
-    X, actions, optimal, gaps = (np.concatenate(c) for c in zip(*columns))
     epochs = np.repeat(np.arange(1, len(bounds)), np.diff(bounds))
     # cumsum adds in round order, as a running float sum does
     cum_regret = np.cumsum(gaps).tolist()
@@ -219,10 +203,10 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
         "exploration_scale": exploration_scale,
         "final_regret": cum_regret[-1],
         "checkpoints": dyadic_checkpoints(cum_regret),
-        "oracle_calls": oracle_calls,
+        "oracle_calls": len(diagnostics),
         "varsigmas": varsigmas,
-        "nonconverged_projections": nonconverged,
-        "max_projection_residual": max_residual,
+        "nonconverged_projections": sum(not g.converged for g in diagnostics),
+        "max_projection_residual": max([0.0, *(g.projection_residual for g in diagnostics)]),
         "environment": env.basis.name,
         "functional": functional.name,
     }

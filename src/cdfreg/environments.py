@@ -158,7 +158,7 @@ def true_cdf(env: Environment, x, a: int) -> GridFunction:
 def sample_context(env: Environment, rng: np.random.Generator) -> np.ndarray:
     """A context uniform on [0, 1)^d: exactly ``rng.random(d)``. The engine's
     ``run_episode`` draws its contexts as the first d columns of one
-    ``rng.random((n, d + 2))`` array per epoch and relies on this rule."""
+    ``rng.random((T, d + 2))`` array per episode and relies on this rule."""
     return rng.random(env.context_dim)
 
 

@@ -227,21 +227,27 @@ def _context_columns(row) -> list:
     return sorted((k for k in row if k.startswith("x")), key=lambda k: int(k[1:]))
 
 
-def read_trace_csv(path):
+def _read_csv_rows(path, parse) -> list:
+    """``parse(row)`` for each row of a CSV file with a header row; a field
+    that does not parse as a number raises ``csv.Error``."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        return [
-            {
-                "round": int(row["round"]),
-                "epoch": int(row["epoch"]),
-                "context": np.array([float(row[k]) for k in _context_columns(row)]),
-                "action": int(row["action"]),
-                "optimal_action": int(row["optimal_action"]),
-                "gap": float(row["gap"]),
-                "cum_regret": float(row["cum_regret"]),
-            }
-            for row in reader
-        ]
+        try:
+            return [parse(row) for row in reader]
+        except ValueError as exc:
+            raise csv.Error("%s line %d: %s" % (path, reader.line_num, exc)) from exc
+
+
+def read_trace_csv(path):
+    return _read_csv_rows(path, lambda row: {
+        "round": int(row["round"]),
+        "epoch": int(row["epoch"]),
+        "context": np.array([float(row[k]) for k in _context_columns(row)]),
+        "action": int(row["action"]),
+        "optimal_action": int(row["optimal_action"]),
+        "gap": float(row["gap"]),
+        "cum_regret": float(row["cum_regret"]),
+    })
 
 
 def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None = None,
@@ -266,10 +272,6 @@ def write_dataset_csv(dataset, path):
 
 
 def read_dataset_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        data = []
-        for row in reader:
-            x = np.array([float(row[k]) for k in _context_columns(row)])
-            data.append((x, int(row["action"]), float(row["y"])))
-    return data
+    return _read_csv_rows(path, lambda row: (
+        np.array([float(row[k]) for k in _context_columns(row)]),
+        int(row["action"]), float(row["y"])))

@@ -1,6 +1,7 @@
 """Epoch schedule, inverse-gap-weighting distribution, exploration
 parameter, and full episodes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -329,3 +330,28 @@ def test_engine_statistics_equal_data_statistics(monkeypatch, name, params, K):
         assert stats.target.tobytes() == fresh.target.tobytes()
         assert stats.indicator_sq == fresh.indicator_sq
         assert stats.count == fresh.count == len(data)
+
+
+def test_summary_aggregates_the_oracle_diagnostics(monkeypatch):
+    # T = 100 makes 6 oracle calls; the third is marked as a projection that
+    # did not converge, with a residual above every converged one
+    from cdfreg import engine, regression
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    calls = []
+
+    def oracle(data, *args, **kwargs):
+        estimate = regression.regress(data, *args, **kwargs)
+        calls.append(estimate.diagnostics)
+        if len(calls) == 3:
+            diag = dataclasses.replace(estimate.diagnostics, converged=False,
+                                       projection_residual=0.25)
+            estimate = regression.CoefficientEstimate(estimate.theta_hat, diag)
+        return estimate
+
+    monkeypatch.setattr(engine, "regress", oracle)
+    summary = run_episode(env, make_functional("mean"), 100, 0.1, 0.5, 2.0, seed=13,
+                          exploration_scale=1e4).summary
+    assert all(diag.converged and diag.projection_residual < 0.25 for diag in calls)
+    assert summary["oracle_calls"] == len(calls) == 6
+    assert summary["nonconverged_projections"] == 1
+    assert summary["max_projection_residual"] == 0.25

@@ -518,3 +518,63 @@ def test_cli_regress_and_sweep(tmp_path, capsys):
             assert int(row["n"]) == want["n"]
             assert [float(row[k]) for k in ("median", "q1", "q3")] == [
                 want["median"], want["q1"], want["q3"]]
+
+
+def _regress_dataset_files(tmp_path):
+    """A default config (kumaraswamy, K = 5, d = 2) and 64 generated
+    records, as a config path, the dataset and its environment."""
+    cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))
+    cpath = tmp_path / "config.json"
+    cfg.save(cpath)
+    env = build_environment(cfg)
+    return cpath, generate_dataset(env, 64, np.random.default_rng(0)), env
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda data: [(data[0][0], 9, data[0][2])] + data[1:],
+    lambda data: [(data[0][0], -3, data[0][2])] + data[1:],
+    lambda data: [(x[:1], a, y) for x, a, y in data],
+], ids=["action-9", "action-minus-3", "one-context-column"])
+def test_cli_regress_refuses_records_the_environment_cannot_produce(tmp_path, capsys, mutate):
+    cpath, data, env = _regress_dataset_files(tmp_path)
+    assert (env.action_count, env.context_dim) == (5, 2)
+    dpath = tmp_path / "data.csv"
+    write_dataset_csv(mutate(data), dpath)
+    assert main(["regress", "--config", str(cpath), "--dataset", str(dpath)]) == 3
+    assert "contract violation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("column, value, code", [
+    ("y", "abc", 2), ("action", "1.5", 2), ("y", "nan", 3)])
+def test_cli_regress_exit_code_of_a_bad_number(tmp_path, capsys, column, value, code):
+    # an unparsable field is malformed input (exit 2); NaN parses, and the
+    # oracle refuses it as out of range (exit 3)
+    cpath, data, _env = _regress_dataset_files(tmp_path)
+    dpath = tmp_path / "data.csv"
+    write_dataset_csv(data, dpath)
+    with open(dpath, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[5][column] = value
+    with open(dpath, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["regress", "--config", str(cpath), "--dataset", str(dpath)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("malformed config or input" if code == 2 else "contract violation")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_fit_slope_unparsable_trace_number_is_malformed_input(tmp_path, capsys):
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    trace = run_episode(env, make_functional("mean"), 32, 0.1, 1.0, 2.0, seed=0)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = path.read_text().splitlines()
+    head, row = lines[0].split(","), lines[3].split(",")
+    row[head.index("cum_regret")] = "abc"
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["fit-slope", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("malformed config or input")
