@@ -3,7 +3,7 @@
 The min kernel min(s, t) on [0, 1] has known eigenvalues
 1 / ((k - 1/2)^2 pi^2), which makes it a good first check of the quadrature
 eigensolver. The second half of the script looks at the point operators of
-the kumaraswamy basis and fits a polynomial decay exponent to their
+every catalog basis and fits a polynomial decay exponent to each one's
 dominating eigenvalue sequence.
 """
 
@@ -16,6 +16,7 @@ from cdfreg import (
     eigendecay_prepass,
     make_catalog_env,
 )
+from cdfreg.environments import BASIS_CATALOG
 
 
 def main():
@@ -28,12 +29,13 @@ def main():
 
     omega = build_uniform_grid(1, 32)
     s = build_cdf_grid(64)
-    env = make_catalog_env("kumaraswamy", omega, s)
-    fit = eigendecay_prepass(env, seed=0, n_pairs=25, k_max=8)
-    print("\nkumaraswamy point operators, dominating sequence over 25 pairs")
-    print("  tau:", np.array2string(fit.tau, precision=4))
-    print("  fitted decay exponent gamma = %.2f, power sum s0 = %.3f"
-          % (fit.gamma, fit.s0))
+    for name in BASIS_CATALOG:
+        env = make_catalog_env(name, omega, s)
+        fit = eigendecay_prepass(env, seed=0, n_pairs=25, k_max=8)
+        print("\n%s point operators, dominating sequence over 25 pairs" % env.basis.name)
+        print("  tau:", np.array2string(fit.tau, precision=4))
+        print("  fitted decay exponent gamma = %.2f, power sum s0 = %.3f"
+              % (fit.gamma, fit.s0))
 
 
 if __name__ == "__main__":

@@ -4,11 +4,12 @@ coefficient function, and context and outcome sampling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .numerics import GridFunction, QuadratureGrid
-from .operators import CdfBasis, basis_values
+from .operators import CdfBasis, mixture_cdf
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +102,29 @@ def _bump_theta_star(omega_grid: QuadratureGrid) -> GridFunction:
     return GridFunction(omega_grid, values)
 
 
+def _positive_int(label: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError("%s must be a positive integer, got %r" % (label, value))
+    return value
+
+
+# name -> factory of (basis name, evaluator, L0, eta) from the entry's own
+# parameters; a factory refuses a parameter it does not take (TypeError).
+# Every entry has covering constant A = 1. finite-rank-r's L0 is an empirical
+# constant for the random-pair spot check (phi jumps at cell edges); its eta
+# is the last cell's ramp mass width/3 = 1/(6 rank) with a safety margin.
+BASIS_CATALOG = {
+    "rank1-uniform": lambda: ("rank1-uniform", _rank1_eval, 0.0, 1.0 / 3.0),
+    "kumaraswamy": lambda: ("kumaraswamy", _kumaraswamy_eval, 2.5, 0.2),
+    "finite-rank-r": lambda rank=8: ("finite-rank-%d" % _positive_int("rank", rank),
+                                     partial(_finite_rank_eval, rank), 60.0, 1.0 / (8.0 * rank)),
+}
+
+
 def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGrid,
                      context_dim: int = 2, action_count: int = 5,
-                     theta_star: str = "uniform", rank: int = 8) -> Environment:
-    """Catalog environments.
+                     theta_star: str = "uniform", **params) -> Environment:
+    """Catalog environment ``name``, its basis built by ``BASIS_CATALOG[name](**params)``.
 
     rank1-uniform: phi(x,a,w,s) = s for every argument (degenerate sanity
     world). kumaraswamy: phi = 1 - (1 - s^alpha)^beta with smooth bounded
@@ -112,31 +132,12 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     in w over ``rank`` slabs, so the point operators have rank <= rank.
     ``rank``, ``context_dim`` and ``action_count`` must be positive integers.
     """
-    for label, value in (("rank", rank), ("context_dim", context_dim),
-                         ("action_count", action_count)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError("%s must be a positive integer, got %r" % (label, value))
-    if name == "rank1-uniform":
-        basis = CdfBasis("rank1-uniform", _rank1_eval, lipschitz_L0=0.0,
-                         kernel_floor_eta=1.0 / 3.0, covering_constant_A=1.0,
-                         omega_dim=omega_grid.dim)
-    elif name == "kumaraswamy":
-        basis = CdfBasis("kumaraswamy", _kumaraswamy_eval, lipschitz_L0=2.5,
-                         kernel_floor_eta=0.2, covering_constant_A=1.0,
-                         omega_dim=omega_grid.dim)
-    elif name == "finite-rank-r":
-        def evaluator(X, A, omega_nodes, s, _rank=rank):
-            return _finite_rank_eval(_rank, X, A, omega_nodes, s)
-
-        # piecewise-constant in w: L0 is an empirical constant for the
-        # random-pair spot check, not a true Lipschitz bound across cell
-        # edges.  The kernel floor is the squared mass of the last cell's
-        # ramp, width/3 = 1/(6 rank), declared with a safety margin.
-        basis = CdfBasis("finite-rank-%d" % rank, evaluator, lipschitz_L0=60.0,
-                         kernel_floor_eta=1.0 / (8.0 * rank), covering_constant_A=1.0,
-                         omega_dim=omega_grid.dim)
-    else:
+    _positive_int("context_dim", context_dim)
+    _positive_int("action_count", action_count)
+    if name not in BASIS_CATALOG:
         raise ValueError("unknown catalog environment %r" % name)
+    basis = CdfBasis(*BASIS_CATALOG[name](**params), covering_constant_A=1.0,
+                     omega_dim=omega_grid.dim)
 
     if theta_star == "uniform":
         theta = GridFunction(omega_grid, np.ones(omega_grid.size))
@@ -144,15 +145,12 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
         theta = _bump_theta_star(omega_grid)
     else:
         raise ValueError("unknown theta_star %r" % theta_star)
-
     return Environment(basis, theta, omega_grid, s_grid, context_dim, action_count)
 
 
 def true_cdf(env: Environment, x, a: int) -> GridFunction:
     """F*(x, a, s_k) as the quadrature mixture of basis CDFs."""
-    phi = basis_values(env.basis, [x], [a], env.omega_grid, env.s_grid)[0]
-    values = (env.omega_grid.weights * env.theta_star.values) @ phi
-    return GridFunction(env.s_grid, values)
+    return mixture_cdf(env.basis, env.theta_star, x, a, env.s_grid)
 
 
 def sample_context(env: Environment, rng: np.random.Generator) -> np.ndarray:

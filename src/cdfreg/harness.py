@@ -26,7 +26,6 @@ class ExperimentConfig:
     environment: dict = field(default_factory=lambda: {"name": "kumaraswamy"})
     functional: dict = field(default_factory=lambda: {"name": "mean"})
     omega_nodes: int = 32
-    omega_dim: int = 1
     s_nodes: int = 64
     horizon: int = 256
     delta: float = 0.1
@@ -77,7 +76,7 @@ class ExperimentConfig:
 
 
 def build_environment(config: ExperimentConfig) -> Environment:
-    omega_grid = build_uniform_grid(config.omega_dim, config.omega_nodes)
+    omega_grid = build_uniform_grid(1, config.omega_nodes)
     s_grid = build_cdf_grid(config.s_nodes)
     env_params = dict(config.environment)
     name = env_params.pop("name")

@@ -121,17 +121,16 @@ def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
             yield slice(lo + c, lo + c + BASIS_CHUNK), phi[c:c + BASIS_CHUNK]
 
 
-def kernel_sum(phi: np.ndarray, s_weights: np.ndarray) -> np.ndarray:
-    """sum_b sum_k s_w_k phi[b,i,k] phi[b,j,k], one batched product for the
-    chunk; not symmetrized."""
-    return ((phi * s_weights) @ phi.transpose(0, 2, 1)).sum(axis=0)
+def pair_kernels(phi: np.ndarray, s_weights: np.ndarray) -> np.ndarray:
+    """K[b, i, j] = sum_k s_w_k phi[b,i,k] phi[b,j,k], one point kernel per
+    pair of the chunk in one batched product; not symmetrized."""
+    return (phi * s_weights) @ phi.transpose(0, 2, 1)
 
 
 def point_kernel(basis: CdfBasis, x, a: int, omega_grid: QuadratureGrid,
                  s_grid: QuadratureGrid) -> np.ndarray:
     """Kernel matrix K[i,j] = sum_k s_w_k phi(x,a,w_i,s_k) phi(x,a,w_j,s_k)."""
-    k = kernel_sum(basis_values(basis, [x], [a], omega_grid, s_grid), s_grid.weights)
-    return (k + k.T) / 2.0
+    return design_operator(basis, [(x, a)], omega_grid, s_grid).kernel_matrix
 
 
 def design_operator(basis: CdfBasis, pairs, omega_grid: QuadratureGrid,
@@ -141,12 +140,18 @@ def design_operator(basis: CdfBasis, pairs, omega_grid: QuadratureGrid,
     pairs = list(pairs)
     if not pairs:
         raise ValueError("pair list must be nonempty")
-    X = [x for x, _ in pairs]
-    A = [a for _, a in pairs]
+    X, A = zip(*pairs)
     total = np.zeros((omega_grid.size, omega_grid.size))
     for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
-        total += kernel_sum(phi, s_grid.weights)
+        total += pair_kernels(phi, s_grid.weights).sum(axis=0)
     return DesignOperator((total + total.T) / 2.0, omega_grid, len(pairs))
+
+
+def mixture_cdf(basis: CdfBasis, theta: GridFunction, x, a: int,
+                s_grid: QuadratureGrid) -> GridFunction:
+    """F(x, a, s_k) = sum_i w_i theta_i phi(x, a, w_i, s_k) on theta's grid."""
+    phi = basis_values(basis, [x], [a], theta.grid, s_grid)[0]
+    return GridFunction(s_grid, (theta.grid.weights * theta.values) @ phi)
 
 
 def spectral_decompose(op: DesignOperator) -> SpectralDecomposition:
@@ -190,10 +195,10 @@ def estimate_eigendecay(basis: CdfBasis, sample_pairs, k_max: int,
         raise ValueError("k_max must be at least 4")
     k_max = min(k_max, omega_grid.size)
     tau = np.zeros(k_max)
-    for x, a in sample_pairs:
-        op = DesignOperator(point_kernel(basis, x, a, omega_grid, s_grid), omega_grid, 1)
-        vals = spectral_decompose(op).eigenvalues[:k_max]
-        tau[: vals.shape[0]] = np.maximum(tau[: vals.shape[0]], vals)
+    X, A = zip(*sample_pairs)
+    for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
+        for k in pair_kernels(phi, s_grid.weights):
+            tau = np.maximum(tau, quadrature_eig((k + k.T) / 2, omega_grid).eigenvalues[:k_max])
     for gamma in GAMMA_LADDER:
         s = float(np.sum(tau**gamma))
         if s <= S0_BUDGET:

@@ -23,8 +23,8 @@ from .operators import (
     CdfBasis,
     DesignOperator,
     basis_chunks,
-    basis_values,
-    kernel_sum,
+    mixture_cdf,
+    pair_kernels,
     spectral_decompose,
     weighted_quadratic,
 )
@@ -112,9 +112,9 @@ def _indicators(y, s_coords: np.ndarray) -> np.ndarray:
 
 class DataStatistics:
     """The four sums the oracle reads from a dataset of (x, a, y) records:
-    the design kernel (``kernel_sum``, not yet symmetrized), the empirical
-    target, the summed squared L2(S) norm of the indicator targets, and
-    the record count.
+    the design kernel (summed ``pair_kernels``, not yet symmetrized), the
+    empirical target, the summed squared L2(S) norm of the indicator
+    targets, and the record count.
 
     ``add`` takes one chunk, so the same chunks in the same order give the
     same sums bit for bit: ``data_statistics`` adds a dataset in
@@ -133,7 +133,7 @@ class DataStatistics:
         """Add B records: phi (B, n_w, n_s) of their pairs and outcomes y (B,)."""
         s_w = self.s_grid.weights
         indicator = _indicators(y, self.s_grid.coords())
-        self.kernel += kernel_sum(phi, s_w)
+        self.kernel += pair_kernels(phi, s_w).sum(axis=0)
         self.target += np.einsum("bws,bs->w", phi, indicator * s_w)
         self.indicator_sq += float(np.sum(indicator @ s_w))  # 0/1, so ind^2 = ind
         self.count += phi.shape[0]
@@ -478,11 +478,9 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
 
 
 def predict_cdf(estimate: CoefficientEstimate, basis: CdfBasis, x, a: int,
-                omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> GridFunction:
+                s_grid: QuadratureGrid) -> GridFunction:
     """F_hat(x, a, s_k) = sum_i w_i theta_hat_i phi(x, a, w_i, s_k)."""
-    phi = basis_values(basis, [x], [a], omega_grid, s_grid)[0]
-    values = (omega_grid.weights * estimate.theta_hat.values) @ phi
-    return GridFunction(s_grid, values)
+    return mixture_cdf(basis, estimate.theta_hat, x, a, s_grid)
 
 
 def regress(dataset, basis: CdfBasis, gamma: float, M: float,

@@ -39,6 +39,7 @@ from cdfreg import (
     true_cdf,
     weighted_norm,
 )
+from cdfreg.environments import BASIS_CATALOG
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -79,9 +80,10 @@ def test_criterion_2_operator_invariants(report):
     rng = np.random.default_rng(2024)
     worst_trace = worst_lam = worst_det = 0.0
     count = 0
-    for name in ("rank1-uniform", "kumaraswamy", "finite-rank-r"):
+    for i, name in enumerate(BASIS_CATALOG):
         env = make_catalog_env(name, OMEGA, S, theta_star="bumps")
-        n_pairs = 34 if name == "rank1-uniform" else 33
+        # 100 pairs over the entries; the first ones take the remainder
+        n_pairs = 100 // len(BASIS_CATALOG) + (i < 100 % len(BASIS_CATALOG))
         for _ in range(n_pairs):
             x = sample_context(env, rng)
             a = int(rng.integers(env.action_count))

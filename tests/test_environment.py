@@ -17,7 +17,8 @@ from cdfreg import (
     spectral_decompose,
     true_cdf,
 )
-from cdfreg.environments import _finite_rank_eval, _kumaraswamy_eval, check_norm_bound
+from cdfreg.environments import (BASIS_CATALOG, _finite_rank_eval, _kumaraswamy_eval,
+                                 check_norm_bound)
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -45,6 +46,15 @@ def test_bad_catalog_parameters_rejected(params):
         make_catalog_env("finite-rank-r", OMEGA, S, **params)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("kumaraswamy", {"rank": 8}), ("rank1-uniform", {"rank": 2}),
+    ("finite-rank-r", {"width": 0.1}),
+])
+def test_catalog_entry_refuses_parameters_it_does_not_take(name, params):
+    with pytest.raises(TypeError):
+        make_catalog_env(name, OMEGA, S, **params)
+
+
 def test_catalog_rank_accepts_numpy_integer():
     env = make_catalog_env("finite-rank-r", OMEGA, S, rank=np.int64(4))
     assert env.basis.name == "finite-rank-4"
@@ -69,7 +79,7 @@ def test_finite_rank_spectrum_bounded_by_rank():
 
 def test_true_cdf_valid_for_all_catalog_envs():
     rng = np.random.default_rng(6)
-    for name in ("rank1-uniform", "kumaraswamy", "finite-rank-r"):
+    for name in BASIS_CATALOG:
         env = make_catalog_env(name, OMEGA, S, theta_star="bumps")
         for _ in range(10):
             f = true_cdf(env, sample_context(env, rng), int(rng.integers(5)))
@@ -81,7 +91,7 @@ def test_true_cdf_valid_for_all_catalog_envs():
 def test_basis_kernel_floor_spot_check():
     rng = np.random.default_rng(10)
     from cdfreg import point_kernel
-    for name in ("rank1-uniform", "kumaraswamy", "finite-rank-r"):
+    for name in BASIS_CATALOG:
         env = make_catalog_env(name, OMEGA, S)
         for _ in range(20):
             k = point_kernel(env.basis, sample_context(env, rng),

@@ -97,7 +97,7 @@ def test_heldout_cdf_error_equals_per_pair_reference():
         for _ in range(37):
             x = sample_context(env, ref_rng)
             a = int(ref_rng.integers(env.action_count))
-            diff = (predict_cdf(estimate, env.basis, x, a, OMEGA, S).values
+            diff = (predict_cdf(estimate, env.basis, x, a, S).values
                     - true_cdf(env, x, a).values)
             total += float(S.weights @ diff**2)
         assert err > 0.0
@@ -353,6 +353,20 @@ def test_cli_run_rejects_bad_catalog_parameters(tmp_path, capsys, params):
     assert main(["run", "--config", str(cpath)]) == 3
     assert "must be a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trace_seed0.csv").exists()
+
+
+@pytest.mark.parametrize("config", [
+    # a parameter the catalog entry does not take
+    {"environment": {"name": "kumaraswamy", "rank": 8}},
+    # omega_dim is no longer a config field: Omega is always 1-d
+    {"omega_dim": 1},
+])
+def test_cli_run_refuses_unknown_settings_as_malformed(tmp_path, capsys, config):
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(dict(config, horizon=8, output_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(cpath)]) == 2
+    assert "malformed config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("gamma", ["abc", "", "estimat", "0.5", 0, -0.1, 1.5, float("nan"),

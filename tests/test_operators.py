@@ -1,6 +1,8 @@
 """Point and design integral operators: kernel bounds, spectral invariants,
 and the eigendecay ladder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,17 +25,15 @@ from cdfreg import (
     weighted_norm,
 )
 from cdfreg import numerics
+from cdfreg.environments import BASIS_CATALOG
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
 
 
 def _envs():
-    return [
-        make_catalog_env("rank1-uniform", OMEGA, S),
-        make_catalog_env("kumaraswamy", OMEGA, S),
-        make_catalog_env("finite-rank-r", OMEGA, S, rank=8),
-    ]
+    # finite-rank-r at its default rank, 8
+    return [make_catalog_env(name, OMEGA, S) for name in BASIS_CATALOG]
 
 
 def _random_pairs(env, count, seed):
@@ -193,3 +193,27 @@ def test_estimate_eigendecay_dominates_samples():
         k = min(8, spec.eigenvalues.shape[0])
         assert np.all(spec.eigenvalues[:k] <= fit.tau[:k] + 1e-12)
     assert np.sum(fit.tau ** fit.gamma) <= 10.0 + 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(BASIS_CATALOG))
+def test_estimate_eigendecay_equals_per_pair_reference(name, seed):
+    # the pre-pass evaluates phi for all its pairs in one batch and
+    # eigensolves each pair's kernel; tau must equal the per-pair path's bit
+    # for bit. Both sides use LAPACK eigh: eigvalsh moves s0 by up to 7.8e-4 relative.
+    env = make_catalog_env(name, OMEGA, S)
+    batches = []
+
+    def counting(X, A, omega_nodes, s):
+        batches.append(A.shape[0])
+        return env.basis.eval_matrix(X, A, omega_nodes, s)
+
+    pairs = _random_pairs(env, 20, seed)
+    basis = dataclasses.replace(env.basis, eval_matrix=counting)
+    fit = estimate_eigendecay(basis, pairs, 16, OMEGA, S)
+    assert batches == [20]
+    tau = np.zeros(16)
+    for x, a in pairs:
+        op = DesignOperator(point_kernel(env.basis, x, a, OMEGA, S), OMEGA, 1)
+        tau = np.maximum(tau, spectral_decompose(op).eigenvalues[:16])
+    assert np.array_equal(fit.tau, tau)

@@ -436,7 +436,7 @@ def test_predict_cdf_is_valid_cdf():
     data = generate_dataset(env, 64, rng)
     est = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
     for _ in range(5):
-        f = predict_cdf(est, env.basis, rng.random(2), int(rng.integers(5)), OMEGA, S)
+        f = predict_cdf(est, env.basis, rng.random(2), int(rng.integers(5)), S)
         assert np.all(np.diff(f.values) >= -1e-9)
         assert np.all(f.values >= -1e-9) and np.all(f.values <= 1.0 + 1e-9)
         assert f.values[-1] == pytest.approx(1.0, abs=1e-9)
