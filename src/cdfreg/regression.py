@@ -5,10 +5,12 @@ coefficient set.
 The admissible set C consists of nonnegative functions with unit integral
 and L2 norm at most M; estimates are projected onto it under the
 design-operator seminorm. The projection is a small convex quadratic
-program, solved exactly by an active-set method (Nocedal and Wright,
-Numerical Optimization, ch. 16) on the unit-trace design, with safeguarded
-Newton steps on the norm-cap multiplier's secular equation (More and
-Sorensen 1983), and certified by its KKT residual and duality gap.
+program, solved exactly on the unit-trace design by a primal active-set
+method over the faces of C (Nocedal and Wright, Numerical Optimization,
+ch. 16). Each face, norm cap included, is minimized in closed form from one
+eigendecomposition, with Newton steps on the cap multiplier's secular
+equation (More and Sorensen 1983), and the result is certified by its KKT
+residual and duality gap.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ from .operators import (
 # exact solves land below 1e-10 on the designs the tests and benchmark use.
 KKT_TOLERANCE = 1e-8
 
-# Faces one active-set solve visits at most.
+# Faces one projection visits at most.
 MAX_FACES = 200
+
+# The norm-cap multiplier, on the unit-trace design, at which a face's cap
+# is tested: a cap that binds there has its mu solved at or above it.
+MU_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -211,116 +217,109 @@ def _cap_l2_norm(values: np.ndarray, weights: np.ndarray, m_bound: float) -> np.
     return 1.0 + t * (values - 1.0)
 
 
-def _face_system(quad, w, free):
-    """The bordered KKT matrix of a face: the free block of the quadratic,
-    bordered by the mass constraint's weights."""
-    nf = free.size
-    kkt = np.zeros((nf + 1, nf + 1))
-    kkt[:nf, :nf] = quad[np.ix_(free, free)]
-    kkt[:nf, nf] = -w[free]
-    kkt[nf, :nf] = w[free]
-    return kkt
+def _face_minimizer(b_mat, bx, w, free, M, mu_guess):
+    """Minimize y' B y / 2 - bx . y over the face of C on ``free`` (y zero
+    off it, w . y = 1, ||y|| <= M), without sign bounds. Returns the
+    minimizer and its norm-cap multiplier mu.
 
-
-def _face_solve(kkt, rhs, mu):
-    """Solve a face system. For mu > 0 it is nonsingular and is solved
-    directly; at mu = 0, or where round-off on a rank-deficient design makes
-    the factorization singular, by least squares."""
-    if mu > 0.0:
-        try:
-            return np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-
-
-def _active_set_face(b_mat, bx, w, mu, start):
-    """Minimize y' (B + mu W) y / 2 - bx . y over {y >= 0, w . y = 1}, with
-    W = diag(w).
-
-    On each face (a fixed zero set) the minimizer solves a linear KKT
-    system; faces are swapped primal-dual style until the bound
-    multipliers are all nonnegative to 1e-13 of the largest entry of bx,
-    a tolerance that scales with B, or until a feasible face repeats (at
-    mu = 0 on a rank-deficient B, round-off in the multipliers can
-    otherwise cycle among faces). Returns the minimizer (the last iterate
-    if ``MAX_FACES`` faces do not reach it) and the number of KKT systems
-    solved.
+    On the face y = u + N z: u = 1 / sum(w_F) is the uniform density and
+    N = W_F^(-1/2) P, with P the last columns of the Householder reflector
+    sending sqrt(w_F) / ||sqrt(w_F)|| to -e_1, so N' W N = I, w_F' N = 0
+    and ||y||^2 = u + ||z||^2. With N' B_FF N = V diag(lam) V' (one eigh)
+    this is a trust-region problem of radius E = sqrt(M^2 - u), solved by
+    z(mu) = -V c / (lam + mu), c = V' N' (B_FF u - bx_F). The cap binds if
+    ||z(MU_FLOOR)|| > E: mu then solves the concave equation
+    1/||z(mu)|| = 1/E by Newton steps, which rise monotonically from the
+    left (More and Sorensen 1983). If not, eigenvalues at or below n_F eps
+    (of the unit-trace B) count as 0 and mu = 0 gives the minimum-norm z;
+    should that z still exceed E, mu solves the same equation on the kept
+    directions, between 0 and MU_FLOOR, so the minimizer never leaves the cap.
     """
-    n = start.shape[0]
-    quad = b_mat + mu * np.diag(w)
+    wf = w[free]
+    u = 1.0 / float(wf.sum())
+    y = np.zeros(bx.shape[0])
+    y[free] = u
+    E_sq = M * M - u
+    if E_sq <= 0.0:  # the uniform density is the face's one point of C
+        return y, 0.0
+    v = np.sqrt(wf * u)  # sqrt(w_F) / ||sqrt(w_F)||, plus e_1 below
+    v[0] += 1.0
+    nmat = (np.eye(free.size)[:, 1:] - np.outer(v, v[1:] / v[0])) / np.sqrt(wf)[:, None]
+    b_ff = b_mat[np.ix_(free, free)]
+    lam, vecs = np.linalg.eigh(nmat.T @ b_ff @ nmat)
+    lam = np.maximum(lam, 0.0)
+    c = vecs.T @ (nmat.T @ (u * b_ff.sum(axis=1) - bx[free]))
+    keep, floor = np.ones(lam.size, dtype=bool), MU_FLOOR
+    if float(np.sum((c / (lam + MU_FLOOR)) ** 2)) <= E_sq:
+        keep, floor = lam > free.size * np.finfo(float).eps, 0.0
+    lam, c = lam[keep], c[keep]
+    mu = 0.0
+    if float(np.sum((c / (lam + floor)) ** 2)) > E_sq:
+        E = math.sqrt(E_sq)
+        mu = max(mu_guess, floor)
+        for _ in range(100):
+            d = c / (lam + mu)
+            r_sq = float(d @ d)
+            step = r_sq * (math.sqrt(r_sq) / E - 1.0) / float(d @ (d / (lam + mu)))
+            mu = max(mu + step, floor)
+            if abs(step) <= 1e-12 * mu:
+                break
+    z = np.zeros(keep.size)
+    z[keep] = -c / (lam + mu)
+    y[free] += nmat @ (vecs @ z)
+    return y, mu
+
+
+def _active_set(b_mat, bx, w, M, start):
+    """Minimize y' B y / 2 - bx . y over C by a primal active-set method
+    over its faces (Nocedal and Wright, ch. 16), from a start in C.
+
+    Each face is minimized exactly, norm cap included (``_face_minimizer``).
+    A feasible face minimizer becomes the iterate; the bound multipliers
+    g - lam w off the face, with g = B y - bx + mu W y, decide whether to
+    stop or to release the most negative one. Until the first release, an
+    infeasible face minimizer drops every negative entry at once while the
+    smaller face can still hold a point of C (sum(w_F) M^2 > 1), and the
+    iterate becomes that face's uniform density; otherwise, and after the
+    first release, the iterate steps toward the minimizer up to the first
+    blocking bound. The method stops when every multiplier is at least
+    -1e-13 of the largest entry of bx, a tolerance that scales with B, or
+    when a feasible face repeats, or after ``MAX_FACES`` faces. Returns the
+    iterate, its mu and the number of faces solved.
+    """
     mult_tol = 1e-13 * float(np.max(np.abs(bx)))
     current = np.maximum(start, 0.0)
     active = current <= 1e-12
-    solves, seen = 0, set()
+    mu, faces, released, seen = 0.0, 0, False, set()
     for _ in range(MAX_FACES):
         free = np.nonzero(~active)[0]
-        if free.size == 0:
-            break
-        nf = free.size
-        rhs = np.concatenate([bx[free], [1.0]])
-        sol = _face_solve(_face_system(quad, w, free), rhs, mu)
-        solves += 1
-        cand = np.zeros(n)
-        cand[free] = sol[:nf]
-        lam = sol[nf]
+        cand, mu = _face_minimizer(b_mat, bx, w, free, M, mu)
+        faces += 1
         if np.min(cand[free]) >= -1e-12:
-            cand = np.maximum(cand, 0.0)
-            mult = (quad @ cand - bx - lam * w)[active]
-            current = cand
+            current = np.maximum(cand, 0.0)
+            g = b_mat @ current - bx + mu * w * current
+            lam = float(w[free] @ g[free]) / float(w[free] @ w[free])
+            mult = (g - lam * w)[active]
             face = active.tobytes()
             if mult.size == 0 or np.min(mult) >= -mult_tol or face in seen:
                 break
             seen.add(face)
-            release = np.nonzero(active)[0][int(np.argmin(mult))]
-            active[release] = False
+            active[np.nonzero(active)[0][int(np.argmin(mult))]] = False
+            released = True
+            continue
+        negative = free[cand[free] < 0.0]
+        kept_w = float(w[free].sum() - w[negative].sum())
+        if not released and kept_w * M * M > 1.0:
+            active[negative] = True
+            current = np.where(active, 0.0, 1.0 / kept_w)
         else:
             # walk toward the face minimizer until the first bound hits
             direction = cand - current
             shrinking = direction < -1e-15
-            with np.errstate(divide="ignore"):
-                steps = -current[shrinking] / direction[shrinking]
-            alpha = min(1.0, float(np.min(steps))) if steps.size else 1.0
+            alpha = min(1.0, float(np.min(-current[shrinking] / direction[shrinking])))
             current = np.maximum(current + alpha * direction, 0.0)
             active = current <= 1e-12
-    return current, solves
-
-
-def _face_derivative(b_mat, w, mu, y):
-    """d y / d mu of the penalized minimizer y on its face (the support of
-    y): the face's KKT system with the right-hand side (-w_F y_F, 0)."""
-    free = np.nonzero(y > 0.0)[0]
-    kkt = _face_system(b_mat + mu * np.diag(w), w, free)
-    sol = _face_solve(kkt, np.concatenate([-w[free] * y[free], [0.0]]), mu)
-    dy = np.zeros_like(y)
-    dy[free] = sol[: free.size]
-    return dy
-
-
-def _newton_step(y, dy, w, mu, M):
-    """The Newton step on psi(mu) = 1/||e|| - 1/E over y's face, and the
-    step of the power law ||e|| ~ mu^s through y; NaN where undefined.
-
-    e = y - y_inf is the deviation from the face's uniform density (the
-    limit of y as mu grows), so ||y||^2 = ||y_inf||^2 + ||e||^2 and
-    E^2 = M^2 - ||y_inf||^2. On a fixed face ||e||^2 is a sum of
-    c_i^2 / (lambda_i + mu)^2, as in a trust-region subproblem, so psi is
-    concave and nearly linear (More and Sorensen 1983), while ||y|| itself
-    is flat far from the root."""
-    face = y > 0.0
-    face_w = float(w[face].sum())
-    if face_w <= 0.0 or M * M <= 1.0 / face_w:
-        return math.nan, math.nan
-    e = y - face / face_w
-    e_sq = float(w @ e**2)
-    de = float(w @ (e * dy))  # (d ||e||^2 / d mu) / 2
-    if e_sq <= 0.0 or mu * de >= 0.0:
-        return math.nan, math.nan
-    E_sq = M * M - 1.0 / face_w
-    newton = mu - (1.0 / math.sqrt(e_sq) - 1.0 / math.sqrt(E_sq)) * e_sq**1.5 / -de
-    # d log ||e|| / d log mu = mu de / e_sq; clamped against overflow
-    power = mu * math.exp(min(max(0.5 * math.log(E_sq / e_sq) * e_sq / (mu * de), -50.0), 50.0))
-    return newton, power
+    return current, mu, faces
 
 
 def _kkt_residual(y, x, b_mat, w, mu, M) -> float:
@@ -347,88 +346,27 @@ def _kkt_residual(y, x, b_mat, w, mu, M) -> float:
 
 def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
                       M: float) -> tuple[np.ndarray, Diagnostics]:
-    """Exact projection of x onto C by active-set solves from a feasible start.
+    """Exact projection of x onto C by ``_active_set`` from a feasible start.
 
     B = W K W is divided by its quadrature trace sum_i B_ii / w_i, which
     leaves the minimizer alone, so mu and every tolerance are relative.
-    At a fixed norm-cap multiplier mu the active-set solver handles
-    nonnegativity and mass; the norm r(mu) of its minimizer decreases in
-    mu. From mu = 1, mu solves r(mu) = M by Newton steps (``_newton_step``),
-    each solve warm-started from the last minimizer moved along its face
-    derivative to the new mu, inside a bracket [lo, hi] with
-    r(lo) > M >= r(hi). A step that leaves it is replaced by its geometric
-    midpoint, by tenfold growth while hi is unknown, or, while lo is 0, by
-    the power-law step held within [1e-3, 0.5] mu. Only if r stays at or
-    below M down to mu = 1e-12 does the unpenalized solve from the start
-    decide whether the cap binds at all. The iteration stops when r is
-    within 1e-10 of M, or when the bracket collapses or r stops approaching
-    M within 1e-8 M (round-off on ill-conditioned designs); the last solve
-    with r <= M is the candidate. It is accepted when it has positive mass,
-    is feasible and its objective is within 1 + 1e-12 times the start's;
-    otherwise the start is returned with mu = 0. Either way ``converged``
-    certifies the returned point by ``_kkt_residual``.
+    The candidate is accepted when it has positive mass, is feasible and
+    its objective is within 1 + 1e-12 times the start's; otherwise the
+    start is returned with mu = 0. Either way ``converged`` certifies the
+    returned point by ``_kkt_residual``.
     """
     w = op.grid.weights
     b_mat = w[:, None] * op.kernel_matrix * w[None, :]
     b_mat /= float(np.sum(np.diag(b_mat) / w))
-    bx = b_mat @ x
-    solves = 0
-
-    def penalized(mu, warm):
-        nonlocal solves
-        y, k = _active_set_face(b_mat, bx, w, mu, warm)
-        solves += k
-        return y
-
-    def norm_of(v):
-        return math.sqrt(float(w @ v**2))
-
-    mu, lo, hi = 1.0, 0.0, math.inf
-    y = penalized(mu, start)
-    cand, gap, closest, stale, zero_checked = None, math.inf, math.inf, 0, False
-    for _ in range(100):
-        r = norm_of(y)
-        if abs(r - M) <= 1e-10:
-            cand = (y, mu)
-            break
-        if r > M:
-            lo = mu
-        else:
-            hi, cand, gap = mu, (y, mu), M - r
-        stale = 0 if abs(r - M) < closest else stale + 1
-        closest = min(closest, abs(r - M))
-        if hi - lo <= 1e-12 * hi < math.inf or (stale >= 2 and gap <= 1e-8 * M):
-            break
-        dy = _face_derivative(b_mat, w, mu, y)
-        newton, power = _newton_step(y, dy, w, mu, M)
-        solves += 1
-        mu_prev = mu
-        if lo < newton < hi:
-            mu = newton
-        elif lo > 0.0:
-            mu = math.sqrt(lo * hi) if math.isfinite(hi) else 10.0 * mu
-        else:
-            mu = min(max(power, 1e-3 * mu), 0.5 * mu) if power > 0.0 else 1e-3 * mu
-        if lo == 0.0 and mu < 1e-12 and not zero_checked:
-            zero_checked = True
-            y0 = penalized(0.0, start)
-            if norm_of(y0) <= M:
-                cand = (y0, 0.0)
-                break
-        # warm start: y moved to first order along its face, back onto unit mass
-        guess = np.maximum(y + (mu - mu_prev) * dy, 0.0)
-        mass = float(w @ guess)
-        y = penalized(mu, guess / mass if mass > 0.0 else y)
-    cand, mu = cand if cand is not None else (y, mu)
-
+    cand, mu, faces = _active_set(b_mat, b_mat @ x, w, M, start)
     mass = float(w @ cand)
     cand = cand / mass if mass > 0.0 else start
-    accepted = (mass > 0.0 and norm_of(cand) <= M + 1e-9
+    accepted = (mass > 0.0 and math.sqrt(float(w @ cand**2)) <= M + 1e-9
                 and (cand - x) @ b_mat @ (cand - x)
                 <= (start - x) @ b_mat @ (start - x) * (1.0 + 1e-12))
     y, mu = (cand, mu) if accepted else (start, 0.0)
     residual = _kkt_residual(y, x, b_mat, w, mu, M)
-    return y, Diagnostics(projection_iterations=solves,
+    return y, Diagnostics(projection_iterations=faces,
                           converged=residual <= KKT_TOLERANCE,
                           projection_residual=residual)
 
@@ -438,13 +376,12 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
     under the design-operator seminorm, for a finite M >= 1.
 
     The input is clipped and renormalized into C (the canonical selection
-    when the seminorm has a kernel), and that start is sharpened by
-    active-set solves of the projection's quadratic program, with Newton
-    steps on the norm-cap multiplier (``_solve_projection``).
-    ``projection_iterations`` counts the KKT systems solved, one per
-    active-set step and one per Newton derivative; ``converged`` means the
-    relative residual ``projection_residual`` (``_kkt_residual``) of the
-    returned point, candidate or start, is at most ``KKT_TOLERANCE``.
+    when the seminorm has a kernel), and that start is sharpened by an
+    active-set method over the faces of C (``_solve_projection``).
+    ``projection_iterations`` counts the faces solved, one eigendecomposition
+    each; ``converged`` means the relative residual ``projection_residual``
+    (``_kkt_residual``) of the returned point, candidate or start, is at
+    most ``KKT_TOLERANCE``.
     Scaling the operator moves all three by round-off only. Under a zero
     operator every point of C is a projection and the start is returned.
     """

@@ -21,6 +21,8 @@ from cdfreg import (
     sweep_regression_error,
 )
 from cdfreg.cli import main
+from cdfreg.environments import BASIS_CATALOG
+from cdfreg.functionals import FUNCTIONAL_CATALOG
 from cdfreg.harness import (
     build_environment,
     build_functional,
@@ -249,6 +251,31 @@ def test_run_config_uses_estimated_gamma():
     trace = run_config(cfg, seed=0)
     assert trace.summary["gamma_source"] == "estimate"
     assert 0.0 < trace.summary["gamma"] <= 1.0
+
+
+# parameters for the catalog entries that need them
+FUNCTIONAL_PARAMS = {
+    "smoothed_quantile": {"q": 0.9},
+    # one loss per outcome node, so s_nodes entries
+    "expected_penalty": {"loss_row": [float(s > 0.5) for s in
+                                      build_cdf_grid(ExperimentConfig().s_nodes).coords()]},
+}
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONAL_CATALOG))
+@pytest.mark.parametrize("basis", sorted(BASIS_CATALOG))
+def test_every_catalog_functional_runs_through_a_config(tmp_path, basis, functional):
+    cfg = ExperimentConfig(environment={"name": basis},
+                           functional={"name": functional, **FUNCTIONAL_PARAMS.get(functional, {})},
+                           horizon=64, gamma="estimate")
+    path = tmp_path / "config.json"
+    cfg.save(path)
+    back = ExperimentConfig.load(path)
+    assert back == cfg
+    trace = run_config(back, seed=0)
+    assert len(trace.records) == 64
+    assert trace.summary["oracle_calls"] > 0
+    assert trace.summary["nonconverged_projections"] == 0
 
 
 def test_sweep_needs_five_seeds():
