@@ -25,6 +25,7 @@ from .operators import (
 from .regression import (
     CoefficientEstimate,
     DataStatistics,
+    Dataset,
     ErrorBudget,
     TruncationPlan,
     empirical_target,

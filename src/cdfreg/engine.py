@@ -17,22 +17,36 @@ import numpy as np
 from .environments import Environment, check_norm_bound, inverse_cdf
 from .functionals import UtilityFunctional
 from .operators import BASIS_CHUNK, basis_values
-from .regression import DataStatistics, ErrorBudget, error_budget, regress
+from .regression import DataStatistics, Dataset, ErrorBudget, error_budget, regress
 
 
 @dataclass(frozen=True, eq=False)
 class RegretTrace:
     """Per-round regret accounting plus a run summary.
 
-    ``records`` is a list of T rows (round, epoch, context, action,
+    The episode is held as read-only columns over rounds 1..T: ``epochs``,
+    ``contexts`` (T, d), ``actions``, ``optimal_actions``, ``gaps`` and
+    ``cum_regret``. ``records`` builds from them, on each access and
+    without caching, the list of T rows (round, epoch, context, action,
     optimal_action, gap, cum_regret) of Python ints, floats and a tuple of
-    context floats, built once from the episode's column arrays;
-    ``summary`` echoes the configuration and holds final regret, dyadic
-    checkpoints, and the oracle-call count.
+    context floats. ``summary`` echoes the configuration and holds final
+    regret, dyadic checkpoints, and the oracle-call count.
     """
 
-    records: list = field(repr=False)
+    epochs: np.ndarray = field(repr=False)
+    contexts: np.ndarray = field(repr=False)
+    actions: np.ndarray = field(repr=False)
+    optimal_actions: np.ndarray = field(repr=False)
+    gaps: np.ndarray = field(repr=False)
+    cum_regret: np.ndarray = field(repr=False)
     summary: dict
+
+    @property
+    def records(self) -> list:
+        return list(zip(range(1, self.gaps.shape[0] + 1), self.epochs.tolist(),
+                        map(tuple, self.contexts.tolist()), self.actions.tolist(),
+                        self.optimal_actions.tolist(), self.gaps.tolist(),
+                        self.cum_regret.tolist()))
 
     def checkpoints(self) -> list[tuple[int, float]]:
         return [(int(r), float(v)) for r, v in self.summary["checkpoints"]]
@@ -41,7 +55,8 @@ class RegretTrace:
 def dyadic_checkpoints(cum_regret) -> list[tuple[int, float]]:
     """(2^k, cumulative regret after round 2^k) for k >= 1 while 2^k <= T,
     where ``cum_regret[t - 1]`` is the cumulative regret after round t."""
-    return [(2**k, cum_regret[2**k - 1]) for k in range(1, len(cum_regret).bit_length())]
+    return [(2**k, float(cum_regret[2**k - 1]))
+            for k in range(1, len(cum_regret).bit_length())]
 
 
 def igw_distribution(utilities, varsigma: float) -> np.ndarray:
@@ -117,9 +132,10 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     loop bit for bit. Each block's chosen (context, action) rows of phi are
     exactly one ``data_statistics`` chunk of the epoch's dataset, so the
     engine accumulates the oracle's ``DataStatistics`` from the phi it has
-    already evaluated; the next epoch hands them to ``regress`` with the
-    (x, a, y) records of this epoch's slice. The last epoch, which is never
-    regressed, accumulates none.
+    already evaluated; the next epoch hands them to ``regress`` with this
+    epoch's slice of the columns as a ``Dataset`` of views, so no record is
+    copied. The last epoch, which is never regressed, accumulates none. The
+    returned trace keeps the columns (``RegretTrace``).
     """
     if isinstance(T, bool) or not isinstance(T, numbers.Integral):
         raise ValueError("horizon T must be an integer, not %r" % (T,))
@@ -156,7 +172,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
                 eta=basis.kernel_floor_eta,
             )
             varsigma = exploration_param(m, K, budget, exploration_scale)
-            data = list(zip(X[prev], actions[prev].tolist(), y[prev].tolist()))
+            data = Dataset(X[prev], actions[prev], y[prev])  # views, not copies
             estimate = regress(data, basis, gamma, M, omega_grid, s_grid, statistics=stats)
             diagnostics.append(estimate.diagnostics)
             w_theta_hat = omega_grid.weights * estimate.theta_hat.values
@@ -186,10 +202,10 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             gaps[block] = true_utils[rows, best] - true_utils[rows, chosen]
 
     epochs = np.repeat(np.arange(1, len(bounds)), np.diff(bounds))
-    # cumsum adds in round order, as a running float sum does
-    cum_regret = np.cumsum(gaps).tolist()
-    records = list(zip(range(1, T + 1), epochs.tolist(), map(tuple, X.tolist()),
-                       actions.tolist(), optimal.tolist(), gaps.tolist(), cum_regret))
+    cum_regret = np.cumsum(gaps)  # adds in round order, as a running float sum does
+    columns = (epochs, X, actions, optimal, gaps, cum_regret)
+    for col in columns:
+        col.flags.writeable = False
 
     summary = {
         "T": T,
@@ -201,7 +217,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
         "s0": s0,
         "M": M,
         "exploration_scale": exploration_scale,
-        "final_regret": cum_regret[-1],
+        "final_regret": float(cum_regret[-1]),
         "checkpoints": dyadic_checkpoints(cum_regret),
         "oracle_calls": len(diagnostics),
         "varsigmas": varsigmas,
@@ -210,4 +226,4 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
         "environment": env.basis.name,
         "functional": functional.name,
     }
-    return RegretTrace(records, summary)
+    return RegretTrace(*columns, summary)

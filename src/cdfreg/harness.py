@@ -16,7 +16,11 @@ from .environments import (Environment, check_norm_bound, inverse_cdf, make_cata
 from .functionals import make_functional
 from .numerics import build_cdf_grid, build_uniform_grid
 from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
-from .regression import regress
+from .regression import Dataset, as_dataset, regress
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,11 @@ class ExperimentConfig:
         if not (isinstance(self.M, (int, float)) and not isinstance(self.M, bool)
                 and 1.0 <= self.M < float("inf")):
             raise ValueError("M must be a finite number of at least 1, not %r" % (self.M,))
+        if not all(_positive_int(n) for n in self.sweep_n):
+            raise ValueError("sweep_n must hold positive integers, not %r" % (self.sweep_n,))
+        if not _positive_int(self.heldout_pairs):
+            raise ValueError("heldout_pairs must be a positive integer, not %r"
+                             % (self.heldout_pairs,))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -113,7 +122,8 @@ def resolve_gamma(config: ExperimentConfig, env: Environment, seed: int = 0):
 
 
 def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
-    """n i.i.d. records with uniform contexts and uniform actions.
+    """n i.i.d. records with uniform contexts and uniform actions, as a
+    ``Dataset`` of columns X (n, d), A and y.
 
     Per record the draws are context, action, then the outcome's uniform;
     outcomes are inverse-CDF draws from true CDFs evaluated chunk by chunk.
@@ -130,7 +140,7 @@ def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
     y = np.empty(n)
     for sl, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
         y[sl] = inverse_cdf(w_theta @ phi, u[sl], s_coords)
-    return [(X[i], int(A[i]), float(y[i])) for i in range(n)]
+    return Dataset(X, A, y)
 
 
 def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
@@ -213,12 +223,13 @@ def write_trace_csv(trace: RegretTrace, path):
     """Rows: round, epoch, context components x0..x{d-1}, action,
     optimal_action, gap, cum_regret. ``csv.writer`` writes each float as its
     shortest round-trip repr, so every field reads back bit for bit."""
-    dim = len(trace.records[0][2])
+    columns = (trace.epochs, trace.contexts, trace.actions, trace.optimal_actions,
+               trace.gaps, trace.cum_regret)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "epoch"] + ["x%d" % i for i in range(dim)]
+        writer.writerow(["round", "epoch"] + ["x%d" % i for i in range(trace.contexts.shape[1])]
                         + ["action", "optimal_action", "gap", "cum_regret"])
-        for t, m, x, a, a_star, gap, cum in trace.records:
+        for t, (m, x, a, a_star, gap, cum) in enumerate(zip(*(c.tolist() for c in columns)), 1):
             writer.writerow([t, m, *x, a, a_star, gap, cum])
 
 
@@ -226,13 +237,14 @@ def _context_columns(row) -> list:
     return sorted((k for k in row if k.startswith("x")), key=lambda k: int(k[1:]))
 
 
-def _read_csv_rows(path, parse) -> list:
-    """``parse(row)`` for each row of a CSV file with a header row; a field
-    that does not parse as a number raises ``csv.Error``."""
+def _read_csv_rows(path, parse) -> tuple[list, list]:
+    """The header and ``parse(row)`` for each row of a CSV file with a
+    header row; a field that does not parse as a number raises
+    ``csv.Error``."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
-            return [parse(row) for row in reader]
+            return reader.fieldnames or [], [parse(row) for row in reader]
         except ValueError as exc:
             raise csv.Error("%s line %d: %s" % (path, reader.line_num, exc)) from exc
 
@@ -246,7 +258,7 @@ def read_trace_csv(path):
         "optimal_action": int(row["optimal_action"]),
         "gap": float(row["gap"]),
         "cum_regret": float(row["cum_regret"]),
-    })
+    })[1]
 
 
 def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None = None,
@@ -260,17 +272,23 @@ def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None
 
 
 def write_dataset_csv(dataset, path):
-    """Rows: round, context components x0..x{d-1}, action, y; a dataset
-    reads back bit for bit (see ``write_trace_csv``)."""
+    """Rows: round, context components x0..x{d-1}, action, y, written from
+    the columns of ``as_dataset(dataset)``, so an empty dataset writes its
+    header alone; a dataset reads back bit for bit (see
+    ``write_trace_csv``)."""
+    data = as_dataset(dataset)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        dim = len(np.atleast_1d(dataset[0][0]))
-        writer.writerow(["round"] + ["x%d" % i for i in range(dim)] + ["action", "y"])
-        for i, (x, a, y) in enumerate(dataset):
-            writer.writerow([i + 1, *np.atleast_1d(x), a, y])
+        writer.writerow(["round"] + ["x%d" % i for i in range(data.X.shape[1])] + ["action", "y"])
+        for i, (x, a, y) in enumerate(zip(data.X.tolist(), data.A.tolist(), data.y.tolist()), 1):
+            writer.writerow([i, *x, a, y])
 
 
-def read_dataset_csv(path):
-    return _read_csv_rows(path, lambda row: (
-        np.array([float(row[k]) for k in _context_columns(row)]),
-        int(row["action"]), float(row["y"])))
+def read_dataset_csv(path) -> Dataset:
+    """A dataset CSV as a ``Dataset``; a header-only file gives an empty
+    one whose context width is its x columns'."""
+    header, rows = _read_csv_rows(path, lambda row: (
+        [float(row[k]) for k in _context_columns(row)], int(row["action"]), float(row["y"])))
+    dim = len(_context_columns(header))
+    X = np.array([x for x, _, _ in rows], dtype=float).reshape(len(rows), dim)
+    return Dataset(X, [a for _, a, _ in rows], [y for _, _, y in rows])

@@ -16,6 +16,7 @@ residual and duality gap.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -148,18 +149,60 @@ class DataStatistics:
         return DesignOperator((self.kernel + self.kernel.T) / 2.0, self.omega_grid, self.count)
 
 
+class Dataset(Sequence):
+    """A dataset of (x, a, y) records held as read-only columns: contexts
+    X (n, d), actions A (n,) and outcomes y (n,).
+
+    Record i is ``(X[i], int(A[i]), float(y[i]))``, by index or in
+    iteration, and a slice is a ``Dataset`` of views. Columns that already
+    are float and int arrays are viewed, not copied, so the engine hands the
+    oracle each epoch's slice of its episode-wide columns.
+    """
+
+    __slots__ = ("X", "A", "y")
+
+    def __init__(self, X, A, y):
+        X, A, y = np.asarray(X, dtype=float), np.asarray(A, dtype=int), np.asarray(y, dtype=float)
+        if X.ndim != 2 or A.shape != (X.shape[0],) or y.shape != A.shape:
+            raise ValueError("dataset columns must be X (n, d), A (n,) and y (n,), not %s, %s "
+                             "and %s" % (X.shape, A.shape, y.shape))
+        for name, col in (("X", X), ("A", A), ("y", y)):
+            col = col.view()
+            col.flags.writeable = False
+            setattr(self, name, col)
+
+    def __len__(self) -> int:
+        return self.A.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Dataset(self.X[i], self.A[i], self.y[i])
+        return self.X[i], int(self.A[i]), float(self.y[i])
+
+    def __iter__(self):
+        return zip(self.X, self.A.tolist(), self.y.tolist())
+
+
+def as_dataset(records) -> Dataset:
+    """``records`` itself if it is a ``Dataset``, else its (x, a, y) triples
+    stacked into columns once; a context may be a scalar (d = 1)."""
+    if isinstance(records, Dataset):
+        return records
+    records = list(records)
+    if not records:
+        return Dataset(np.empty((0, 0)), [], [])
+    X, A, y = zip(*records)
+    return Dataset(np.asarray(X, dtype=float).reshape(len(records), -1), A, y)
+
+
 def _dataset_chunks(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
                     s_grid: QuadratureGrid):
-    """(phi, y) over successive ``BASIS_CHUNK`` chunks of a dataset of
-    (x, a, y) records, from ``basis_chunks``, which evaluates phi once per
-    batch of whole chunks up to ``EVAL_BYTES``."""
-    dataset = list(dataset)
-    if not dataset:
-        return
-    X, A, y = zip(*dataset)
-    y = np.array(y, dtype=float)
-    for sl, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
-        yield phi, y[sl]
+    """(phi, y) over successive ``BASIS_CHUNK`` chunks of a dataset's
+    columns (``as_dataset``), from ``basis_chunks``, which evaluates phi once
+    per batch of whole chunks up to ``EVAL_BYTES``."""
+    data = as_dataset(dataset)
+    for sl, phi in basis_chunks(basis, data.X, data.A, omega_grid, s_grid):
+        yield phi, data.y[sl]
 
 
 def data_statistics(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,

@@ -355,3 +355,68 @@ def test_summary_aggregates_the_oracle_diagnostics(monkeypatch):
     assert summary["oracle_calls"] == len(calls) == 6
     assert summary["nonconverged_projections"] == 1
     assert summary["max_projection_residual"] == 0.25
+
+
+def test_trace_holds_read_only_columns_and_builds_records_on_demand():
+    env = make_catalog_env("kumaraswamy", OMEGA, S, context_dim=3)
+    trace = run_episode(env, make_functional("mean"), 100, 0.1, 1.0, 2.0, seed=5,
+                        exploration_scale=1e4)
+    columns = (trace.epochs, trace.contexts, trace.actions, trace.optimal_actions,
+               trace.gaps, trace.cum_regret)
+    assert [c.shape for c in columns] == [(100,), (100, 3)] + [(100,)] * 4
+    assert not any(c.flags.writeable for c in columns)
+    records = trace.records
+    assert records is not trace.records  # built on each access, never cached
+    assert records == trace.records
+    assert [type(v) for v in records[-1]] == [int, int, tuple, int, int, float, float]
+    assert records == list(zip(range(1, 101), trace.epochs.tolist(),
+                               map(tuple, trace.contexts.tolist()), trace.actions.tolist(),
+                               trace.optimal_actions.tolist(), trace.gaps.tolist(),
+                               trace.cum_regret.tolist()))
+    assert trace.summary["final_regret"] == records[-1][6]
+    assert type(trace.summary["final_regret"]) is float
+
+
+def test_episode_hands_the_oracle_views_of_its_columns(monkeypatch):
+    # wrapped as the benchmark wraps the oracle: each epoch's dataset is the
+    # previous epoch's slice of the episode's columns, not a copy
+    from cdfreg import engine, regression
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    seen = []
+
+    def oracle(data, *args, **kwargs):
+        seen.append(data)
+        return regression.regress(data, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "regress", oracle)
+    trace = run_episode(env, make_functional("mean"), 100, 0.1, 0.5, 2.0, seed=13,
+                        exploration_scale=1e4)
+    bounds = [0, 2, 4, 8, 16, 32, 64]
+    assert len(seen) == trace.summary["oracle_calls"] == len(bounds) - 1
+    for data, lo, hi in zip(seen, bounds, bounds[1:]):
+        assert isinstance(data, regression.Dataset) and len(data) == hi - lo
+        assert np.shares_memory(data.X, trace.contexts)
+        assert np.shares_memory(data.A, trace.actions)
+        assert np.array_equal(data.X, trace.contexts[lo:hi])
+        assert np.array_equal(data.A, trace.actions[lo:hi])
+
+
+def test_a_held_trace_costs_under_128_bytes_per_round():
+    # the columns cost about 72 B per round (d = 2); the list of 7-tuples
+    # the trace used to hold cost about 283 B
+    import gc
+    import tracemalloc
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    fn = make_functional("mean")
+    run_episode(env, fn, 64, 0.1, 1.0, 2.0, seed=3)  # warm every lazy set-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_episode(env, fn, 4096, 0.1, 1.0, 2.0, seed=3)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.gaps) == 4096
+    assert held < 128 * 4096, "%.1f B per round" % (held / 4096)

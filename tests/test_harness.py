@@ -74,16 +74,22 @@ def test_dataset_csv_round_trip(tmp_path):
 
 
 def test_generate_dataset_equals_per_sample_draws():
-    from cdfreg import sample_context, sample_outcomes
+    # listed or indexed, the Dataset gives the records generate_dataset used
+    # to return as a list, element types included
+    from cdfreg import Dataset, sample_context, sample_outcomes
     for name, params in (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8})):
         env = make_catalog_env(name, OMEGA, S, **params)
         rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
         data = generate_dataset(env, 53, rng)
-        for x, a, y in data:
+        assert isinstance(data, Dataset) and len(data) == 53
+        for i, (x, a, y) in enumerate(list(data)):
             x_ref = sample_context(env, ref_rng)
             a_ref = int(ref_rng.integers(env.action_count))
             y_ref = sample_outcomes(env, x_ref, a_ref, 1, ref_rng)[0]
             assert np.array_equal(x, x_ref) and a == a_ref and y == y_ref
+            assert [type(v) for v in (x, a, y)] == [np.ndarray, int, float]
+            assert x.shape == x_ref.shape
+            assert np.array_equal(data[i][0], x) and data[i][1:] == (a, y)
         assert rng.random() == ref_rng.random()
 
 
@@ -115,6 +121,55 @@ def test_dataset_csv_round_trip_keeps_context_order(tmp_path):
     back = read_dataset_csv(path)
     for (x, _, _), (x2, _, _) in zip(data, back):
         assert np.allclose(x, x2)
+
+
+def _former_write_dataset_csv(dataset, path):
+    """The record-by-record writer that ``write_dataset_csv`` replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        dim = len(np.atleast_1d(dataset[0][0]))
+        writer.writerow(["round"] + ["x%d" % i for i in range(dim)] + ["action", "y"])
+        for i, (x, a, y) in enumerate(dataset):
+            writer.writerow([i + 1, *np.atleast_1d(x), a, y])
+
+
+def _former_write_trace_csv(records, path):
+    """The writer over ``trace.records`` that ``write_trace_csv`` replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "epoch"] + ["x%d" % i for i in range(len(records[0][2]))]
+                        + ["action", "optimal_action", "gap", "cum_regret"])
+        for t, m, x, a, a_star, gap, cum in records:
+            writer.writerow([t, m, *x, a, a_star, gap, cum])
+
+
+@pytest.mark.parametrize("context_dim", [1, 2, 5])
+def test_csv_writers_write_the_former_bytes(tmp_path, context_dim):
+    env = make_catalog_env("kumaraswamy", OMEGA, S, context_dim=context_dim,
+                           theta_star="bumps")
+    trace = run_episode(env, make_functional("mean"), 300, 0.1, 1.0, 2.0, seed=2,
+                        exploration_scale=1e8)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    _former_write_trace_csv(trace.records, tmp_path / "former_trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "former_trace.csv").read_bytes()
+    data = generate_dataset(env, 100, np.random.default_rng(2))
+    write_dataset_csv(data, tmp_path / "data.csv")
+    _former_write_dataset_csv(list(data), tmp_path / "former_data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "former_data.csv").read_bytes()
+
+
+def test_empty_dataset_csv_round_trips_and_regress_refuses_it(tmp_path, capsys):
+    # writing used to read dataset[0] and raise IndexError
+    cpath, _data, env = _regress_dataset_files(tmp_path)
+    empty = generate_dataset(env, 0, np.random.default_rng(0))
+    dpath = tmp_path / "data.csv"
+    write_dataset_csv(empty, dpath)
+    assert dpath.read_text().splitlines() == ["round,x0,x1,action,y"]
+    back = read_dataset_csv(dpath)
+    assert len(back) == 0 and back.X.shape == (0, env.context_dim)
+    assert main(["regress", "--config", str(cpath), "--dataset", str(dpath)]) == 3
+    assert "dataset must be nonempty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("context_dim", [1, 2, 12])
@@ -518,11 +573,38 @@ def test_cli_fit_slope_rejects_nan_or_negative_checkpoint(tmp_path, first):
 
 
 def test_cli_sweep_rejects_zero_heldout_pairs(tmp_path):
+    # refused at load, before any regression has run
     cfg = ExperimentConfig(gamma=0.1, seeds=(0, 1, 2, 3, 4), sweep_n=(16,),
-                           heldout_pairs=0, output_dir=str(tmp_path / "out"))
+                           output_dir=str(tmp_path / "out")).to_dict()
     cpath = tmp_path / "config.json"
-    cfg.save(cpath)
+    cpath.write_text(json.dumps(dict(cfg, heldout_pairs=0)))
     assert main(["sweep", "--config", str(cpath)]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"sweep_n": [16, 64.5]}, {"sweep_n": [16, -5]}, {"sweep_n": [0]}, {"sweep_n": [16, True]},
+    {"sweep_n": ["16"]}, {"heldout_pairs": 0}, {"heldout_pairs": -2}, {"heldout_pairs": 8.0},
+    {"heldout_pairs": True},
+], ids=["n-64.5", "n-minus-5", "n-0", "n-true", "n-string", "pairs-0", "pairs-minus-2",
+        "pairs-8.0", "pairs-true"])
+def test_config_refuses_bad_sweep_sizes(tmp_path, capsys, setting):
+    # each used to fail only mid-sweep, some after a size had already run
+    with pytest.raises(ValueError, match="sweep_n must|heldout_pairs must"):
+        ExperimentConfig(**{k: tuple(v) if k == "sweep_n" else v for k, v in setting.items()})
+    cfg = ExperimentConfig(gamma=0.1, seeds=(0, 1, 2, 3, 4), sweep_n=(16,),
+                           output_dir=str(tmp_path / "out")).to_dict()
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(dict(cfg, **setting)))
+    assert main(["sweep", "--config", str(cpath)]) == 3
+    assert "contract violation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sweep_n, heldout_pairs", [((), 1), ((1, 4096), 64)])
+def test_config_accepts_positive_integer_sweep_sizes(sweep_n, heldout_pairs):
+    cfg = ExperimentConfig(sweep_n=sweep_n, heldout_pairs=heldout_pairs)
+    assert (cfg.sweep_n, cfg.heldout_pairs) == (sweep_n, heldout_pairs)
 
 
 def test_cli_regress_and_sweep(tmp_path, capsys):
@@ -572,8 +654,8 @@ def _regress_dataset_files(tmp_path):
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda data: [(data[0][0], 9, data[0][2])] + data[1:],
-    lambda data: [(data[0][0], -3, data[0][2])] + data[1:],
+    lambda data: [(data[0][0], 9, data[0][2])] + list(data[1:]),
+    lambda data: [(data[0][0], -3, data[0][2])] + list(data[1:]),
     lambda data: [(x[:1], a, y) for x, a, y in data],
 ], ids=["action-9", "action-minus-3", "one-context-column"])
 def test_cli_regress_refuses_records_the_environment_cannot_produce(tmp_path, capsys, mutate):

@@ -559,8 +559,40 @@ def test_regress_refuses_statistics_of_another_dataset():
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
     data = generate_dataset(env, 20, np.random.default_rng(67))
     stats = regression.data_statistics(data, env.basis, OMEGA, S)
-    for other in (data[:-1], data + data[:1], []):
+    for other in (data[:-1], list(data) + [data[0]], []):
         with pytest.raises(ValueError, match="statistics count"):
             regress(other, env.basis, 0.1, 2.0, OMEGA, S, statistics=stats)
     with pytest.raises(ValueError, match="outside the support"):
         stats.add(basis_values(env.basis, [data[0][0]], [0], OMEGA, S), [1.5])
+
+
+def test_dataset_is_a_sequence_of_records_over_read_only_columns():
+    X, A, y = np.arange(12.0).reshape(4, 3), np.array([0, 2, 1, 2]), np.linspace(0, 1, 4)
+    data = regression.Dataset(X, A, y)
+    assert len(data) == 4 and data[-1][1] == 2 and data[2][2] == y[2]
+    assert np.shares_memory(data.X, X) and np.shares_memory(data.A, A)
+    assert not (data.X.flags.writeable or data.A.flags.writeable or data.y.flags.writeable)
+    for i, (x, a, out) in enumerate(data):
+        assert np.array_equal(x, X[i]) and (a, out) == (A[i], y[i])
+        assert type(a) is int and type(out) is float
+        assert np.array_equal(data[i][0], x) and data[i][1:] == (a, out)
+    part = data[1:3]
+    assert isinstance(part, regression.Dataset) and len(part) == 2
+    assert np.shares_memory(part.X, X) and np.array_equal(part.y, y[1:3])
+    assert [r[1:] for r in data] == [r[1:] for r in data] != []  # re-iterable
+    with pytest.raises(IndexError):
+        data[4]
+    with pytest.raises(ValueError, match="dataset columns"):
+        regression.Dataset(X, A[:3], y)
+
+
+def test_regress_reads_a_dataset_and_its_records_identically():
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    data = generate_dataset(env, 300, np.random.default_rng(41))
+    assert isinstance(data, regression.Dataset)
+    a = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
+    b = regress(list(data), env.basis, 0.1, 2.0, OMEGA, S)
+    assert a.theta_hat.values.tobytes() == b.theta_hat.values.tobytes()
+    assert a.diagnostics == b.diagnostics
+    assert (loss(a.theta_hat, data, env.basis, OMEGA, S)
+            == loss(a.theta_hat, list(data), env.basis, OMEGA, S))
