@@ -237,14 +237,25 @@ def _context_columns(row) -> list:
     return sorted((k for k in row if k.startswith("x")), key=lambda k: int(k[1:]))
 
 
+def _fields_match_header(row) -> dict:
+    # DictReader puts a row's extra fields under the key None and fills its
+    # missing ones with None
+    if None in row:
+        raise ValueError("%d field(s) more than the header" % len(row[None]))
+    if None in row.values():
+        raise ValueError("fewer fields than the header")
+    return row
+
+
 def _read_csv_rows(path, parse) -> tuple[list, list]:
     """The header and ``parse(row)`` for each row of a CSV file with a
-    header row; a field that does not parse as a number raises
-    ``csv.Error``."""
+    header row; a row with more or fewer fields than the header, or a field
+    that does not parse as a number, raises ``csv.Error`` naming the file
+    and line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
-            return reader.fieldnames or [], [parse(row) for row in reader]
+            return reader.fieldnames or [], [parse(_fields_match_header(row)) for row in reader]
         except ValueError as exc:
             raise csv.Error("%s line %d: %s" % (path, reader.line_num, exc)) from exc
 

@@ -119,31 +119,40 @@ def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
 
 def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of a
-    symmetric matrix.
+    symmetric matrix, or of each matrix in a stack.
 
-    Backed by LAPACK's symmetric solver; the contract (residuals within
-    1e-8 * ||A||, orthonormal vectors) is what the rest of the package
-    relies on.
+    ``matrix`` has shape (..., n, n); the result is eigenvalues (..., n)
+    and eigenvectors (..., n, n), so a single matrix is a stack of one.
+    The size limit and the symmetry check apply to each matrix, and one
+    that fails refuses the whole stack. Backed by LAPACK's symmetric
+    solver, which runs on each matrix of a stack as on that matrix alone,
+    so a stack's eigenpairs equal the per-matrix calls' bit for bit; the
+    contract (residuals within 1e-8 * ||A||, orthonormal vectors) is what
+    the rest of the package relies on.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if a.shape[0] > MAX_EIG_SIZE:
+    if a.shape[-1] > MAX_EIG_SIZE:
         raise ValueError("matrix exceeds the %d size limit" % MAX_EIG_SIZE)
-    if not np.max(np.abs(a - a.T)) <= 1e-10 * max(1.0, np.max(np.abs(a))):
+    at = np.swapaxes(a, -1, -2)
+    if not np.all(np.max(np.abs(a - at), axis=(-2, -1))
+                  <= 1e-10 * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))):
         raise ValueError("matrix is not finite and symmetric")
-    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    vals, vecs = np.linalg.eigh((a + at) / 2.0)
+    # eigh returns each matrix's eigenvalues in ascending order
+    return vals[..., ::-1], vecs[..., ::-1]
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Descending nonnegative eigenvalues with quadrature-orthonormal
-    eigenfunctions of a positive self-adjoint integral operator.
+    eigenfunctions of a positive self-adjoint integral operator, or of each
+    operator in a stack.
 
     ``eigenfunctions`` holds the eigenfunction values at the grid nodes as
-    columns, shape (n_nodes, n_eigs).
+    columns, shape (n_nodes, n_eigs) for one operator; a stack of operators
+    has eigenvalues (..., n_eigs) and eigenfunctions (..., n_nodes, n_eigs).
     """
 
     eigenvalues: np.ndarray
@@ -154,30 +163,34 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
         object.__setattr__(self, "eigenfunctions", _readonly(self.eigenfunctions))
         vals = self.eigenvalues
-        if self.eigenfunctions.shape != (self.grid.size, vals.shape[0]):
-            raise ValueError("eigenfunctions must be an (n_nodes, n_eigs) array")
+        if self.eigenfunctions.shape != vals.shape[:-1] + (self.grid.size, vals.shape[-1]):
+            raise ValueError("eigenfunctions must be an (..., n_nodes, n_eigs) array")
         if not np.all(np.isfinite(self.eigenfunctions)):
             raise ValueError("eigenfunction values must be finite")
         if np.any(vals < 0):
             raise ValueError("eigenvalues must be nonnegative")
-        if np.any(np.diff(vals) > 1e-12):
+        if np.any(np.diff(vals, axis=-1) > 1e-12):
             raise ValueError("eigenvalues must be descending")
 
 
 def quadrature_eig(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> SpectralDecomposition:
     """Eigenpairs of the integral operator whose symmetric positive
-    semidefinite kernel has values ``kernel_matrix`` at the grid's nodes.
+    semidefinite kernel has values ``kernel_matrix`` at the grid's nodes,
+    or of each operator in a stack of kernel matrices (..., n, n), in one
+    ``sym_eig`` call.
 
     With D = diag(weights) the weighted problem K D e = lambda e is
     symmetrized as D^(1/2) K D^(1/2); the eigenfunctions D^(-1/2) v are then
     orthonormal under the grid's quadrature. Negative eigenvalues are
     round-off for a positive operator: they are clamped to zero and kept,
     so n nodes give n eigenpairs. One below -max(1e-10 lambda_1, 1e-12)
-    means the kernel is not positive semidefinite.
+    means the kernel is not positive semidefinite; one such matrix refuses
+    the whole stack. Each matrix's eigenpairs equal those of a call on it
+    alone, bit for bit.
     """
     sqw = np.sqrt(grid.weights)
     vals, vecs = sym_eig(sqw[:, None] * kernel_matrix * sqw[None, :])
-    if vals[-1] < -max(1e-10 * max(vals[0], 0.0), 1e-12):
+    if np.any(vals[..., -1] < -np.maximum(1e-10 * np.maximum(vals[..., 0], 0.0), 1e-12)):
         raise ValueError("kernel operator is not positive semidefinite")
     return SpectralDecomposition(np.maximum(vals, 0.0), vecs / sqw[:, None], grid)
 

@@ -94,11 +94,25 @@ class EigendecayFit:
     s0: float
 
 
+def integer_actions(A) -> np.ndarray:
+    """``A`` as an int array, a view when it already is one; an action
+    whose value is not an integer (1.7, NaN, inf) raises ``ValueError``
+    instead of being truncated."""
+    A = np.asarray(A)
+    if A.dtype.kind == "f":
+        # the test states the pass condition, so NaN and inf fail it
+        integral = (A == np.trunc(A)) & (np.abs(A) < 2.0**63)
+        if not np.all(integral):
+            raise ValueError("actions must be integers, not %r" % A[~integral][:3].tolist())
+    return np.asarray(A, dtype=int)
+
+
 def basis_values(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
                  s_grid: QuadratureGrid) -> np.ndarray:
     """phi[b, i, k] = phi(X[b], A[b], w_i, s_k), checked against the basis
-    contract: shape (B, n_w, n_s) and values in [0, 1]."""
-    A = np.asarray(A, dtype=int).reshape(-1)
+    contract: shape (B, n_w, n_s) and values in [0, 1]; a non-integral
+    action raises ``ValueError``."""
+    A = integer_actions(A).reshape(-1)
     X = np.asarray(X, dtype=float).reshape(A.shape[0], -1)
     phi = np.asarray(basis.eval_matrix(X, A, omega_grid.nodes, s_grid.coords()))
     if phi.shape != (A.shape[0], omega_grid.size, s_grid.size):
@@ -112,7 +126,7 @@ def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
                  s_grid: QuadratureGrid):
     """Yield (slice, phi) over successive chunks of BASIS_CHUNK pairs, phi a
     contiguous view into one evaluation batch of whole chunks."""
-    X, A = np.asarray(X, dtype=float), np.asarray(A, dtype=int)
+    X, A = np.asarray(X, dtype=float), integer_actions(A)
     pair_bytes = 8 * omega_grid.size * s_grid.size
     batch = BASIS_CHUNK * max(1, EVAL_BYTES // (BASIS_CHUNK * pair_bytes))
     for lo in range(0, A.shape[0], batch):
@@ -186,7 +200,9 @@ def estimate_eigendecay(basis: CdfBasis, sample_pairs, k_max: int,
 
     tau_k is the max over the sampled (x, a) of the k-th point-operator
     eigenvalue; gamma is the smallest ladder value whose prefix power sum
-    stays within ``S0_BUDGET`` (gamma = 1 if none does).
+    stays within ``S0_BUDGET`` (gamma = 1 if none does). Each chunk's
+    point kernels are eigensolved as one stack, one ``quadrature_eig``
+    call per ``BASIS_CHUNK`` pairs.
     """
     sample_pairs = list(sample_pairs)
     if not sample_pairs:
@@ -197,8 +213,9 @@ def estimate_eigendecay(basis: CdfBasis, sample_pairs, k_max: int,
     tau = np.zeros(k_max)
     X, A = zip(*sample_pairs)
     for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
-        for k in pair_kernels(phi, s_grid.weights):
-            tau = np.maximum(tau, quadrature_eig((k + k.T) / 2, omega_grid).eigenvalues[:k_max])
+        k = pair_kernels(phi, s_grid.weights)
+        vals = quadrature_eig((k + k.transpose(0, 2, 1)) / 2, omega_grid).eigenvalues
+        tau = np.maximum(tau, vals[:, :k_max].max(axis=0))
     for gamma in GAMMA_LADDER:
         s = float(np.sum(tau**gamma))
         if s <= S0_BUDGET:

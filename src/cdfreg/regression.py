@@ -26,6 +26,7 @@ from .operators import (
     CdfBasis,
     DesignOperator,
     basis_chunks,
+    integer_actions,
     mixture_cdf,
     pair_kernels,
     spectral_decompose,
@@ -156,13 +157,15 @@ class Dataset(Sequence):
     Record i is ``(X[i], int(A[i]), float(y[i]))``, by index or in
     iteration, and a slice is a ``Dataset`` of views. Columns that already
     are float and int arrays are viewed, not copied, so the engine hands the
-    oracle each epoch's slice of its episode-wide columns.
+    oracle each epoch's slice of its episode-wide columns. An action whose
+    value is not an integer raises ``ValueError`` instead of being
+    truncated.
     """
 
     __slots__ = ("X", "A", "y")
 
     def __init__(self, X, A, y):
-        X, A, y = np.asarray(X, dtype=float), np.asarray(A, dtype=int), np.asarray(y, dtype=float)
+        X, A, y = np.asarray(X, dtype=float), integer_actions(A), np.asarray(y, dtype=float)
         if X.ndim != 2 or A.shape != (X.shape[0],) or y.shape != A.shape:
             raise ValueError("dataset columns must be X (n, d), A (n,) and y (n,), not %s, %s "
                              "and %s" % (X.shape, A.shape, y.shape))

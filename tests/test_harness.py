@@ -701,3 +701,40 @@ def test_cli_fit_slope_unparsable_trace_number_is_malformed_input(tmp_path, caps
     path.write_text("\n".join(lines) + "\n")
     assert main(["fit-slope", str(path)]) == 2
     assert capsys.readouterr().err.startswith("malformed config or input")
+
+
+def _append_field(path, line):
+    """Rewrite ``path`` with one more field on its ``line``-th line (1-based)."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] += ",9"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_read_dataset_csv_refuses_a_row_with_extra_fields(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("round,x0,x1,action,y\n1,0.1,0.2,1,0.5\n2,0.3,0.4,0,0.25,9\n")
+    with pytest.raises(csv.Error, match=r"data\.csv line 3: 1 field\(s\) more than the header"):
+        read_dataset_csv(path)
+    path.write_text("round,x0,x1,action,y\n1,0.1,0.2,1\n")
+    with pytest.raises(csv.Error, match=r"data\.csv line 2: fewer fields than the header"):
+        read_dataset_csv(path)
+
+
+def test_read_trace_csv_refuses_a_row_with_extra_fields(tmp_path):
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run_episode(env, make_functional("mean"), 8, 0.1, 1.0, 2.0, seed=0), path)
+    _append_field(path, 4)
+    with pytest.raises(csv.Error, match=r"trace\.csv line 4: 1 field\(s\) more than the header"):
+        read_trace_csv(path)
+
+
+def test_cli_regress_exits_2_on_a_row_with_extra_fields(tmp_path, capsys):
+    cpath, data, _env = _regress_dataset_files(tmp_path)
+    dpath = tmp_path / "data.csv"
+    write_dataset_csv(data, dpath)
+    _append_field(dpath, 6)
+    assert main(["regress", "--config", str(cpath), "--dataset", str(dpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed config or input") and "line 6" in err
+    assert not (tmp_path / "out").exists()

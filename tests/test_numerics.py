@@ -13,6 +13,7 @@ from cdfreg import (
     degenerate_kernel_eig,
     sym_eig,
 )
+from cdfreg.numerics import MAX_EIG_SIZE, quadrature_eig
 
 
 def test_uniform_grid_1d_two_nodes():
@@ -90,6 +91,63 @@ def test_sym_eig_rejects_asymmetric():
                    [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(ValueError):
             sym_eig(np.array(matrix))
+
+
+def _psd_stack(rng, lead, n, rank):
+    """Random PSD matrices G G^T of rank ``rank``, stacked on ``lead``;
+    below full rank their smallest eigenvalues are round-off."""
+    g = rng.normal(size=lead + (n, rank))
+    return g @ np.swapaxes(g, -1, -2)
+
+
+@pytest.mark.parametrize("lead", [(1,), (7,), (2, 3)])
+@pytest.mark.parametrize("rank", [3, 12])
+def test_sym_eig_on_a_stack_equals_per_matrix_calls(lead, rank):
+    stack = _psd_stack(np.random.default_rng(rank + len(lead)), lead, 12, rank)
+    vals, vecs = sym_eig(stack)
+    assert vals.shape == lead + (12,) and vecs.shape == lead + (12, 12)
+    for idx in np.ndindex(*lead):
+        one_vals, one_vecs = sym_eig(stack[idx])
+        assert vals[idx].tobytes() == one_vals.tobytes()
+        assert vecs[idx].tobytes() == one_vecs.tobytes()
+
+
+@pytest.mark.parametrize("rank", [3, 12])
+def test_quadrature_eig_on_a_stack_equals_per_matrix_calls(rank):
+    rng = np.random.default_rng(5 + rank)
+    w = rng.uniform(0.5, 1.5, size=12)
+    grid = QuadratureGrid(np.linspace(0.02, 0.98, 12)[:, None], w / w.sum())
+    stack = _psd_stack(rng, (9,), 12, rank)
+    spec = quadrature_eig(stack, grid)
+    assert spec.eigenvalues.shape == (9, 12) and spec.eigenfunctions.shape == (9, 12, 12)
+    assert np.all(spec.eigenvalues >= 0)
+    for i, kernel in enumerate(stack):
+        one = quadrature_eig(kernel, grid)
+        assert spec.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
+        assert spec.eigenfunctions[i].tobytes() == one.eigenfunctions.tobytes()
+
+
+def test_sym_eig_refuses_a_stack_with_one_bad_member():
+    stack = _psd_stack(np.random.default_rng(17), (6,), 8, 8)
+    sym_eig(stack)
+    for bad in (1e-6, np.nan):
+        broken = stack.copy()
+        broken[4, 0, 1] += bad
+        with pytest.raises(ValueError, match="not finite and symmetric"):
+            sym_eig(broken)
+    with pytest.raises(ValueError, match="square"):
+        sym_eig(np.zeros((3, 4, 5)))
+    with pytest.raises(ValueError, match="size limit"):
+        sym_eig(np.broadcast_to(0.0, (2, MAX_EIG_SIZE + 1, MAX_EIG_SIZE + 1)))
+
+
+def test_quadrature_eig_refuses_a_stack_with_one_indefinite_member():
+    grid = build_uniform_grid(1, 8)
+    stack = _psd_stack(np.random.default_rng(19), (5,), 8, 4)
+    quadrature_eig(stack, grid)
+    stack[2] -= np.eye(8)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        quadrature_eig(stack, grid)
 
 
 def test_degenerate_kernel_min_spectrum():

@@ -26,6 +26,7 @@ from cdfreg import (
 )
 from cdfreg import numerics
 from cdfreg.environments import BASIS_CATALOG
+from cdfreg.operators import BASIS_CHUNK
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -163,6 +164,23 @@ def test_regress_decomposes_design_operator_once(monkeypatch):
     monkeypatch.setattr(numerics, "sym_eig", counting_sym_eig)
     regress(data, env.basis, 0.1, 2.0, OMEGA, S)
     assert calls == [(OMEGA.size, OMEGA.size)]
+
+
+@pytest.mark.parametrize("n_pairs", [1, 16, 20, 33])
+def test_estimate_eigendecay_makes_one_sym_eig_call_per_chunk(monkeypatch, n_pairs):
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    pairs = _random_pairs(env, n_pairs, 47)
+    calls = []
+
+    def counting_sym_eig(matrix):
+        calls.append(matrix.shape)
+        return sym_eig(matrix)
+
+    monkeypatch.setattr(numerics, "sym_eig", counting_sym_eig)
+    estimate_eigendecay(env.basis, pairs, 16, OMEGA, S)
+    sizes = [min(BASIS_CHUNK, n_pairs - lo) for lo in range(0, n_pairs, BASIS_CHUNK)]
+    assert len(calls) == -(-n_pairs // BASIS_CHUNK)
+    assert calls == [(b, OMEGA.size, OMEGA.size) for b in sizes]
 
 
 def test_eigenfunctions_quadrature_orthonormal():

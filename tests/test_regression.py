@@ -596,3 +596,29 @@ def test_regress_reads_a_dataset_and_its_records_identically():
     assert a.diagnostics == b.diagnostics
     assert (loss(a.theta_hat, data, env.basis, OMEGA, S)
             == loss(a.theta_hat, list(data), env.basis, OMEGA, S))
+
+
+@pytest.mark.parametrize("bad", [1.7, -0.5, float("nan"), float("inf"), 1e19])
+def test_dataset_refuses_non_integral_actions(bad):
+    X, y = np.zeros((2, 2)), np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="actions must be integers"):
+        regression.Dataset(X, [1.0, bad], y)
+    with pytest.raises(ValueError, match="actions must be integers"):
+        regression.as_dataset([(X[0], 1, 0.5), (X[1], bad, 0.5)])
+    # integral floats are actions; an int column is viewed, not copied
+    assert regression.Dataset(X, [1.0, 2.0], y).A.tolist() == [1, 2]
+    A = np.array([1, 2])
+    assert np.shares_memory(regression.Dataset(X, A, y).A, A)
+
+
+def test_basis_values_and_regress_refuse_non_integral_actions():
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    data = generate_dataset(env, 32, np.random.default_rng(43))
+    with pytest.raises(ValueError, match="actions must be integers"):
+        basis_values(env.basis, data.X[:2], data.A[:2] + 0.7, OMEGA, S)
+    # formerly truncated to the integer-action theta_hat
+    shifted = [(x, a + 0.7, y) for x, a, y in data]
+    with pytest.raises(ValueError, match="actions must be integers"):
+        regress(shifted, env.basis, 0.1, 2.0, OMEGA, S)
+    assert np.array_equal(basis_values(env.basis, data.X[:2], data.A[:2] + 0.0, OMEGA, S),
+                          basis_values(env.basis, data.X[:2], data.A[:2], OMEGA, S))
