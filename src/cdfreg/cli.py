@@ -69,22 +69,20 @@ def cmd_regress(args) -> int:
     dataset = harness.read_dataset_csv(args.dataset)
     env = harness.build_environment(config)
     K, d = env.action_count, env.context_dim
-    for x, a, _y in dataset:
-        if not (0 <= a < K and len(x) == d):
-            raise ValueError("record (action %d, context of %d columns) is not one the "
-                             "environment produces (actions 0..%d, %d columns)"
-                             % (a, len(x), K - 1, d))
+    A, width = dataset.A, dataset.X.shape[1]
+    if len(A) and not (0 <= A.min() and A.max() < K and width == d):
+        raise ValueError("records (actions %d..%d, contexts of %d columns) are not ones the "
+                         "environment produces (actions 0..%d, %d columns)"
+                         % (A.min(), A.max(), width, K - 1, d))
     gamma, _s0, _src = harness.resolve_gamma(config, env)
     estimate = regress(dataset, env.basis, gamma, config.M,
                        env.omega_grid, env.s_grid)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     theta_path = outdir / "theta_hat.csv"
-    with open(theta_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w%d" % i for i in range(env.omega_grid.dim)] + ["theta"])
-        for node, val in zip(env.omega_grid.nodes, estimate.theta_hat.values):
-            writer.writerow([*node, val])
+    harness.write_csv(theta_path, ["w%d" % i for i in range(env.omega_grid.dim)] + ["theta"],
+                      ([*node, val] for node, val
+                       in zip(env.omega_grid.nodes, estimate.theta_hat.values)))
     diag = dataclasses.asdict(estimate.diagnostics)
     (outdir / "diagnostics.json").write_text(json.dumps(diag, indent=2))
     print("wrote %s" % theta_path)
@@ -117,12 +115,10 @@ def cmd_sweep(args) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "median", "q1", "q3"])
-        for row in rows:
-            writer.writerow([row["n"], row["median"], row["q1"], row["q3"]])
-            print("n=%d median=%.6g" % (row["n"], row["median"]))
+    columns = ["n", "median", "q1", "q3"]
+    harness.write_csv(path, columns, ([row[k] for k in columns] for row in rows))
+    for row in rows:
+        print("n=%d median=%.6g" % (row["n"], row["median"]))
     print("wrote %s" % path)
     return EXIT_OK
 

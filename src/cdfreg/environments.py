@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import GridFunction, QuadratureGrid
+from .numerics import GridFunction, QuadratureGrid, same_grid
 from .operators import CdfBasis, mixture_cdf
 
 
@@ -23,6 +23,8 @@ class Environment:
 
     def __post_init__(self):
         th = self.theta_star
+        if not same_grid(th.grid, self.omega_grid):
+            raise ValueError("theta_star must live on omega_grid")
         if np.min(th.values) < -1e-9:
             raise ValueError("theta_star must be nonnegative")
         if abs(th.integral() - 1.0) > 1e-9:

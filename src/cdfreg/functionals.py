@@ -66,16 +66,21 @@ def eval_variance(F, grid: QuadratureGrid):
     return ey2 - ey**2
 
 
+def _check_quantile_parameters(q: float, h: float):
+    # the tests state the pass conditions, so NaN fails them
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1), not %r" % (q,))
+    if not 0.0 < h < np.inf:
+        raise ValueError("bandwidth h must be a positive finite number, not %r" % (h,))
+
+
 def eval_smoothed_quantile(F, grid: QuadratureGrid, q: float, h: float):
     """Logistic-smoothed level-q quantile: integral sigma((q - F(s)) / h).
 
     Converges to the exact quantile as h -> 0; Lipschitz with constant
     1/(4h) on L2(S,m) with m(S) = 1.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    if h <= 0.0:
-        raise ValueError("bandwidth h must be positive")
+    _check_quantile_parameters(q, h)
     z = (q - _check_cdf(F, grid)) / h
     sigma = 1.0 / (1.0 + np.exp(-z))
     return _integrate(sigma, grid)
@@ -104,6 +109,8 @@ def variance_functional() -> UtilityFunctional:
 
 
 def smoothed_quantile_functional(q: float, h: float = 0.05) -> UtilityFunctional:
+    _check_quantile_parameters(q, h)
+
     def evaluator(F, grid: QuadratureGrid):
         return eval_smoothed_quantile(F, grid, q, h)
 
@@ -116,8 +123,13 @@ def expected_penalty_functional(loss_row) -> UtilityFunctional:
     By Cauchy-Schwarz, |sum_k l_k d_k| <= sqrt(sum_k l_k^2 / w_k)
     * sqrt(sum_k w_k d_k^2), so with the grid's weights w_k = 1/n_s the
     constant is L = sqrt(n_s) ||l||. Grids with other weights are refused.
+    ``loss_row`` must be a nonempty 1-d array of finite numbers; its length
+    is checked against the grid's at evaluation.
     """
     loss_row = np.asarray(loss_row, dtype=float)
+    if loss_row.ndim != 1 or loss_row.size == 0 or not np.isfinite(loss_row).all():
+        raise ValueError("loss_row must be a nonempty 1-d array of finite numbers, not %r"
+                         % (loss_row.tolist(),))
     s_weights = np.full(loss_row.shape, 1.0 / loss_row.size)
 
     def evaluator(F, grid: QuadratureGrid):

@@ -105,12 +105,11 @@ DECAY_KMAX = 16
 
 def eigendecay_prepass(env: Environment, seed: int, n_pairs: int = DECAY_PAIRS,
                        k_max: int = DECAY_KMAX) -> EigendecayFit:
-    """Eigendecay fit over n_pairs random (context, action) pairs drawn from
-    ``default_rng(seed)``, context then action per pair."""
-    rng = np.random.default_rng(seed)
-    pairs = [(sample_context(env, rng), int(rng.integers(env.action_count)))
-             for _ in range(n_pairs)]
-    return estimate_eigendecay(env.basis, pairs, k_max, env.omega_grid, env.s_grid)
+    """Eigendecay fit over n_pairs random (context, action) pairs drawn by
+    ``_draw_records`` from ``default_rng(seed)``; n_pairs < 1 draws none,
+    which ``estimate_eigendecay`` refuses."""
+    X, A, _ = _draw_records(env, max(n_pairs, 0), np.random.default_rng(seed))
+    return estimate_eigendecay(env.basis, zip(X, A), k_max, env.omega_grid, env.s_grid)
 
 
 def resolve_gamma(config: ExperimentConfig, env: Environment, seed: int = 0):
@@ -121,20 +120,26 @@ def resolve_gamma(config: ExperimentConfig, env: Environment, seed: int = 0):
     return float(config.gamma), float(config.s0), "config"
 
 
-def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
-    """n i.i.d. records with uniform contexts and uniform actions, as a
-    ``Dataset`` of columns X (n, d), A and y.
-
-    Per record the draws are context, action, then the outcome's uniform;
-    outcomes are inverse-CDF draws from true CDFs evaluated chunk by chunk.
-    """
+def _draw_records(env, n, rng, outcomes=False):
+    """The seeded record stream: columns X (n, d), A (n,) and u drawn from
+    ``rng`` with, per record, a context (``sample_context``), an action and,
+    with ``outcomes``, the uniform behind its outcome (u is empty without)."""
     X = np.empty((n, env.context_dim))
     A = np.empty(n, dtype=int)
-    u = np.empty(n)
+    u = np.empty(n if outcomes else 0)
     for i in range(n):
         X[i] = sample_context(env, rng)
         A[i] = rng.integers(env.action_count)
-        u[i] = rng.random()
+        if outcomes:
+            u[i] = rng.random()
+    return X, A, u
+
+
+def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
+    """n i.i.d. records drawn by ``_draw_records``, as a ``Dataset`` of
+    columns X (n, d), A and y; outcomes are inverse-CDF draws from true CDFs
+    evaluated chunk by chunk."""
+    X, A, u = _draw_records(env, n, rng, outcomes=True)
     w_theta = env.omega_grid.weights * env.theta_star.values
     s_coords = env.s_grid.coords()
     y = np.empty(n)
@@ -148,16 +153,12 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
     """Mean squared L2(S) distance between predicted and true CDFs over
     fresh (context, action) pairs.
 
-    Per pair the draws are context, then action; the CDF differences
+    The pairs are drawn by ``_draw_records``; the CDF differences
     (w (theta_hat - theta*)) @ phi are evaluated chunk by chunk.
     """
     if n_pairs < 1:
         raise ValueError("heldout_cdf_error needs at least one pair")
-    X = np.empty((n_pairs, env.context_dim))
-    A = np.empty(n_pairs, dtype=int)
-    for i in range(n_pairs):
-        X[i] = sample_context(env, rng)
-        A[i] = rng.integers(env.action_count)
+    X, A, _ = _draw_records(env, n_pairs, rng)
     w_diff = env.omega_grid.weights * (estimate.theta_hat.values - env.theta_star.values)
     total = 0.0
     for _, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
@@ -219,18 +220,21 @@ def run_config(config: ExperimentConfig, seed: int) -> RegretTrace:
                        gamma_source=source)
 
 
-def write_trace_csv(trace: RegretTrace, path):
-    """Rows: round, epoch, context components x0..x{d-1}, action,
-    optimal_action, gap, cum_regret. ``csv.writer`` writes each float as its
-    shortest round-trip repr, so every field reads back bit for bit."""
-    columns = (trace.epochs, trace.contexts, trace.actions, trace.optimal_actions,
-               trace.gaps, trace.cum_regret)
+def write_csv(path, header, rows):
+    """A header row, then ``rows``; each float is written as its shortest
+    round-trip repr, so every field reads back bit for bit."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "epoch"] + ["x%d" % i for i in range(trace.contexts.shape[1])]
-                        + ["action", "optimal_action", "gap", "cum_regret"])
-        for t, (m, x, a, a_star, gap, cum) in enumerate(zip(*(c.tolist() for c in columns)), 1):
-            writer.writerow([t, m, *x, a, a_star, gap, cum])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trace_csv(trace: RegretTrace, path):
+    """Rows: round, epoch, context components x0..x{d-1}, action,
+    optimal_action, gap, cum_regret."""
+    write_csv(path, ["round", "epoch"] + ["x%d" % i for i in range(trace.contexts.shape[1])]
+              + ["action", "optimal_action", "gap", "cum_regret"],
+              ([t, m, *x, *rest] for t, m, x, *rest in trace.records))
 
 
 def _context_columns(row) -> list:
@@ -285,14 +289,11 @@ def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None
 def write_dataset_csv(dataset, path):
     """Rows: round, context components x0..x{d-1}, action, y, written from
     the columns of ``as_dataset(dataset)``, so an empty dataset writes its
-    header alone; a dataset reads back bit for bit (see
-    ``write_trace_csv``)."""
+    header alone; a dataset reads back bit for bit (see ``write_csv``)."""
     data = as_dataset(dataset)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round"] + ["x%d" % i for i in range(data.X.shape[1])] + ["action", "y"])
-        for i, (x, a, y) in enumerate(zip(data.X.tolist(), data.A.tolist(), data.y.tolist()), 1):
-            writer.writerow([i, *x, a, y])
+    write_csv(path, ["round"] + ["x%d" % i for i in range(data.X.shape[1])] + ["action", "y"],
+              ([i, *x, a, y] for i, (x, a, y)
+               in enumerate(zip(data.X.tolist(), data.A.tolist(), data.y.tolist()), 1)))
 
 
 def read_dataset_csv(path) -> Dataset:

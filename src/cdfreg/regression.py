@@ -101,9 +101,7 @@ def pseudo_inverse_apply(spec: SpectralDecomposition, plan: TruncationPlan,
     """sum_{i <= N_eps} (1/lambda_i) <g, e_i> e_i; zero when nothing is retained."""
     if not same_grid(g.grid, spec.grid):
         raise ValueError("input lives on a different grid")
-    out = np.zeros(spec.grid.size)
-    if plan.n_eps == 0:
-        return GridFunction(spec.grid, out)
+    # with nothing retained, emat is (n, 0) and the product is +0.0 everywhere
     emat = spec.eigenfunctions[:, : plan.n_eps]
     coeffs = emat.T @ (spec.grid.weights * g.values)
     out = emat @ (coeffs / plan.retained_eigenvalues)

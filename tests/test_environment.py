@@ -17,7 +17,7 @@ from cdfreg import (
     spectral_decompose,
     true_cdf,
 )
-from cdfreg.environments import (BASIS_CATALOG, _finite_rank_eval, _kumaraswamy_eval,
+from cdfreg.environments import (BASIS_CATALOG, Environment, _finite_rank_eval, _kumaraswamy_eval,
                                  check_norm_bound)
 
 OMEGA = build_uniform_grid(1, 32)
@@ -28,6 +28,19 @@ def test_rank1_true_cdf_is_identity():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
     f = true_cdf(env, np.array([0.4, 0.8]), 3)
     assert np.allclose(f.values, S.coords(), atol=1e-12)
+
+
+def test_environment_refuses_theta_star_on_another_grid():
+    # a 32-node outcome grid next to a 32-node Omega grid: same size, other
+    # nodes, so theta_star's values would be paired with Omega's weights
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    other = build_cdf_grid(OMEGA.size)
+    theta = GridFunction(other, np.full(other.size, 1.0 / float(np.sum(other.weights))))
+    assert theta.integral() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="theta_star must live on omega_grid"):
+        Environment(env.basis, theta, OMEGA, S, env.context_dim, env.action_count)
+    same = GridFunction(build_uniform_grid(1, 32), env.theta_star.values)
+    Environment(env.basis, same, OMEGA, S, env.context_dim, env.action_count)
 
 
 def test_unknown_names_rejected():

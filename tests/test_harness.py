@@ -402,6 +402,43 @@ def test_cli_decay_prints_the_estimated_gamma(tmp_path, capsys, seed):
     assert (gamma_line, s0_line) == ("gamma = %.2f" % gamma, "s0 = %.6g" % s0)
 
 
+def test_eigendecay_prepass_draws_context_then_action_per_pair(monkeypatch):
+    # the pre-pass draws through harness's own sample_context binding (the
+    # one the benchmark tracer wraps) and leaves its generator where the
+    # per-pair reference leaves its own
+    from cdfreg import estimate_eigendecay, harness, sample_context
+    used = []
+
+    def spy(env, rng):
+        used.append(rng)
+        return sample_context(env, rng)
+
+    monkeypatch.setattr(harness, "sample_context", spy)
+    for name, params in (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8})):
+        env = make_catalog_env(name, OMEGA, S, **params)
+        for seed in (0, 5):
+            used.clear()
+            fit = harness.eigendecay_prepass(env, seed)
+            ref_rng = np.random.default_rng(seed)
+            pairs = [(sample_context(env, ref_rng), int(ref_rng.integers(env.action_count)))
+                     for _ in range(harness.DECAY_PAIRS)]
+            ref = estimate_eigendecay(env.basis, pairs, harness.DECAY_KMAX, OMEGA, S)
+            assert np.array_equal(fit.tau, ref.tau)
+            assert (fit.gamma, fit.s0) == (ref.gamma, ref.s0)
+            assert len(used) == harness.DECAY_PAIRS and len({id(r) for r in used}) == 1
+            assert used[0].bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_cli_decay_refuses_fewer_than_one_pair(tmp_path, capsys, pairs):
+    cpath = tmp_path / "config.json"
+    ExperimentConfig().save(cpath)
+    assert main(["decay", "--config", str(cpath), "--pairs", pairs]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need at least one sample pair" in captured.err
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     assert main(["decay", "--config", "/nonexistent/config.json"]) == 4
     assert main(["run", "--config", "/nonexistent/config.json"]) == 4
@@ -435,6 +472,33 @@ def test_cli_run_rejects_bad_catalog_parameters(tmp_path, capsys, params):
     assert main(["run", "--config", str(cpath)]) == 3
     assert "must be a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trace_seed0.csv").exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"name": "smoothed_quantile", "q": 0.5, "h": 0},
+    {"name": "smoothed_quantile", "q": 0.5, "h": -0.1},
+    {"name": "smoothed_quantile", "q": 0.5, "h": float("inf")},
+    {"name": "smoothed_quantile", "q": 0.5, "h": float("nan")},
+    {"name": "smoothed_quantile", "q": 1.5},
+    {"name": "smoothed_quantile", "q": 0},
+    {"name": "smoothed_quantile", "q": float("nan")},
+    {"name": "expected_penalty", "loss_row": []},
+    {"name": "expected_penalty", "loss_row": [[1.0, 2.0]]},
+    {"name": "expected_penalty", "loss_row": [1.0, float("nan")]},
+    {"name": "expected_penalty", "loss_row": [1.0, float("inf")]},
+])
+def test_cli_run_rejects_bad_functional_parameters(tmp_path, capsys, params):
+    # refused when the entry is built: h = 0 and an empty loss_row used to
+    # raise ZeroDivisionError there, and q = 1.5 was refused only at the
+    # first evaluation, after the pre-pass
+    with pytest.raises(ValueError):
+        make_functional(**params)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"functional": params, "horizon": 8,
+                                 "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert "contract violation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config", [

@@ -3,6 +3,7 @@ target, loss, projection onto C, and error budgets."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def test_select_truncation_thresholds():
     assert plan.epsilon == pytest.approx(64.0 ** (-2.0 / 3.0))
     assert plan.threshold == pytest.approx(64.0 ** (1.0 / 3.0))
     assert plan.retained_eigenvalues.shape == (plan.n_eps,)
+
+
+def test_pseudo_inverse_apply_is_zero_when_nothing_is_retained():
+    # n=1, gamma=1 retains nothing (see above): the (n, 0) eigenfunction
+    # block gives +0.0 at every node, with no warning
+    env, spec = _rank1_spec()
+    plan = select_truncation(spec, 1, 1.0)
+    assert plan.n_eps == 0
+    g = empirical_target([(np.array([0.5, 0.5]), 0, 0.3)], env.basis, OMEGA, S)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pseudo_inverse_apply(spec, plan, g)
+    assert out.grid is spec.grid
+    assert np.array_equal(out.values, np.zeros(OMEGA.size))
+    assert not np.signbit(out.values).any()
 
 
 def test_select_truncation_override_retains_mode():
