@@ -128,8 +128,7 @@ def cmd_fit_slope(args) -> int:
     if path.suffix == ".json":
         checkpoints = json.loads(path.read_text())["checkpoints"]
     else:
-        checkpoints = dyadic_checkpoints([row["cum_regret"]
-                                          for row in harness.read_trace_csv(path)])
+        checkpoints = dyadic_checkpoints(harness.read_trace_csv(path)["cum_regret"])
     # skip zero-regret checkpoints only: a NaN or negative one fails the fit
     slope = harness.fit_loglog_slope([(r, v) for r, v in checkpoints if v != 0])
     print("slope = %.6g" % slope)

@@ -14,9 +14,9 @@ from .engine import RegretTrace, run_episode
 from .environments import (Environment, check_norm_bound, inverse_cdf, make_catalog_env,
                            sample_context)
 from .functionals import make_functional
-from .numerics import build_cdf_grid, build_uniform_grid
+from .numerics import build_cdf_grid, build_uniform_grid, same_grid
 from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
-from .regression import Dataset, as_dataset, regress
+from .regression import Dataset, regress
 
 
 def _positive_int(value) -> bool:
@@ -109,7 +109,7 @@ def eigendecay_prepass(env: Environment, seed: int, n_pairs: int = DECAY_PAIRS,
     ``_draw_records`` from ``default_rng(seed)``; n_pairs < 1 draws none,
     which ``estimate_eigendecay`` refuses."""
     X, A, _ = _draw_records(env, max(n_pairs, 0), np.random.default_rng(seed))
-    return estimate_eigendecay(env.basis, zip(X, A), k_max, env.omega_grid, env.s_grid)
+    return estimate_eigendecay(env.basis, X, A, k_max, env.omega_grid, env.s_grid)
 
 
 def resolve_gamma(config: ExperimentConfig, env: Environment, seed: int = 0):
@@ -138,7 +138,9 @@ def _draw_records(env, n, rng, outcomes=False):
 def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
     """n i.i.d. records drawn by ``_draw_records``, as a ``Dataset`` of
     columns X (n, d), A and y; outcomes are inverse-CDF draws from true CDFs
-    evaluated chunk by chunk."""
+    evaluated chunk by chunk; n = 0 gives an empty one."""
+    if n < 0:
+        raise ValueError("generate_dataset needs n >= 0 records, not %r" % (n,))
     X, A, u = _draw_records(env, n, rng, outcomes=True)
     w_theta = env.omega_grid.weights * env.theta_star.values
     s_coords = env.s_grid.coords()
@@ -154,10 +156,13 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
     fresh (context, action) pairs.
 
     The pairs are drawn by ``_draw_records``; the CDF differences
-    (w (theta_hat - theta*)) @ phi are evaluated chunk by chunk.
+    (w (theta_hat - theta*)) @ phi are evaluated chunk by chunk. An
+    estimate on another Omega grid than the environment's is refused.
     """
     if n_pairs < 1:
         raise ValueError("heldout_cdf_error needs at least one pair")
+    if not same_grid(estimate.theta_hat.grid, env.omega_grid):
+        raise ValueError("estimate lives on a different grid than the environment's Omega grid")
     X, A, _ = _draw_records(env, n_pairs, rng)
     w_diff = env.omega_grid.weights * (estimate.theta_hat.values - env.theta_star.values)
     total = 0.0
@@ -231,49 +236,57 @@ def write_csv(path, header, rows):
 
 def write_trace_csv(trace: RegretTrace, path):
     """Rows: round, epoch, context components x0..x{d-1}, action,
-    optimal_action, gap, cum_regret."""
+    optimal_action, gap, cum_regret, written from the trace's columns."""
+    columns = (trace.epochs, trace.contexts, trace.actions, trace.optimal_actions,
+               trace.gaps, trace.cum_regret)
     write_csv(path, ["round", "epoch"] + ["x%d" % i for i in range(trace.contexts.shape[1])]
               + ["action", "optimal_action", "gap", "cum_regret"],
-              ([t, m, *x, *rest] for t, m, x, *rest in trace.records))
+              ([t, m, *x, *rest] for t, (m, x, *rest)
+               in enumerate(zip(*(col.tolist() for col in columns)), 1)))
 
 
-def _context_columns(row) -> list:
-    return sorted((k for k in row if k.startswith("x")), key=lambda k: int(k[1:]))
+def _read_csv_columns(path, parsers: dict) -> dict:
+    """The columns of a CSV file with a header row, as numpy arrays: each
+    column named in ``parsers`` parsed field by field with its ``int`` or
+    ``float``, and the context components x0..x{d-1} as one C-contiguous
+    (n, d) float array under "context". Blank lines are skipped.
 
-
-def _fields_match_header(row) -> dict:
-    # DictReader puts a row's extra fields under the key None and fills its
-    # missing ones with None
-    if None in row:
-        raise ValueError("%d field(s) more than the header" % len(row[None]))
-    if None in row.values():
-        raise ValueError("fewer fields than the header")
-    return row
-
-
-def _read_csv_rows(path, parse) -> tuple[list, list]:
-    """The header and ``parse(row)`` for each row of a CSV file with a
-    header row; a row with more or fewer fields than the header, or a field
-    that does not parse as a number, raises ``csv.Error`` naming the file
-    and line."""
+    A header that repeats a column, lacks one of ``parsers``, or whose
+    columns starting with x are not x0..x{d-1}, raises ``csv.Error``
+    naming the file and line 1; so does a row with more or fewer fields
+    than the header, or a field that does not parse, naming its line.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        xs = ["x%d" % i for i in range(sum(k.startswith("x") for k in header))]
+        if len(set(header)) < len(header) or not set(header).issuperset([*parsers, *xs]):
+            raise csv.Error("%s line 1: header %r must name %s and context columns x0, x1, "
+                            "..., each once" % (path, ",".join(header), ", ".join(parsers)))
+        index = {k: header.index(k) for k in [*parsers, *xs]}
+        columns, context = {k: [] for k in parsers}, []
         try:
-            return reader.fieldnames or [], [parse(_fields_match_header(row)) for row in reader]
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError("%d field(s) more than the header" % (len(row) - len(header))
+                                     if len(row) > len(header) else "fewer fields than the header")
+                for k, parse in parsers.items():
+                    columns[k].append(parse(row[index[k]]))
+                context.append([float(row[index[k]]) for k in xs])
         except ValueError as exc:
             raise csv.Error("%s line %d: %s" % (path, reader.line_num, exc)) from exc
+    out = {k: np.array(col, dtype=parsers[k]) for k, col in columns.items()}
+    out["context"] = np.array(context, dtype=float).reshape(len(context), len(xs))
+    return out
 
 
-def read_trace_csv(path):
-    return _read_csv_rows(path, lambda row: {
-        "round": int(row["round"]),
-        "epoch": int(row["epoch"]),
-        "context": np.array([float(row[k]) for k in _context_columns(row)]),
-        "action": int(row["action"]),
-        "optimal_action": int(row["optimal_action"]),
-        "gap": float(row["gap"]),
-        "cum_regret": float(row["cum_regret"]),
-    })[1]
+def read_trace_csv(path) -> dict:
+    """A trace CSV as columns: round, epoch, context (T, d), action,
+    optimal_action, gap and cum_regret (see ``_read_csv_columns``)."""
+    return _read_csv_columns(path, {"round": int, "epoch": int, "action": int,
+                                    "optimal_action": int, "gap": float, "cum_regret": float})
 
 
 def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None = None,
@@ -286,21 +299,18 @@ def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None
     Path(path).write_text(json.dumps(summary, indent=2))
 
 
-def write_dataset_csv(dataset, path):
+def write_dataset_csv(dataset: Dataset, path):
     """Rows: round, context components x0..x{d-1}, action, y, written from
-    the columns of ``as_dataset(dataset)``, so an empty dataset writes its
-    header alone; a dataset reads back bit for bit (see ``write_csv``)."""
-    data = as_dataset(dataset)
-    write_csv(path, ["round"] + ["x%d" % i for i in range(data.X.shape[1])] + ["action", "y"],
+    the dataset's columns, so an empty dataset writes its header alone; a
+    dataset reads back bit for bit (see ``write_csv``)."""
+    write_csv(path, ["round"] + ["x%d" % i for i in range(dataset.X.shape[1])] + ["action", "y"],
               ([i, *x, a, y] for i, (x, a, y)
-               in enumerate(zip(data.X.tolist(), data.A.tolist(), data.y.tolist()), 1)))
+               in enumerate(zip(dataset.X.tolist(), dataset.A.tolist(), dataset.y.tolist()), 1)))
 
 
 def read_dataset_csv(path) -> Dataset:
-    """A dataset CSV as a ``Dataset``; a header-only file gives an empty
-    one whose context width is its x columns'."""
-    header, rows = _read_csv_rows(path, lambda row: (
-        [float(row[k]) for k in _context_columns(row)], int(row["action"]), float(row["y"])))
-    dim = len(_context_columns(header))
-    X = np.array([x for x, _, _ in rows], dtype=float).reshape(len(rows), dim)
-    return Dataset(X, [a for _, a, _ in rows], [y for _, _, y in rows])
+    """A dataset CSV as a ``Dataset`` (see ``_read_csv_columns``); a
+    header-only file gives an empty one whose context width is its x
+    columns'."""
+    columns = _read_csv_columns(path, {"action": int, "y": float})
+    return Dataset(columns["context"], columns["action"], columns["y"])

@@ -194,24 +194,22 @@ GAMMA_LADDER = tuple(round(0.1 * k, 1) for k in range(1, 11))
 S0_BUDGET = 10.0
 
 
-def estimate_eigendecay(basis: CdfBasis, sample_pairs, k_max: int,
+def estimate_eigendecay(basis: CdfBasis, X, A, k_max: int,
                         omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> EigendecayFit:
     """Empirical dominating sequence over sampled point operators.
 
-    tau_k is the max over the sampled (x, a) of the k-th point-operator
-    eigenvalue; gamma is the smallest ladder value whose prefix power sum
-    stays within ``S0_BUDGET`` (gamma = 1 if none does). Each chunk's
-    point kernels are eigensolved as one stack, one ``quadrature_eig``
-    call per ``BASIS_CHUNK`` pairs.
+    tau_k is the max over the sampled pairs, contexts X (n, d) and actions
+    A (n,), of the k-th point-operator eigenvalue; gamma is the smallest
+    ladder value whose prefix power sum stays within ``S0_BUDGET``
+    (gamma = 1 if none does). Each chunk's point kernels are eigensolved
+    as one stack, one ``quadrature_eig`` call per ``BASIS_CHUNK`` pairs.
     """
-    sample_pairs = list(sample_pairs)
-    if not sample_pairs:
+    if len(A) == 0:
         raise ValueError("need at least one sample pair")
     if k_max < 4:
         raise ValueError("k_max must be at least 4")
     k_max = min(k_max, omega_grid.size)
     tau = np.zeros(k_max)
-    X, A = zip(*sample_pairs)
     for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
         k = pair_kernels(phi, s_grid.weights)
         vals = quadrature_eig((k + k.transpose(0, 2, 1)) / 2, omega_grid).eigenvalues

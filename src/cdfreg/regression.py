@@ -184,29 +184,16 @@ class Dataset(Sequence):
         return zip(self.X, self.A.tolist(), self.y.tolist())
 
 
-def as_dataset(records) -> Dataset:
-    """``records`` itself if it is a ``Dataset``, else its (x, a, y) triples
-    stacked into columns once; a context may be a scalar (d = 1)."""
-    if isinstance(records, Dataset):
-        return records
-    records = list(records)
-    if not records:
-        return Dataset(np.empty((0, 0)), [], [])
-    X, A, y = zip(*records)
-    return Dataset(np.asarray(X, dtype=float).reshape(len(records), -1), A, y)
-
-
-def _dataset_chunks(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
+def _dataset_chunks(dataset: Dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
                     s_grid: QuadratureGrid):
     """(phi, y) over successive ``BASIS_CHUNK`` chunks of a dataset's
-    columns (``as_dataset``), from ``basis_chunks``, which evaluates phi once
-    per batch of whole chunks up to ``EVAL_BYTES``."""
-    data = as_dataset(dataset)
-    for sl, phi in basis_chunks(basis, data.X, data.A, omega_grid, s_grid):
-        yield phi, data.y[sl]
+    columns, from ``basis_chunks``, which evaluates phi once per batch of
+    whole chunks up to ``EVAL_BYTES``."""
+    for sl, phi in basis_chunks(basis, dataset.X, dataset.A, omega_grid, s_grid):
+        yield phi, dataset.y[sl]
 
 
-def data_statistics(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
+def data_statistics(dataset: Dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
                     s_grid: QuadratureGrid) -> DataStatistics:
     """Everything the oracle needs from a dataset, from one basis pass."""
     stats = DataStatistics(omega_grid, s_grid)
@@ -215,13 +202,13 @@ def data_statistics(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
     return stats
 
 
-def empirical_target(dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
+def empirical_target(dataset: Dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
                      s_grid: QuadratureGrid) -> GridFunction:
     """sum_j integral_S 1{y_j <= s} phi(x_j, a_j, w, s) dm(s) on the Omega grid."""
     return GridFunction(omega_grid, data_statistics(dataset, basis, omega_grid, s_grid).target)
 
 
-def loss(theta: GridFunction, dataset, basis: CdfBasis,
+def loss(theta: GridFunction, dataset: Dataset, basis: CdfBasis,
          omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> float:
     """Summed squared L2(S) distance between indicator targets and the
     mixture CDFs induced by theta."""
@@ -464,7 +451,7 @@ def predict_cdf(estimate: CoefficientEstimate, basis: CdfBasis, x, a: int,
     return mixture_cdf(basis, estimate.theta_hat, x, a, s_grid)
 
 
-def regress(dataset, basis: CdfBasis, gamma: float, M: float,
+def regress(dataset: Dataset, basis: CdfBasis, gamma: float, M: float,
             omega_grid: QuadratureGrid, s_grid: QuadratureGrid,
             statistics: DataStatistics | None = None) -> CoefficientEstimate:
     """The full oracle: design operator, spectral truncation, least squares,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cdfreg import (
+    Dataset,
     basis_values,
     build_cdf_grid,
     build_uniform_grid,
@@ -255,6 +256,7 @@ def _per_round_reference(env, functional, T, delta, gamma, M, seed, scale, s0):
                                   basis.covering_constant_A, basis.omega_dim,
                                   basis.kernel_floor_eta)
             varsigma = exploration_param(m, K, budget, scale)
+            prev = Dataset(*map(np.array, zip(*prev)))
             w_hat = omega.weights * regress(prev, basis, gamma, M, omega, S).theta_hat.values
             calls += 1
         varsigmas.append(varsigma)
@@ -314,7 +316,7 @@ def test_engine_statistics_equal_data_statistics(monkeypatch, name, params, K):
             built.append(self)
 
     def oracle(data, *args, statistics=None, **kwargs):
-        handed.append((list(data), statistics))
+        handed.append((data, statistics))
         return regression.regress(data, *args, statistics=statistics, **kwargs)
 
     monkeypatch.setattr(engine, "DataStatistics", Counted)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cdfreg import (
+    Dataset,
     ExperimentConfig,
     build_cdf_grid,
     build_uniform_grid,
@@ -93,6 +94,29 @@ def test_generate_dataset_equals_per_sample_draws():
         assert rng.random() == ref_rng.random()
 
 
+def test_generate_dataset_refuses_negative_n_by_name():
+    # numpy used to refuse it as "negative dimensions are not allowed"
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    with pytest.raises(ValueError, match="generate_dataset needs n >= 0 records, not -1"):
+        generate_dataset(env, -1, np.random.default_rng(0))
+    empty = generate_dataset(env, 0, np.random.default_rng(0))
+    assert len(empty) == 0 and empty.X.shape == (0, env.context_dim)
+
+
+def test_heldout_cdf_error_refuses_an_estimate_off_the_omega_grid():
+    # an estimate on 32 CDF-grid nodes, scored against the 32-node uniform
+    # grid, used to return an error of about 2e-3
+    from cdfreg import CoefficientEstimate, GridFunction, heldout_cdf_error
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    off = build_cdf_grid(32)
+    estimate = CoefficientEstimate(GridFunction(off, np.ones(off.size)), Diagnostics())
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="different grid"):
+        heldout_cdf_error(estimate, env, 8, rng)
+    assert rng.bit_generator.state == state  # refused before any pair is drawn
+
+
 def test_heldout_cdf_error_equals_per_pair_reference():
     from cdfreg import heldout_cdf_error, predict_cdf, regress, sample_context, true_cdf
     for name, params in (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8})):
@@ -115,12 +139,11 @@ def test_heldout_cdf_error_equals_per_pair_reference():
 
 def test_dataset_csv_round_trip_keeps_context_order(tmp_path):
     rng = np.random.default_rng(12)
-    data = [(rng.random(12), int(rng.integers(5)), float(rng.random())) for _ in range(4)]
+    data = Dataset(rng.random((4, 12)), rng.integers(5, size=4), rng.random(4))
     path = tmp_path / "data12.csv"
     write_dataset_csv(data, path)
     back = read_dataset_csv(path)
-    for (x, _, _), (x2, _, _) in zip(data, back):
-        assert np.allclose(x, x2)
+    assert np.allclose(back.X, data.X)
 
 
 def _former_write_dataset_csv(dataset, path):
@@ -193,14 +216,29 @@ def test_trace_round_trip_and_summary(tmp_path):
     trace = run_episode(env, make_functional("mean"), 64, 0.1, 0.1, 2.0, seed=3)
     tpath = tmp_path / "trace.csv"
     write_trace_csv(trace, tpath)
-    rows = read_trace_csv(tpath)
-    assert len(rows) == 64
-    assert rows[-1]["cum_regret"] == trace.summary["final_regret"]
+    cols = read_trace_csv(tpath)
+    assert len(cols["cum_regret"]) == 64
+    assert cols["cum_regret"][-1] == trace.summary["final_regret"]
     spath = tmp_path / "summary.json"
     write_summary_json(trace, spath, wall_time=1.0)
     summary = json.loads(spath.read_text())
     assert summary["T"] == 64
     assert summary["oracle_calls"] <= 7
+
+
+def _assert_trace_columns(cols, trace):
+    """``read_trace_csv`` columns hold the trace's, value for value, with
+    C-contiguous contexts."""
+    T = trace.gaps.shape[0]
+    assert sorted(cols) == sorted(["round", "epoch", "context", "action", "optimal_action",
+                                   "gap", "cum_regret"])
+    for key, col in (("round", np.arange(1, T + 1)), ("epoch", trace.epochs),
+                     ("context", trace.contexts), ("action", trace.actions),
+                     ("optimal_action", trace.optimal_actions), ("gap", trace.gaps),
+                     ("cum_regret", trace.cum_regret)):
+        assert cols[key].shape == col.shape and cols[key].dtype == col.dtype
+        assert np.array_equal(cols[key], col), key
+    assert cols["context"].flags.c_contiguous
 
 
 @pytest.mark.parametrize("context_dim", [1, 2, 12])
@@ -212,13 +250,7 @@ def test_trace_csv_round_trips_contexts(tmp_path, capsys, context_dim):
     write_trace_csv(trace, path)
     header = path.read_text().splitlines()[0].split(",")
     assert header[2:2 + context_dim] == ["x%d" % i for i in range(context_dim)]
-    rows = read_trace_csv(path)
-    assert len(rows) == len(trace.records)
-    for (t, m, x, a, a_star, gap, cum), row in zip(trace.records, rows):
-        assert np.array_equal(row["context"], np.array(x))
-        assert (row["round"], row["epoch"], row["action"], row["optimal_action"]) == (
-            t, m, a, a_star)
-        assert row["gap"] == gap and row["cum_regret"] == cum
+    _assert_trace_columns(read_trace_csv(path), trace)
     capsys.readouterr()
     assert main(["fit-slope", str(path)]) == 0
     assert "slope" in capsys.readouterr().out
@@ -230,14 +262,10 @@ def test_trace_csv_reads_back_bit_for_bit(tmp_path, capsys):
     trace = run_episode(env, make_functional("mean"), 1024, 0.1, 1.0, 2.0, seed=1)
     tpath = tmp_path / "trace.csv"
     write_trace_csv(trace, tpath)
-    rows = read_trace_csv(tpath)
-    assert len(rows) == 1024
-    for (t, m, x, a, a_star, gap, cum), row in zip(trace.records, rows):
-        assert row["round"] == t and row["epoch"] == m
-        assert np.array_equal(row["context"], np.array(x))
-        assert row["action"] == a and row["optimal_action"] == a_star
-        assert row["gap"] == gap and row["cum_regret"] == cum
-    checkpoints = dyadic_checkpoints([row["cum_regret"] for row in rows])
+    cols = read_trace_csv(tpath)
+    assert len(cols["round"]) == 1024
+    _assert_trace_columns(cols, trace)
+    checkpoints = dyadic_checkpoints(cols["cum_regret"])
     assert checkpoints == trace.checkpoints()
     assert fit_loglog_slope(checkpoints) == regret_slope(trace)
     spath = tmp_path / "summary.json"
@@ -420,9 +448,10 @@ def test_eigendecay_prepass_draws_context_then_action_per_pair(monkeypatch):
             used.clear()
             fit = harness.eigendecay_prepass(env, seed)
             ref_rng = np.random.default_rng(seed)
-            pairs = [(sample_context(env, ref_rng), int(ref_rng.integers(env.action_count)))
-                     for _ in range(harness.DECAY_PAIRS)]
-            ref = estimate_eigendecay(env.basis, pairs, harness.DECAY_KMAX, OMEGA, S)
+            X, A = zip(*[(sample_context(env, ref_rng), int(ref_rng.integers(env.action_count)))
+                         for _ in range(harness.DECAY_PAIRS)])
+            ref = estimate_eigendecay(env.basis, np.array(X), np.array(A), harness.DECAY_KMAX,
+                                      OMEGA, S)
             assert np.array_equal(fit.tau, ref.tau)
             assert (fit.gamma, fit.s0) == (ref.gamma, ref.s0)
             assert len(used) == harness.DECAY_PAIRS and len({id(r) for r in used}) == 1
@@ -718,9 +747,9 @@ def _regress_dataset_files(tmp_path):
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda data: [(data[0][0], 9, data[0][2])] + list(data[1:]),
-    lambda data: [(data[0][0], -3, data[0][2])] + list(data[1:]),
-    lambda data: [(x[:1], a, y) for x, a, y in data],
+    lambda data: Dataset(data.X, np.r_[9, data.A[1:]], data.y),
+    lambda data: Dataset(data.X, np.r_[-3, data.A[1:]], data.y),
+    lambda data: Dataset(data.X[:, :1], data.A, data.y),
 ], ids=["action-9", "action-minus-3", "one-context-column"])
 def test_cli_regress_refuses_records_the_environment_cannot_produce(tmp_path, capsys, mutate):
     cpath, data, env = _regress_dataset_files(tmp_path)
@@ -751,6 +780,44 @@ def test_cli_regress_exit_code_of_a_bad_number(tmp_path, capsys, column, value, 
     err = capsys.readouterr().err
     assert err.startswith("malformed config or input" if code == 2 else "contract violation")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "round,x0,xa,action,y\n",
+    "round,x0,xa,action,y\n1,0.1,0.2,1,0.5\n",
+    "round,x0,x0,action,y\n1,0.1,0.2,1,0.5\n",
+    "round,x0,x2,action,y\n1,0.1,0.2,1,0.5\n",
+    "round,x0,x1,y\n",
+    "round,x0,x1,action\n",
+    "",
+], ids=["xa-header-only", "xa", "x0-twice", "x0-x2", "no-action", "no-y", "empty"])
+def test_cli_regress_exit_code_of_a_bad_header(tmp_path, capsys, text):
+    # the header is checked once, before any row: these used to exit 3
+    # ("dataset must be nonempty", a failed reshape, or an int() of "a" on
+    # a header-only file), 2 only once a row was read, or 0 with x0,x2
+    # taken for a 2-d context
+    cpath, _data, _env = _regress_dataset_files(tmp_path)
+    dpath = tmp_path / "data.csv"
+    dpath.write_text(text)
+    with pytest.raises(csv.Error, match=r"data\.csv line 1: header"):
+        read_dataset_csv(dpath)
+    assert main(["regress", "--config", str(cpath), "--dataset", str(dpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed config or input") and "line 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_fit_slope_refuses_a_trace_without_cum_regret(tmp_path, capsys):
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run_episode(env, make_functional("mean"), 32, 0.1, 1.0, 2.0, seed=0), path)
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in path.read_text().splitlines()))
+    with pytest.raises(csv.Error, match=r"trace\.csv line 1: header"):
+        read_trace_csv(path)
+    assert main(["fit-slope", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed config or input") and "line 1" in err
 
 
 def test_cli_fit_slope_unparsable_trace_number_is_malformed_input(tmp_path, capsys):
@@ -802,3 +869,33 @@ def test_cli_regress_exits_2_on_a_row_with_extra_fields(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("malformed config or input") and "line 6" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_package_reads_and_writes_records_as_columns_only(tmp_path, capsys, monkeypatch):
+    # the tuple views stay for outside callers; every command and the CSV
+    # round trip run with them raising
+    from cdfreg import RegretTrace
+
+    def tuple_view(*_args):
+        raise AssertionError("a tuple view of the records was read")
+
+    monkeypatch.setattr(RegretTrace, "records", property(tuple_view))
+    monkeypatch.setattr(Dataset, "__getitem__", tuple_view)
+    monkeypatch.setattr(Dataset, "__iter__", tuple_view)
+    cfg = ExperimentConfig(horizon=64, gamma="estimate", seeds=(0, 1, 2, 3, 4),
+                           sweep_n=(16, 32), heldout_pairs=8, output_dir=str(tmp_path / "out"))
+    cpath, dpath = tmp_path / "config.json", tmp_path / "data.csv"
+    cfg.save(cpath)
+    data = generate_dataset(build_environment(cfg), 64, np.random.default_rng(0))
+    write_dataset_csv(data, dpath)
+    back = read_dataset_csv(dpath)
+    for got, want in ((back.X, data.X), (back.A, data.A), (back.y, data.y)):
+        assert np.array_equal(got, want)
+    for argv in (["decay", "--config", str(cpath)], ["run", "--config", str(cpath)],
+                 ["regress", "--config", str(cpath), "--dataset", str(dpath)],
+                 ["sweep", "--config", str(cpath)],
+                 ["fit-slope", str(tmp_path / "out" / "trace_seed0.csv")],
+                 ["fit-slope", str(tmp_path / "out" / "summary_seed0.json")]):
+        assert main(argv) == 0, argv
+    from_csv, from_json = capsys.readouterr().out.splitlines()[-2:]
+    assert from_csv == from_json

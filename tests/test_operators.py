@@ -8,6 +8,7 @@ import pytest
 
 from cdfreg import (
     CdfBasis,
+    Dataset,
     DesignOperator,
     GridFunction,
     basis_values,
@@ -41,6 +42,12 @@ def _random_pairs(env, count, seed):
     rng = np.random.default_rng(seed)
     return [(sample_context(env, rng), int(rng.integers(env.action_count)))
             for _ in range(count)]
+
+
+def _columns(pairs):
+    """(context, action) pairs as columns X (n, d) and A (n,)."""
+    X, A = zip(*pairs)
+    return np.array(X), np.array(A)
 
 
 def test_batched_rows_equal_single_pair_evaluations():
@@ -79,7 +86,7 @@ def test_basis_contract_violations_raise():
         with pytest.raises(ValueError):
             point_kernel(basis, x, a, OMEGA, S)
         with pytest.raises(ValueError):
-            regress([(x, a, 0.5)] * 3, basis, 0.1, 2.0, OMEGA, S)
+            regress(Dataset([x] * 3, [a] * 3, [0.5] * 3), basis, 0.1, 2.0, OMEGA, S)
 
 
 def test_rank1_kernel_is_constant_second_moment():
@@ -177,7 +184,7 @@ def test_estimate_eigendecay_makes_one_sym_eig_call_per_chunk(monkeypatch, n_pai
         return sym_eig(matrix)
 
     monkeypatch.setattr(numerics, "sym_eig", counting_sym_eig)
-    estimate_eigendecay(env.basis, pairs, 16, OMEGA, S)
+    estimate_eigendecay(env.basis, *_columns(pairs), 16, OMEGA, S)
     sizes = [min(BASIS_CHUNK, n_pairs - lo) for lo in range(0, n_pairs, BASIS_CHUNK)]
     assert len(calls) == -(-n_pairs // BASIS_CHUNK)
     assert calls == [(b, OMEGA.size, OMEGA.size) for b in sizes]
@@ -194,7 +201,7 @@ def test_eigenfunctions_quadrature_orthonormal():
 
 def test_estimate_eigendecay_rank1():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
-    fit = estimate_eigendecay(env.basis, _random_pairs(env, 5, 41), 6, OMEGA, S)
+    fit = estimate_eigendecay(env.basis, *_columns(_random_pairs(env, 5, 41)), 6, OMEGA, S)
     # rank one: a single eigenvalue ~1/3, every gamma on the ladder works
     assert fit.gamma == 0.1
     assert fit.tau[0] == pytest.approx(0.3412, abs=1e-3)
@@ -205,7 +212,7 @@ def test_estimate_eigendecay_rank1():
 def test_estimate_eigendecay_dominates_samples():
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     pairs = _random_pairs(env, 10, 43)
-    fit = estimate_eigendecay(env.basis, pairs, 8, OMEGA, S)
+    fit = estimate_eigendecay(env.basis, *_columns(pairs), 8, OMEGA, S)
     for x, a in pairs:
         spec = spectral_decompose(design_operator(env.basis, [(x, a)], OMEGA, S))
         k = min(8, spec.eigenvalues.shape[0])
@@ -228,7 +235,7 @@ def test_estimate_eigendecay_equals_per_pair_reference(name, seed):
 
     pairs = _random_pairs(env, 20, seed)
     basis = dataclasses.replace(env.basis, eval_matrix=counting)
-    fit = estimate_eigendecay(basis, pairs, 16, OMEGA, S)
+    fit = estimate_eigendecay(basis, *_columns(pairs), 16, OMEGA, S)
     assert batches == [20]
     tau = np.zeros(16)
     for x, a in pairs:

@@ -63,7 +63,7 @@ def test_pseudo_inverse_apply_is_zero_when_nothing_is_retained():
     env, spec = _rank1_spec()
     plan = select_truncation(spec, 1, 1.0)
     assert plan.n_eps == 0
-    g = empirical_target([(np.array([0.5, 0.5]), 0, 0.3)], env.basis, OMEGA, S)
+    g = empirical_target(regression.Dataset([[0.5, 0.5]], [0], [0.3]), env.basis, OMEGA, S)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = pseudo_inverse_apply(spec, plan, g)
@@ -84,7 +84,7 @@ def test_select_truncation_override_retains_mode():
 
 def test_empirical_target_rank1_at_zero():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
-    target = empirical_target([(np.array([0.5, 0.5]), 0, 0.0)], env.basis, OMEGA, S)
+    target = empirical_target(regression.Dataset([[0.5, 0.5]], [0], [0.0]), env.basis, OMEGA, S)
     # y=0 makes the indicator 1 everywhere, so the target is the
     # right-endpoint quadrature of s over [0,1] at every omega node
     expected = sum(j / 64 for j in range(1, 65)) / 64
@@ -94,13 +94,13 @@ def test_empirical_target_rank1_at_zero():
 def test_loss_empty_dataset_is_zero():
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     theta = GridFunction(OMEGA, np.ones(OMEGA.size))
-    assert loss(theta, [], env.basis, OMEGA, S) == 0.0
+    assert loss(theta, regression.Dataset(np.empty((0, 2)), [], []), env.basis, OMEGA, S) == 0.0
 
 
 def test_loss_zero_theta_full_indicator():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
     theta = GridFunction(OMEGA, np.zeros(OMEGA.size))
-    value = loss(theta, [(np.array([0.2, 0.2]), 0, 0.0)], env.basis, OMEGA, S)
+    value = loss(theta, regression.Dataset([[0.2, 0.2]], [0], [0.0]), env.basis, OMEGA, S)
     assert value == pytest.approx(1.0, abs=1e-2)
 
 
@@ -446,9 +446,9 @@ def test_regress_end_to_end_recovers_cdf():
 def test_regress_rejects_bad_outcomes():
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     with pytest.raises(ValueError):
-        regress([(np.array([0.1, 0.1]), 0, 1.5)], env.basis, 0.1, 2.0, OMEGA, S)
+        regress(regression.Dataset([[0.1, 0.1]], [0], [1.5]), env.basis, 0.1, 2.0, OMEGA, S)
     with pytest.raises(ValueError):
-        regress([], env.basis, 0.1, 2.0, OMEGA, S)
+        regress(regression.Dataset(np.empty((0, 2)), [], []), env.basis, 0.1, 2.0, OMEGA, S)
 
 
 def test_predict_cdf_is_valid_cdf():
@@ -537,8 +537,8 @@ def test_regress_from_statistics_equals_dataset_path(name, params, n):
     # the accumulator adds chunk by chunk, so the same chunks give the same bits
     again = regression.DataStatistics(OMEGA, S)
     for lo in range(0, len(data), BASIS_CHUNK):
-        X, A, y = zip(*data[lo:lo + BASIS_CHUNK])
-        again.add(basis_values(env.basis, X, A, OMEGA, S), y)
+        sl = slice(lo, lo + BASIS_CHUNK)
+        again.add(basis_values(env.basis, data.X[sl], data.A[sl], OMEGA, S), data.y[sl])
     assert again.kernel.tobytes() == stats.kernel.tobytes()
     assert again.target.tobytes() == stats.target.tobytes()
     assert (again.indicator_sq, again.count) == (stats.indicator_sq, stats.count)
@@ -563,8 +563,7 @@ def test_data_statistics_evaluates_phi_in_batches_of_chunks(omega_nodes, s_nodes
     assert stats.count == n
     assert len(sizes) == math.ceil(n / batch) and max(sizes) == batch
     # consumers still see BASIS_CHUNK-row chunks, contiguous in memory
-    X, A, _ = zip(*data)
-    chunks = list(basis_chunks(env.basis, X, A, omega, s))
+    chunks = list(basis_chunks(env.basis, data.X, data.A, omega, s))
     assert [sl for sl, _ in chunks] == [slice(lo, lo + BASIS_CHUNK)
                                         for lo in range(0, n, BASIS_CHUNK)]
     assert [phi.shape[0] for _, phi in chunks] == [BASIS_CHUNK] * (n // BASIS_CHUNK) + [n % BASIS_CHUNK]
@@ -575,7 +574,9 @@ def test_regress_refuses_statistics_of_another_dataset():
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
     data = generate_dataset(env, 20, np.random.default_rng(67))
     stats = regression.data_statistics(data, env.basis, OMEGA, S)
-    for other in (data[:-1], list(data) + [data[0]], []):
+    longer = regression.Dataset(*(np.concatenate([col, col[:1]])
+                                  for col in (data.X, data.A, data.y)))
+    for other in (data[:-1], longer, regression.Dataset(np.empty((0, 2)), [], [])):
         with pytest.raises(ValueError, match="statistics count"):
             regress(other, env.basis, 0.1, 2.0, OMEGA, S, statistics=stats)
     with pytest.raises(ValueError, match="outside the support"):
@@ -602,25 +603,13 @@ def test_dataset_is_a_sequence_of_records_over_read_only_columns():
         regression.Dataset(X, A[:3], y)
 
 
-def test_regress_reads_a_dataset_and_its_records_identically():
-    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
-    data = generate_dataset(env, 300, np.random.default_rng(41))
-    assert isinstance(data, regression.Dataset)
-    a = regress(data, env.basis, 0.1, 2.0, OMEGA, S)
-    b = regress(list(data), env.basis, 0.1, 2.0, OMEGA, S)
-    assert a.theta_hat.values.tobytes() == b.theta_hat.values.tobytes()
-    assert a.diagnostics == b.diagnostics
-    assert (loss(a.theta_hat, data, env.basis, OMEGA, S)
-            == loss(a.theta_hat, list(data), env.basis, OMEGA, S))
-
-
 @pytest.mark.parametrize("bad", [1.7, -0.5, float("nan"), float("inf"), 1e19])
 def test_dataset_refuses_non_integral_actions(bad):
     X, y = np.zeros((2, 2)), np.array([0.5, 0.5])
     with pytest.raises(ValueError, match="actions must be integers"):
         regression.Dataset(X, [1.0, bad], y)
     with pytest.raises(ValueError, match="actions must be integers"):
-        regression.as_dataset([(X[0], 1, 0.5), (X[1], bad, 0.5)])
+        regression.Dataset(X, np.array([1.0, bad]), y)
     # integral floats are actions; an int column is viewed, not copied
     assert regression.Dataset(X, [1.0, 2.0], y).A.tolist() == [1, 2]
     A = np.array([1, 2])
@@ -633,8 +622,7 @@ def test_basis_values_and_regress_refuse_non_integral_actions():
     with pytest.raises(ValueError, match="actions must be integers"):
         basis_values(env.basis, data.X[:2], data.A[:2] + 0.7, OMEGA, S)
     # formerly truncated to the integer-action theta_hat
-    shifted = [(x, a + 0.7, y) for x, a, y in data]
     with pytest.raises(ValueError, match="actions must be integers"):
-        regress(shifted, env.basis, 0.1, 2.0, OMEGA, S)
+        regress(regression.Dataset(data.X, data.A + 0.7, data.y), env.basis, 0.1, 2.0, OMEGA, S)
     assert np.array_equal(basis_values(env.basis, data.X[:2], data.A[:2] + 0.0, OMEGA, S),
                           basis_values(env.basis, data.X[:2], data.A[:2], OMEGA, S))
