@@ -156,7 +156,9 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     w_theta_star = omega_grid.weights * env.theta_star.values
 
     draws = rng.random((T, d + 2))
-    X, u_action, u_outcome = draws[:, :d], draws[:, d], draws[:, d + 1]
+    # the contexts are a C-contiguous copy: the trace keeps them, and a view
+    # would keep the whole draw array, spent uniforms included, alive
+    X, u_action, u_outcome = draws[:, :d].copy(), draws[:, d], draws[:, d + 1]
     actions, optimal = np.empty(T, dtype=int), np.empty(T, dtype=int)
     gaps, y = np.empty(T), np.empty(T)
     varsigmas, diagnostics, stats = [], [], None

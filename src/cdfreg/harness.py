@@ -245,6 +245,9 @@ def write_trace_csv(trace: RegretTrace, path):
                in enumerate(zip(*(col.tolist() for col in columns)), 1)))
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _read_csv_columns(path, parsers: dict) -> dict:
     """The columns of a CSV file with a header row, as numpy arrays: each
     column named in ``parsers`` parsed field by field with its ``int`` or
@@ -254,7 +257,8 @@ def _read_csv_columns(path, parsers: dict) -> dict:
     A header that repeats a column, lacks one of ``parsers``, or whose
     columns starting with x are not x0..x{d-1}, raises ``csv.Error``
     naming the file and line 1; so does a row with more or fewer fields
-    than the header, or a field that does not parse, naming its line.
+    than the header, or a field that does not parse (an int beyond int64
+    included), naming its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -273,7 +277,10 @@ def _read_csv_columns(path, parsers: dict) -> dict:
                     raise ValueError("%d field(s) more than the header" % (len(row) - len(header))
                                      if len(row) > len(header) else "fewer fields than the header")
                 for k, parse in parsers.items():
-                    columns[k].append(parse(row[index[k]]))
+                    value = parse(row[index[k]])
+                    if parse is int and not _INT64.min <= value <= _INT64.max:
+                        raise ValueError("%s = %s lies outside the int64 range" % (k, value))
+                    columns[k].append(value)
                 context.append([float(row[index[k]]) for k in xs])
         except ValueError as exc:
             raise csv.Error("%s line %d: %s" % (path, reader.line_num, exc)) from exc

@@ -117,6 +117,22 @@ def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
     return QuadratureGrid(nodes[:, None], weights)
 
 
+def _symmetrized(matrix) -> np.ndarray:
+    """``matrix`` as a float stack (..., n, n), symmetrized as (a + a^T) / 2
+    after the size limit and the symmetry check, which apply to each matrix:
+    one that fails refuses the whole stack."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("matrix must be square")
+    if a.shape[-1] > MAX_EIG_SIZE:
+        raise ValueError("matrix exceeds the %d size limit" % MAX_EIG_SIZE)
+    at = np.swapaxes(a, -1, -2)
+    if not np.all(np.max(np.abs(a - at), axis=(-2, -1))
+                  <= 1e-10 * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))):
+        raise ValueError("matrix is not finite and symmetric")
+    return (a + at) / 2.0
+
+
 def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of a
     symmetric matrix, or of each matrix in a stack.
@@ -130,16 +146,7 @@ def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     contract (residuals within 1e-8 * ||A||, orthonormal vectors) is what
     the rest of the package relies on.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError("matrix must be square")
-    if a.shape[-1] > MAX_EIG_SIZE:
-        raise ValueError("matrix exceeds the %d size limit" % MAX_EIG_SIZE)
-    at = np.swapaxes(a, -1, -2)
-    if not np.all(np.max(np.abs(a - at), axis=(-2, -1))
-                  <= 1e-10 * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))):
-        raise ValueError("matrix is not finite and symmetric")
-    vals, vecs = np.linalg.eigh((a + at) / 2.0)
+    vals, vecs = np.linalg.eigh(_symmetrized(matrix))
     # eigh returns each matrix's eigenvalues in ascending order
     return vals[..., ::-1], vecs[..., ::-1]
 
@@ -173,6 +180,15 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues must be descending")
 
 
+def _clamped(vals: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues (..., n) clamped to zero after the positive
+    semidefiniteness check that both quadrature solvers share (see
+    ``quadrature_eig``)."""
+    if np.any(vals[..., -1] < -np.maximum(1e-10 * np.maximum(vals[..., 0], 0.0), 1e-12)):
+        raise ValueError("kernel operator is not positive semidefinite")
+    return np.maximum(vals, 0.0)
+
+
 def quadrature_eig(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> SpectralDecomposition:
     """Eigenpairs of the integral operator whose symmetric positive
     semidefinite kernel has values ``kernel_matrix`` at the grid's nodes,
@@ -190,9 +206,21 @@ def quadrature_eig(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> SpectralD
     """
     sqw = np.sqrt(grid.weights)
     vals, vecs = sym_eig(sqw[:, None] * kernel_matrix * sqw[None, :])
-    if np.any(vals[..., -1] < -np.maximum(1e-10 * np.maximum(vals[..., 0], 0.0), 1e-12)):
-        raise ValueError("kernel operator is not positive semidefinite")
-    return SpectralDecomposition(np.maximum(vals, 0.0), vecs / sqw[:, None], grid)
+    return SpectralDecomposition(_clamped(vals), vecs / sqw[:, None], grid)
+
+
+def quadrature_eigvals(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """The eigenvalues of ``quadrature_eig`` without eigenfunctions:
+    descending and clamped, (..., n) for a stack (..., n, n), refused by
+    the same checks. LAPACK's eigenvalue-only solver takes about half the
+    time and runs on each matrix of a stack as on that matrix alone, so a
+    stack's eigenvalues equal the per-matrix calls' bit for bit. Being
+    another algorithm, it can differ from ``quadrature_eig`` in the last
+    digits, and entirely in the round-off eigenvalues.
+    """
+    sqw = np.sqrt(grid.weights)
+    weighted = _symmetrized(sqw[:, None] * kernel_matrix * sqw[None, :])
+    return _clamped(np.linalg.eigvalsh(weighted)[..., ::-1])
 
 
 def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:

@@ -17,6 +17,7 @@ from .numerics import (
     QuadratureGrid,
     SpectralDecomposition,
     quadrature_eig,
+    quadrature_eigvals,
     same_grid,
 )
 
@@ -192,6 +193,9 @@ def weighted_norm(theta: GridFunction, op: DesignOperator) -> float:
 
 GAMMA_LADDER = tuple(round(0.1 * k, 1) for k in range(1, 11))
 S0_BUDGET = 10.0
+# tau_k below TAU_FLOOR * tau_1 is eigensolver round-off, not spectrum: it
+# counts as 0, so s0 = sum tau_k^gamma reads no solver noise
+TAU_FLOOR = 1e-12
 
 
 def estimate_eigendecay(basis: CdfBasis, X, A, k_max: int,
@@ -199,10 +203,11 @@ def estimate_eigendecay(basis: CdfBasis, X, A, k_max: int,
     """Empirical dominating sequence over sampled point operators.
 
     tau_k is the max over the sampled pairs, contexts X (n, d) and actions
-    A (n,), of the k-th point-operator eigenvalue; gamma is the smallest
-    ladder value whose prefix power sum stays within ``S0_BUDGET``
-    (gamma = 1 if none does). Each chunk's point kernels are eigensolved
-    as one stack, one ``quadrature_eig`` call per ``BASIS_CHUNK`` pairs.
+    A (n,), of the k-th point-operator eigenvalue, set to 0 below
+    ``TAU_FLOOR * tau_1``; gamma is the smallest ladder value whose prefix
+    power sum stays within ``S0_BUDGET`` (gamma = 1 if none does). Each
+    chunk's point kernels are eigensolved as one stack, eigenvalues only,
+    one ``quadrature_eigvals`` call per ``BASIS_CHUNK`` pairs.
     """
     if len(A) == 0:
         raise ValueError("need at least one sample pair")
@@ -212,8 +217,9 @@ def estimate_eigendecay(basis: CdfBasis, X, A, k_max: int,
     tau = np.zeros(k_max)
     for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
         k = pair_kernels(phi, s_grid.weights)
-        vals = quadrature_eig((k + k.transpose(0, 2, 1)) / 2, omega_grid).eigenvalues
+        vals = quadrature_eigvals((k + k.transpose(0, 2, 1)) / 2, omega_grid)
         tau = np.maximum(tau, vals[:, :k_max].max(axis=0))
+    tau[tau < TAU_FLOOR * tau[0]] = 0.0
     for gamma in GAMMA_LADDER:
         s = float(np.sum(tau**gamma))
         if s <= S0_BUDGET:

@@ -168,7 +168,7 @@ def test_criterion_5_regression_rate(report):
 def test_criterion_6_fixed_design_coverage(report):
     start = time.perf_counter()
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
-    gamma, s0 = 0.1, 3.06  # eigendecay fit for this basis at the 10-budget
+    gamma, s0 = 0.1, 2.879  # floored eigendecay fit of this basis at seed 0
     budget = error_budget(256, 0.1, gamma, s0, M=2.0, L=1.0,
                           L0=env.basis.lipschitz_L0, A=env.basis.covering_constant_A,
                           d=OMEGA.dim, eta=env.basis.kernel_floor_eta)

@@ -403,9 +403,10 @@ def test_episode_hands_the_oracle_views_of_its_columns(monkeypatch):
         assert np.array_equal(data.A, trace.actions[lo:hi])
 
 
-def test_a_held_trace_costs_under_128_bytes_per_round():
-    # the columns cost about 72 B per round (d = 2); the list of 7-tuples
-    # the trace used to hold cost about 283 B
+def test_a_held_trace_costs_under_64_bytes_per_round():
+    # the columns cost 56 B per round (d = 2): the contexts are a copy, not
+    # a view that would keep the round's two spent uniforms alive (72 B); the
+    # list of 7-tuples the trace used to hold cost about 283 B
     import gc
     import tracemalloc
     env = make_catalog_env("kumaraswamy", OMEGA, S)
@@ -421,4 +422,5 @@ def test_a_held_trace_costs_under_128_bytes_per_round():
     finally:
         tracemalloc.stop()
     assert len(trace.gaps) == 4096
-    assert held < 128 * 4096, "%.1f B per round" % (held / 4096)
+    assert held < 64 * 4096, "%.1f B per round" % (held / 4096)
+    assert trace.contexts.base is None and trace.contexts.flags.c_contiguous

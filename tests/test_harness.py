@@ -400,7 +400,9 @@ def test_cli_eig_rejects_top_below_one(capsys, top):
                                          {"name": "kumaraswamy"}])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_cli_decay_one_pair_prints_its_spectrum(tmp_path, capsys, environment, seed):
-    from cdfreg import design_operator, sample_context, spectral_decompose
+    from cdfreg import design_operator, sample_context
+    from cdfreg.numerics import quadrature_eigvals
+    from cdfreg.operators import TAU_FLOOR
     cfg = ExperimentConfig(environment=environment)
     cpath = tmp_path / "config.json"
     cfg.save(cpath)
@@ -412,7 +414,9 @@ def test_cli_decay_one_pair_prints_its_spectrum(tmp_path, capsys, environment, s
     rng = np.random.default_rng(seed)
     pair = (sample_context(env, rng), int(rng.integers(env.action_count)))
     op = design_operator(env.basis, [pair], env.omega_grid, env.s_grid)
-    top = spectral_decompose(op).eigenvalues[:16]
+    # the pair's eigenvalues, those below the floor printed as 0
+    top = quadrature_eigvals(op.kernel_matrix, env.omega_grid)[:16]
+    top[top < TAU_FLOOR * top[0]] = 0.0
     assert tau_line == "tau = " + " ".join("%.10g" % lam for lam in top)
 
 
@@ -832,6 +836,40 @@ def test_cli_fit_slope_unparsable_trace_number_is_malformed_input(tmp_path, caps
     path.write_text("\n".join(lines) + "\n")
     assert main(["fit-slope", str(path)]) == 2
     assert capsys.readouterr().err.startswith("malformed config or input")
+
+
+def _set_field(path, line, column, value):
+    """Rewrite ``path`` with ``column`` of its ``line``-th line (1-based)
+    set to ``value``."""
+    lines = path.read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["dataset", "trace"])
+def test_cli_an_int_field_beyond_int64_is_malformed_input(tmp_path, capsys, kind):
+    # int() parses it, and it used to reach np.array(..., dtype=int) and end
+    # in an OverflowError traceback (exit 1)
+    cpath, data, env = _regress_dataset_files(tmp_path)
+    path = tmp_path / (kind + ".csv")
+    if kind == "dataset":
+        write_dataset_csv(data, path)
+        column, reader = "action", read_dataset_csv
+        argv = ["regress", "--config", str(cpath), "--dataset", str(path)]
+    else:
+        write_trace_csv(run_episode(env, make_functional("mean"), 32, 0.1, 1.0, 2.0, seed=0),
+                        path)
+        column, reader, argv = "round", read_trace_csv, ["fit-slope", str(path)]
+    _set_field(path, 4, column, "99999999999999999999")
+    with pytest.raises(csv.Error, match=r"%s\.csv line 4: %s = 99999999999999999999 lies "
+                       "outside the int64 range" % (kind, column)):
+        reader(path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("malformed config or input") and "line 4" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _append_field(path, line):

@@ -13,7 +13,7 @@ from cdfreg import (
     degenerate_kernel_eig,
     sym_eig,
 )
-from cdfreg.numerics import MAX_EIG_SIZE, quadrature_eig
+from cdfreg.numerics import MAX_EIG_SIZE, quadrature_eig, quadrature_eigvals
 
 
 def test_uniform_grid_1d_two_nodes():
@@ -148,6 +148,42 @@ def test_quadrature_eig_refuses_a_stack_with_one_indefinite_member():
     stack[2] -= np.eye(8)
     with pytest.raises(ValueError, match="not positive semidefinite"):
         quadrature_eig(stack, grid)
+
+
+@pytest.mark.parametrize("rank", [3, 12])
+def test_quadrature_eigvals_on_a_stack_equals_per_matrix_calls(rank):
+    rng = np.random.default_rng(7 + rank)
+    w = rng.uniform(0.5, 1.5, size=12)
+    grid = QuadratureGrid(np.linspace(0.02, 0.98, 12)[:, None], w / w.sum())
+    stack = _psd_stack(rng, (33,), 12, rank)
+    vals = quadrature_eigvals(stack, grid)
+    assert vals.shape == (33, 12)
+    assert np.all(vals >= 0) and np.all(np.diff(vals, axis=-1) <= 0)
+    # the eigenvalue-only solver agrees with the eigenpair one up to round-off
+    full = quadrature_eig(stack, grid).eigenvalues
+    assert np.allclose(vals, full, rtol=0, atol=1e-12 * np.max(full))
+    for i, kernel in enumerate(stack):
+        assert vals[i].tobytes() == quadrature_eigvals(kernel, grid).tobytes()
+
+
+def test_quadrature_eigvals_refuses_what_quadrature_eig_refuses():
+    grid = build_uniform_grid(1, 8)
+    stack = _psd_stack(np.random.default_rng(23), (6,), 8, 4)
+    quadrature_eigvals(stack, grid)
+    cases = []
+    for bad in (1e-6, np.nan):
+        broken = stack.copy()
+        broken[4, 0, 1] += bad
+        cases.append((broken, grid, "not finite and symmetric"))
+    indefinite = stack.copy()
+    indefinite[2] -= np.eye(8)
+    cases.append((indefinite, grid, "not positive semidefinite"))
+    big = build_uniform_grid(1, MAX_EIG_SIZE + 1)
+    cases.append((np.broadcast_to(0.0, (1, big.size, big.size)), big, "size limit"))
+    for kernel, g, message in cases:
+        for solve in (quadrature_eig, quadrature_eigvals):
+            with pytest.raises(ValueError, match=message):
+                solve(kernel, g)
 
 
 def test_degenerate_kernel_min_spectrum():

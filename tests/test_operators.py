@@ -15,6 +15,7 @@ from cdfreg import (
     build_cdf_grid,
     build_uniform_grid,
     design_operator,
+    eigendecay_prepass,
     estimate_eigendecay,
     generate_dataset,
     make_catalog_env,
@@ -25,9 +26,10 @@ from cdfreg import (
     sym_eig,
     weighted_norm,
 )
-from cdfreg import numerics
+from cdfreg import numerics, operators
 from cdfreg.environments import BASIS_CATALOG
-from cdfreg.operators import BASIS_CHUNK
+from cdfreg.numerics import quadrature_eigvals
+from cdfreg.operators import BASIS_CHUNK, GAMMA_LADDER, S0_BUDGET, TAU_FLOOR
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -107,6 +109,31 @@ def test_kernel_entries_bounded_and_floored():
             assert np.max(k) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("name", ["kumaraswamy", "rank1-uniform"])
+def test_declared_lipschitz_L0_bounds_phi_in_w(name):
+    # L0 bounds |phi(x,a,w,s) - phi(x,a,r,s)| / |w - r|. finite-rank-r is
+    # left out: its phi is piecewise constant in w, so its declared 60 is
+    # not a Lipschitz constant (ROADMAP item 6)
+    env = make_catalog_env(name, OMEGA, S)
+    L0 = env.basis.lipschitz_L0
+    rng = np.random.default_rng(61)
+    X = rng.random((32, env.context_dim))
+    A = rng.integers(env.action_count, size=32)
+    # every pair of Omega nodes
+    w = OMEGA.coords()
+    phi = basis_values(env.basis, X, A, OMEGA, S)
+    jump = np.max(np.abs(phi[:, :, None, :] - phi[:, None, :, :]), axis=-1)
+    dist = np.abs(w[:, None] - w[None, :])
+    apart = dist > 0
+    assert np.all(jump[:, apart] <= L0 * dist[apart] + 1e-12)
+    # neighbours on a fine w-grid, whose slopes bound every pair on it
+    fine = build_uniform_grid(1, 4001)
+    for b in range(X.shape[0]):
+        phi = basis_values(env.basis, X[b:b + 1], A[b:b + 1], fine, S)[0]
+        jump = np.max(np.abs(np.diff(phi, axis=0)), axis=-1)
+        assert np.all(jump <= L0 * np.diff(fine.coords()) + 1e-12)
+
+
 def test_point_operator_spectral_invariants():
     for env in _envs():
         for x, a in _random_pairs(env, 5, 7):
@@ -175,19 +202,27 @@ def test_regress_decomposes_design_operator_once(monkeypatch):
 
 @pytest.mark.parametrize("n_pairs", [1, 16, 20, 33])
 def test_estimate_eigendecay_makes_one_sym_eig_call_per_chunk(monkeypatch, n_pairs):
+    # the pre-pass solves eigenvalues only: one quadrature_eigvals call per
+    # chunk of pairs, and no call of the eigenvector solver sym_eig
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     pairs = _random_pairs(env, n_pairs, 47)
-    calls = []
+    calls, eigh_calls = [], []
+
+    def counting_eigvals(matrix, grid):
+        calls.append(matrix.shape)
+        return quadrature_eigvals(matrix, grid)
 
     def counting_sym_eig(matrix):
-        calls.append(matrix.shape)
+        eigh_calls.append(matrix.shape)
         return sym_eig(matrix)
 
+    monkeypatch.setattr(operators, "quadrature_eigvals", counting_eigvals)
     monkeypatch.setattr(numerics, "sym_eig", counting_sym_eig)
     estimate_eigendecay(env.basis, *_columns(pairs), 16, OMEGA, S)
     sizes = [min(BASIS_CHUNK, n_pairs - lo) for lo in range(0, n_pairs, BASIS_CHUNK)]
     assert len(calls) == -(-n_pairs // BASIS_CHUNK)
     assert calls == [(b, OMEGA.size, OMEGA.size) for b in sizes]
+    assert eigh_calls == []
 
 
 def test_eigenfunctions_quadrature_orthonormal():
@@ -225,7 +260,7 @@ def test_estimate_eigendecay_dominates_samples():
 def test_estimate_eigendecay_equals_per_pair_reference(name, seed):
     # the pre-pass evaluates phi for all its pairs in one batch and
     # eigensolves each pair's kernel; tau must equal the per-pair path's bit
-    # for bit. Both sides use LAPACK eigh: eigvalsh moves s0 by up to 7.8e-4 relative.
+    # for bit. Both sides solve eigenvalues only and apply the same floor.
     env = make_catalog_env(name, OMEGA, S)
     batches = []
 
@@ -239,6 +274,38 @@ def test_estimate_eigendecay_equals_per_pair_reference(name, seed):
     assert batches == [20]
     tau = np.zeros(16)
     for x, a in pairs:
-        op = DesignOperator(point_kernel(env.basis, x, a, OMEGA, S), OMEGA, 1)
-        tau = np.maximum(tau, spectral_decompose(op).eigenvalues[:16])
+        tau = np.maximum(tau, quadrature_eigvals(point_kernel(env.basis, x, a, OMEGA, S),
+                                                 OMEGA)[:16])
+    tau[tau < TAU_FLOOR * tau[0]] = 0.0
     assert np.array_equal(fit.tau, tau)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("name, params", [("kumaraswamy", {"theta_star": "bumps"}),
+                                          ("finite-rank-r", {"rank": 8})])
+def test_estimate_eigendecay_fit_agrees_with_a_full_eigensolve(name, params, seed):
+    # with the floor, the eigenvalue-only solve and the eigenpair solve give
+    # the same (gamma, s0): they differ only in round-off eigenvalues, which
+    # the floor sets to 0 (without it s0 moved by up to 7.8e-4 relative)
+    env = make_catalog_env(name, OMEGA, S, **params)
+    pairs = _random_pairs(env, 20, seed)
+    fit = estimate_eigendecay(env.basis, *_columns(pairs), 16, OMEGA, S)
+    tau = np.zeros(16)
+    for x, a in pairs:
+        tau = np.maximum(tau, spectral_decompose(design_operator(env.basis, [(x, a)], OMEGA,
+                                                                 S)).eigenvalues[:16])
+    tau[tau < TAU_FLOOR * tau[0]] = 0.0
+    gamma = next(g for g in GAMMA_LADDER if np.sum(tau**g) <= S0_BUDGET)
+    assert fit.gamma == gamma
+    assert fit.s0 == pytest.approx(np.sum(tau**gamma), rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("name, params, rank",
+                         [("finite-rank-r", {"rank": r}, r) for r in (2, 4, 8, 12, 16)]
+                         + [("rank1-uniform", {}, 1)])
+def test_floored_prepass_keeps_exactly_the_rank(name, params, rank):
+    env = make_catalog_env(name, OMEGA, S, **params)
+    for seed in range(10):
+        tau = eigendecay_prepass(env, seed).tau
+        assert np.count_nonzero(tau) == rank
+        assert np.all(tau[:rank] > 0) and np.all(tau[rank:] == 0)
