@@ -4,13 +4,16 @@ coefficient set.
 
 The admissible set C consists of nonnegative functions with unit integral
 and L2 norm at most M; estimates are projected onto it under the
-design-operator seminorm. The projection is a small convex quadratic
-program, solved exactly on the unit-trace design by a primal active-set
-method over the faces of C (Nocedal and Wright, Numerical Optimization,
-ch. 16). Each face, norm cap included, is minimized in closed form from one
-eigendecomposition, with Newton steps on the cap multiplier's secular
-equation (More and Sorensen 1983), and the result is certified by its KKT
-residual and duality gap.
+design-operator seminorm plus a ridge of RIDGE times the L2 norm, both
+relative to the design's trace. The ridge breaks ties along directions no
+CDF can see, which the bare seminorm would settle on the norm cap. The
+projection is a strictly convex quadratic program, solved exactly on the
+ridged unit-trace design by a primal active-set method over the faces of C
+(Nocedal and Wright, Numerical Optimization, ch. 16). Each face, norm cap
+included, is minimized in closed form from one eigendecomposition, with
+Newton steps on the cap multiplier's secular equation (More and Sorensen
+1983). The result is certified by its KKT residual and duality gap, and its
+excess over the unridged optimum is bounded in its diagnostics.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ from .operators import (
 # exact solves land below 1e-10 on the designs the tests and benchmark use.
 KKT_TOLERANCE = 1e-8
 
+# The L2 ridge added to the unit-trace design before projecting: directions
+# the design cannot see no longer push the estimate onto the norm cap, and
+# every face's reduced matrix is positive definite.
+RIDGE = 1e-6
+
 # Faces one projection visits at most.
 MAX_FACES = 200
-
-# The norm-cap multiplier, on the unit-trace design, at which a face's cap
-# is tested: a cap that binds there has its mu solved at or above it.
-MU_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,7 @@ class Diagnostics:
     projection_iterations: int = 0
     converged: bool = True
     projection_residual: float = 0.0
+    projection_excess_bound: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,13 +263,12 @@ def _face_minimizer(b_mat, bx, w, free, M, mu_guess):
     sending sqrt(w_F) / ||sqrt(w_F)|| to -e_1, so N' W N = I, w_F' N = 0
     and ||y||^2 = u + ||z||^2. With N' B_FF N = V diag(lam) V' (one eigh)
     this is a trust-region problem of radius E = sqrt(M^2 - u), solved by
-    z(mu) = -V c / (lam + mu), c = V' N' (B_FF u - bx_F). The cap binds if
-    ||z(MU_FLOOR)|| > E: mu then solves the concave equation
-    1/||z(mu)|| = 1/E by Newton steps, which rise monotonically from the
-    left (More and Sorensen 1983). If not, eigenvalues at or below n_F eps
-    (of the unit-trace B) count as 0 and mu = 0 gives the minimum-norm z;
-    should that z still exceed E, mu solves the same equation on the kept
-    directions, between 0 and MU_FLOOR, so the minimizer never leaves the cap.
+    z(mu) = -V c / (lam + mu), c = V' N' (B_FF u - bx_F). B carries the
+    ridge RIDGE W, so N' B_FF N holds RIDGE I and every lam is at least
+    RIDGE: z(0) is the unique unconstrained minimizer. The cap binds if
+    ||z(0)|| > E; mu then solves the concave equation 1/||z(mu)|| = 1/E by
+    Newton steps, which rise monotonically from the left (More and Sorensen
+    1983).
     """
     wf = w[free]
     u = 1.0 / float(wf.sum())
@@ -278,26 +282,19 @@ def _face_minimizer(b_mat, bx, w, free, M, mu_guess):
     nmat = (np.eye(free.size)[:, 1:] - np.outer(v, v[1:] / v[0])) / np.sqrt(wf)[:, None]
     b_ff = b_mat[np.ix_(free, free)]
     lam, vecs = np.linalg.eigh(nmat.T @ b_ff @ nmat)
-    lam = np.maximum(lam, 0.0)
     c = vecs.T @ (nmat.T @ (u * b_ff.sum(axis=1) - bx[free]))
-    keep, floor = np.ones(lam.size, dtype=bool), MU_FLOOR
-    if float(np.sum((c / (lam + MU_FLOOR)) ** 2)) <= E_sq:
-        keep, floor = lam > free.size * np.finfo(float).eps, 0.0
-    lam, c = lam[keep], c[keep]
     mu = 0.0
-    if float(np.sum((c / (lam + floor)) ** 2)) > E_sq:
+    if float(np.sum((c / lam) ** 2)) > E_sq:
         E = math.sqrt(E_sq)
-        mu = max(mu_guess, floor)
+        mu = mu_guess
         for _ in range(100):
             d = c / (lam + mu)
             r_sq = float(d @ d)
             step = r_sq * (math.sqrt(r_sq) / E - 1.0) / float(d @ (d / (lam + mu)))
-            mu = max(mu + step, floor)
+            mu = max(mu + step, 0.0)
             if abs(step) <= 1e-12 * mu:
                 break
-    z = np.zeros(keep.size)
-    z[keep] = -c / (lam + mu)
-    y[free] += nmat @ (vecs @ z)
+    y[free] -= nmat @ (vecs @ (c / (lam + mu)))
     return y, mu
 
 
@@ -375,20 +372,32 @@ def _kkt_residual(y, x, b_mat, w, mu, M) -> float:
     return max(worst / scale if scale > 0.0 else 0.0, gap / f if f > 0.0 else 0.0)
 
 
+def _unit_trace_design(op: DesignOperator) -> np.ndarray:
+    """The projection's metric: B = W K W divided by its quadrature trace
+    sum_i B_ii / w_i, plus the ridge RIDGE W.
+
+    The division leaves the minimizer alone, so mu and every tolerance are
+    relative to the design's scale; the ridge is relative to it too.
+    """
+    w = op.grid.weights
+    b_mat = w[:, None] * op.kernel_matrix * w[None, :]
+    b_mat /= float(np.sum(np.diag(b_mat) / w))
+    b_mat[np.diag_indices_from(b_mat)] += RIDGE * w
+    return b_mat
+
+
 def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
                       M: float) -> tuple[np.ndarray, Diagnostics]:
-    """Exact projection of x onto C by ``_active_set`` from a feasible start.
+    """Exact projection of x onto C in the ``_unit_trace_design`` metric by
+    ``_active_set`` from a feasible start.
 
-    B = W K W is divided by its quadrature trace sum_i B_ii / w_i, which
-    leaves the minimizer alone, so mu and every tolerance are relative.
     The candidate is accepted when it has positive mass, is feasible and
     its objective is within 1 + 1e-12 times the start's; otherwise the
     start is returned with mu = 0. Either way ``converged`` certifies the
     returned point by ``_kkt_residual``.
     """
     w = op.grid.weights
-    b_mat = w[:, None] * op.kernel_matrix * w[None, :]
-    b_mat /= float(np.sum(np.diag(b_mat) / w))
+    b_mat = _unit_trace_design(op)
     cand, mu, faces = _active_set(b_mat, b_mat @ x, w, M, start)
     mass = float(w @ cand)
     cand = cand / mass if mass > 0.0 else start
@@ -397,27 +406,44 @@ def _solve_projection(start: np.ndarray, x: np.ndarray, op: DesignOperator,
                 <= (start - x) @ b_mat @ (start - x) * (1.0 + 1e-12))
     y, mu = (cand, mu) if accepted else (start, 0.0)
     residual = _kkt_residual(y, x, b_mat, w, mu, M)
+    excess = RIDGE / 2.0 * ((M + math.sqrt(float(w @ x**2))) ** 2 - float(w @ (y - x) ** 2))
     return y, Diagnostics(projection_iterations=faces,
                           converged=residual <= KKT_TOLERANCE,
-                          projection_residual=residual)
+                          projection_residual=residual,
+                          projection_excess_bound=excess)
 
 
 def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> CoefficientEstimate:
     """Exact projection onto C = {theta >= 0, integral = 1, ||theta|| <= M}
-    under the design-operator seminorm, for a finite M >= 1.
+    under the design-operator seminorm plus a tiny L2 ridge, for a finite
+    M >= 1.
 
+    The metric is U + RIDGE tr W, with tr the design's quadrature trace
+    (``_unit_trace_design``). The ridge breaks the ties among points of C
+    that the seminorm cannot tell apart, which otherwise push the estimate
+    onto the norm cap, and it makes the objective strictly convex. theta*
+    lies in C, so the projection is nonexpansive in the ridged norm:
+    ||theta_hat - theta*||_U^2 <= ||theta - theta*||_U^2
+    + RIDGE tr ||theta - theta*||^2, an additive term in the error bound.
     The input is clipped and renormalized into C (the canonical selection
     when the seminorm has a kernel), and that start is sharpened by an
     active-set method over the faces of C (``_solve_projection``).
     ``projection_iterations`` counts the faces solved, one eigendecomposition
     each; ``converged`` means the relative residual ``projection_residual``
     (``_kkt_residual``) of the returned point, candidate or start, is at
-    most ``KKT_TOLERANCE``.
-    Scaling the operator moves all three by round-off only. Under a zero
+    most ``KKT_TOLERANCE``. ``projection_excess_bound`` bounds, in
+    unit-trace units, how far the returned point's unridged objective
+    (y - x)' B (y - x) / 2 can exceed the exact unridged projection's:
+    RIDGE/2 ((M + ||x||)^2 - ||y - x||^2), from f_ridge(y) <= f_ridge(y_0)
+    and ||y_0|| <= M.
+    Scaling the operator moves all four by round-off only. Under a zero
     operator every point of C is a projection and the start is returned.
+    A theta on another grid than the operator's is refused.
     """
     if not 1.0 <= M < math.inf:  # NaN fails
         raise ValueError("M must be finite and at least 1 (C holds the uniform density)")
+    if not same_grid(theta.grid, op.grid):
+        raise ValueError("theta lives on a different grid than the operator")
     weights = op.grid.weights
     start = _cap_l2_norm(_project_unit_mass(theta.values, weights), weights, M)
     if not np.any(op.kernel_matrix):

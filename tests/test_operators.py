@@ -201,7 +201,7 @@ def test_regress_decomposes_design_operator_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n_pairs", [1, 16, 20, 33])
-def test_estimate_eigendecay_makes_one_sym_eig_call_per_chunk(monkeypatch, n_pairs):
+def test_estimate_eigendecay_makes_one_eigensolve_per_chunk(monkeypatch, n_pairs):
     # the pre-pass solves eigenvalues only: one quadrature_eigvals call per
     # chunk of pairs, and no call of the eigenvector solver sym_eig
     env = make_catalog_env("kumaraswamy", OMEGA, S)

@@ -155,6 +155,16 @@ def test_projection_rejects_small_M():
             project_to_C(GridFunction(OMEGA, np.ones(OMEGA.size)), op, M)
 
 
+def test_projection_refuses_theta_on_another_grid():
+    # a theta on another 32-node grid was projected and came back on the
+    # operator's grid; one on a 64-node grid raised an IndexError
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    op = design_operator(env.basis, [(np.array([0.3, 0.6]), 1)], OMEGA, S)
+    for grid in (build_cdf_grid(OMEGA.size), build_uniform_grid(1, 64)):
+        with pytest.raises(ValueError, match="different grid"):
+            project_to_C(GridFunction(grid, np.ones(grid.size)), op, 2.0)
+
+
 def _criterion4_operator(rng):
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     pairs = [(sample_context(env, rng), int(rng.integers(5))) for _ in range(16)]
@@ -200,9 +210,9 @@ def test_projection_fallback_is_not_converged(monkeypatch):
 
 
 def test_projection_certifies_points_on_the_cap():
-    # a point of C is its own projection; on a 256-pair design the solver's
-    # candidate is refused by round-off, and the start it returns instead is
-    # still certified by its KKT residual
+    # a point of C is its own projection; on a 256-pair design the returned
+    # point, the solver's candidate or, if round-off refuses that, the
+    # start, is within 1e-12 of it and certified by its KKT residual
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
     data = generate_dataset(env, 256, np.random.default_rng(0))
     op = design_operator(env.basis, [(x, a) for x, a, _ in data], OMEGA, S)
@@ -253,11 +263,13 @@ def _reference_face(quad, bx, w, start):
     return current
 
 
-def _reference_projection(x, op, M):
-    """Projection onto C with the norm-cap multiplier found by doubling and
-    60 bisection halvings: slow, but simple enough to trust."""
+def _reference_projection(x, op, M, ridge):
+    """Projection onto C in the metric W K W / tr + ridge W, with the
+    norm-cap multiplier found by doubling and 60 bisection halvings: slow,
+    but simple enough to trust."""
     w = OMEGA.weights
     b_mat = w[:, None] * op.kernel_matrix * w[None, :]
+    b_mat = b_mat / np.sum(np.diag(b_mat) / w) + ridge * np.diag(w)
     bx = b_mat @ x
 
     def penalized(mu, warm):
@@ -284,13 +296,16 @@ def _reference_projection(x, op, M):
 
 
 def test_projection_matches_bisection_reference():
-    M = 2.0
+    # the reference solves the ridged problem project_to_C solves; at
+    # M = 1.5 its cap binds on all 12 inputs (at M = 2 on only 8)
+    M = 1.5
     for seed in (60, 61, 62):
         rng = np.random.default_rng(seed)
         op = _criterion4_operator(rng)
+        b_mat = regression._unit_trace_design(op)
         for _ in range(4):
             x = rng.normal(1.0, 0.8, OMEGA.size)
-            ref = _reference_projection(x, op, M)
+            ref = _reference_projection(x, op, M, regression.RIDGE)
             assert GridFunction(OMEGA, ref).norm() == pytest.approx(M, abs=1e-7)  # cap binds
             est = project_to_C(GridFunction(OMEGA, x), op, M)
             theta = est.theta_hat.values
@@ -299,8 +314,30 @@ def test_projection_matches_bisection_reference():
             assert est.theta_hat.norm() <= M + 1e-9
             assert (np.sqrt(weighted_quadratic(op, theta - ref))
                     <= 1e-8 * np.sqrt(weighted_quadratic(op, ref)))
-            objective, ref_objective = (weighted_quadratic(op, v - x) for v in (theta, ref))
+            objective, ref_objective = ((v - x) @ b_mat @ (v - x) for v in (theta, ref))
             assert objective <= ref_objective * (1.0 + 1e-8)
+
+
+def test_excess_bound_covers_the_unridged_projection():
+    # the ridged projection's unridged objective exceeds the exact (ridge 0)
+    # projection's by at most projection_excess_bound, on 50 inputs on each
+    # of six criterion-4 designs
+    M, w = 2.0, OMEGA.weights
+    worst = 0.0
+    for seed in range(404, 410):
+        rng = np.random.default_rng(seed)
+        op = _criterion4_operator(rng)
+        b_unit = regression._unit_trace_design(op) - regression.RIDGE * np.diag(w)
+        for _ in range(50):
+            x = rng.normal(1.0, 0.8, OMEGA.size)
+            est = project_to_C(GridFunction(OMEGA, x), op, M)
+            bound = est.diagnostics.projection_excess_bound
+            assert est.diagnostics.converged and bound > 0.0
+            exact = _reference_projection(x, op, M, 0.0)
+            excess = ((est.theta_hat.values - x) @ b_unit @ (est.theta_hat.values - x)
+                      - (exact - x) @ b_unit @ (exact - x)) / 2.0
+            worst = max(worst, excess / bound)
+    assert worst <= 1.0
 
 
 @pytest.mark.parametrize("name,n_pairs", [("kumaraswamy", 1), ("kumaraswamy", 2),
@@ -355,14 +392,14 @@ def _criterion4_inputs(count):
 
 
 def test_certificate_sees_a_loose_cap():
-    # criterion-4 input 239 (0-based): its exact projection with the cap at
-    # M' = 1.99 is stationary at mu = 1.5e-9 and leaves the cap at M = 2
-    # loose, with an objective above the optimum; only the duality gap
-    # sees it, as mu (M^2 - ||y||^2) is tiny next to B's entries
-    op, inputs = _criterion4_inputs(240)
-    x, w, M = inputs[239], OMEGA.weights, 2.0
-    b_mat = w[:, None] * op.kernel_matrix * w[None, :]
-    b_mat /= np.sum(np.diag(b_mat) / w)
+    # criterion-4 input 315 (0-based): its exact projection with the cap at
+    # M' = 1.99 is stationary at mu = 2.2e-9, while at M = 2 the cap is
+    # loose (the projection's norm is 1.9907), so that point's objective is
+    # above the optimum; only the duality gap sees it, as mu (M^2 - ||y||^2)
+    # is tiny next to B's entries
+    op, inputs = _criterion4_inputs(316)
+    x, w, M = inputs[315], OMEGA.weights, 2.0
+    b_mat = regression._unit_trace_design(op)
     y, mu, _ = regression._active_set(b_mat, b_mat @ x, w, 1.99, _clipped_start(x, 1.99))
     assert mu > 0.0
     assert GridFunction(OMEGA, y).norm() == pytest.approx(1.99, abs=1e-12)
@@ -371,7 +408,8 @@ def test_certificate_sees_a_loose_cap():
     assert regression._kkt_residual(y, x, b_mat, w, mu, M) > KKT_TOLERANCE
     est = project_to_C(GridFunction(OMEGA, x), op, M)
     assert est.diagnostics.converged
-    assert weighted_quadratic(op, est.theta_hat.values - x) < weighted_quadratic(op, y - x)
+    theta = est.theta_hat.values
+    assert (theta - x) @ b_mat @ (theta - x) < (y - x) @ b_mat @ (y - x)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6])
@@ -391,9 +429,26 @@ def test_projection_solve_count():
     op, inputs = _criterion4_inputs(400)
     faces = [project_to_C(GridFunction(OMEGA, x), op, 2.0).diagnostics.projection_iterations
              for x in inputs]
-    # the median is 7 faces; dropping one negative entry per step before
-    # the first release, instead of all of them, takes 21
+    # the median is 6 faces (7 without the ridge); without the ridge,
+    # dropping one negative entry per step before the first release,
+    # instead of all of them, took 21
     assert np.median(faces) <= 14
+
+
+def test_ridge_keeps_estimates_off_the_norm_cap():
+    # on these n = 256 kumaraswamy/bumps datasets the unridged projection put
+    # 79 of 80 estimates on the cap, at 13.1 faces a call; the ridge leaves
+    # 1 of 80 there, at 5.2 faces (||theta*|| is 1.186)
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    rng = np.random.default_rng(1)
+    on_cap, faces = 0, []
+    for _ in range(80):
+        est = regress(generate_dataset(env, 256, rng), env.basis, 0.1, 2.0, OMEGA, S)
+        assert est.diagnostics.converged
+        on_cap += est.theta_hat.norm() >= 2.0 - 1e-9
+        faces.append(est.diagnostics.projection_iterations)
+    assert on_cap <= 20
+    assert np.mean(faces) <= 8.0
 
 
 def test_projection_zero_operator_returns_start():
