@@ -47,6 +47,7 @@ from .functionals import (
 )
 from .environments import (
     Environment,
+    draw_outcomes,
     inverse_cdf,
     make_catalog_env,
     sample_context,

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .engine import RegretTrace, run_episode
-from .environments import (Environment, check_norm_bound, inverse_cdf, make_catalog_env,
-                           sample_context)
+from .environments import (Environment, check_norm_bound, checked_count, draw_outcomes,
+                           make_catalog_env, sample_context)
 from .functionals import make_functional
 from .numerics import build_cdf_grid, build_uniform_grid, same_grid
 from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
@@ -137,17 +137,12 @@ def _draw_records(env, n, rng, outcomes=False):
 
 def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
     """n i.i.d. records drawn by ``_draw_records``, as a ``Dataset`` of
-    columns X (n, d), A and y; outcomes are inverse-CDF draws from true CDFs
-    evaluated chunk by chunk; n = 0 gives an empty one."""
-    if n < 0:
-        raise ValueError("generate_dataset needs n >= 0 records, not %r" % (n,))
+    columns X (n, d), A and y; the outcomes are ``draw_outcomes``'s
+    inverse-CDF draws from the true CDFs; n = 0 gives an empty one, and a
+    negative, non-integral or boolean n raises ``ValueError``."""
+    checked_count(n, 0, "generate_dataset needs n >= 0 records, not %r")
     X, A, u = _draw_records(env, n, rng, outcomes=True)
-    w_theta = env.omega_grid.weights * env.theta_star.values
-    s_coords = env.s_grid.coords()
-    y = np.empty(n)
-    for sl, phi in basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
-        y[sl] = inverse_cdf(w_theta @ phi, u[sl], s_coords)
-    return Dataset(X, A, y)
+    return Dataset(X, A, draw_outcomes(env, X, A, u))
 
 
 def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
@@ -157,10 +152,10 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
 
     The pairs are drawn by ``_draw_records``; the CDF differences
     (w (theta_hat - theta*)) @ phi are evaluated chunk by chunk. An
-    estimate on another Omega grid than the environment's is refused.
+    estimate on another Omega grid than the environment's, and an n_pairs
+    that is not a positive integer, are refused.
     """
-    if n_pairs < 1:
-        raise ValueError("heldout_cdf_error needs at least one pair")
+    checked_count(n_pairs, 1, "heldout_cdf_error needs at least one pair, not n_pairs = %r")
     if not same_grid(estimate.theta_hat.grid, env.omega_grid):
         raise ValueError("estimate lives on a different grid than the environment's Omega grid")
     X, A, _ = _draw_records(env, n_pairs, rng)

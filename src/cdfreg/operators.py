@@ -43,8 +43,12 @@ class CdfBasis:
     ``eval_matrix(X, A, omega_nodes, s_coords)`` is batched: for B contexts
     X of shape (B, d) and B actions A of shape (B,) it returns the
     (B, n_w, n_s) array of phi values, row b for the pair (X[b], A[b]). A
-    single pair is a batch of one. Callers go through ``basis_values``,
-    which checks the shape and the [0, 1] range once per batch.
+    single pair is a batch of one. Callers go through ``basis_values`` or
+    ``basis_values_at``, which check the shape and the [0, 1] range once
+    per batch. The value at s_k must not depend on the other coordinates
+    of the call (phi is pointwise in s, as a function of s is): the outcome
+    draw (``environments.draw_outcomes``) evaluates phi at a few outcome
+    coordinates at a time.
     ``lipschitz_L0`` bounds |phi(x,a,w,s) - phi(x,a,r,s)| / ||w - r||_inf,
     ``kernel_floor_eta`` lower-bounds the point-kernel entries, and
     ``covering_constant_A`` enters the covering-number constant of the
@@ -108,19 +112,26 @@ def integer_actions(A) -> np.ndarray:
     return np.asarray(A, dtype=int)
 
 
-def basis_values(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
-                 s_grid: QuadratureGrid) -> np.ndarray:
-    """phi[b, i, k] = phi(X[b], A[b], w_i, s_k), checked against the basis
-    contract: shape (B, n_w, n_s) and values in [0, 1]; a non-integral
-    action raises ``ValueError``."""
+def basis_values_at(basis: CdfBasis, X, A, omega_nodes: np.ndarray,
+                    s_coords: np.ndarray) -> np.ndarray:
+    """phi[b, i, k] = phi(X[b], A[b], omega_nodes[i], s_coords[k]) at any
+    outcome coordinates, checked against the basis contract: shape
+    (B, n_w, n_s) and values in [0, 1]; a non-integral action raises
+    ``ValueError``."""
     A = integer_actions(A).reshape(-1)
     X = np.asarray(X, dtype=float).reshape(A.shape[0], -1)
-    phi = np.asarray(basis.eval_matrix(X, A, omega_grid.nodes, s_grid.coords()))
-    if phi.shape != (A.shape[0], omega_grid.size, s_grid.size):
+    phi = np.asarray(basis.eval_matrix(X, A, omega_nodes, s_coords))
+    if phi.shape != (A.shape[0], omega_nodes.shape[0], s_coords.shape[0]):
         raise ValueError("basis evaluator returned a wrong-shaped array")
     if not (np.min(phi) >= -1e-9 and np.max(phi) <= 1.0 + 1e-9):  # NaN fails
         raise ValueError("basis contract violation: phi outside [0, 1]")
     return phi
+
+
+def basis_values(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
+                 s_grid: QuadratureGrid) -> np.ndarray:
+    """``basis_values_at`` on every node of the two grids."""
+    return basis_values_at(basis, X, A, omega_grid.nodes, s_grid.coords())
 
 
 def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,

@@ -1,6 +1,7 @@
 """Catalog environments: basis contracts, ground-truth CDFs, and outcome
 sampling."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 
 from cdfreg import (
     GridFunction,
+    basis_values,
     build_cdf_grid,
     build_uniform_grid,
     design_operator,
+    draw_outcomes,
+    inverse_cdf,
     make_catalog_env,
     sample_context,
     sample_outcomes,
@@ -152,6 +156,34 @@ def test_inverse_cdf_rows_equal_per_row_calls():
     for i in range(3):
         for a in range(5):
             assert rows[i, a] == inverse_cdf(F[i, a], u[i, a], S.coords())
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_CATALOG))
+def test_draw_outcomes_equals_full_rows_at_ties(name):
+    # uniforms on, one ulp either side of, and just above F values of the
+    # full rows: each record lies within 4 n_w eps of an examined node, so
+    # all of them are drawn again from full rows, and the draws equal
+    # inverse_cdf on the full rows
+    full = []
+    env = make_catalog_env(name, OMEGA, S)
+    inner = env.basis.eval_matrix
+
+    def counting(X, A, omega_nodes, s):
+        if s.shape[0] == S.size:
+            full.append(A.shape[0])
+        return inner(X, A, omega_nodes, s)
+
+    traced = dataclasses.replace(env, basis=dataclasses.replace(env.basis, eval_matrix=counting))
+    rng = np.random.default_rng(5)
+    X, A = rng.random((40, 2)), rng.integers(0, 5, size=40)
+    F = (OMEGA.weights * env.theta_star.values) @ basis_values(env.basis, X, A, OMEGA, S)
+    Fk = F[np.arange(40), rng.integers(0, S.size, size=40)]
+    u = np.concatenate([Fk, np.nextafter(Fk, 2.0), np.nextafter(Fk, -1.0),
+                        np.nextafter(F[:, -1], 2.0)])
+    y = draw_outcomes(traced, np.tile(X, (4, 1)), np.tile(A, 4), u)
+    assert np.array_equal(y, inverse_cdf(np.tile(F, (4, 1)), u, S.coords()))
+    assert sum(full) == 160
+    assert np.all(y[120:] == 1.0)
 
 
 def test_sample_outcome_mass_at_first_node():

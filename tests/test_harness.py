@@ -74,24 +74,85 @@ def test_dataset_csv_round_trip(tmp_path):
         assert a == a2 and y == pytest.approx(y2)
 
 
+def _counting_env(env, calls):
+    """``env`` whose evaluator appends (pairs, outcome coordinates) per call."""
+    inner = env.basis.eval_matrix
+
+    def counting(X, A, omega_nodes, s):
+        calls.append((A.shape[0], s))
+        return inner(X, A, omega_nodes, s)
+
+    return dataclasses.replace(env, basis=dataclasses.replace(env.basis, eval_matrix=counting))
+
+
 def test_generate_dataset_equals_per_sample_draws():
     # listed or indexed, the Dataset gives the records generate_dataset used
-    # to return as a list, element types included
+    # to return as a list, element types included; the outcomes equal
+    # full-row draws on outcome grids of 64 nodes, 2 (a single coarse
+    # node), 10 (a short last bracket) and 4096, over several chunks
     from cdfreg import Dataset, sample_context, sample_outcomes
-    for name, params in (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8})):
-        env = make_catalog_env(name, OMEGA, S, **params)
-        rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
-        data = generate_dataset(env, 53, rng)
-        assert isinstance(data, Dataset) and len(data) == 53
-        for i, (x, a, y) in enumerate(list(data)):
-            x_ref = sample_context(env, ref_rng)
-            a_ref = int(ref_rng.integers(env.action_count))
-            y_ref = sample_outcomes(env, x_ref, a_ref, 1, ref_rng)[0]
-            assert np.array_equal(x, x_ref) and a == a_ref and y == y_ref
-            assert [type(v) for v in (x, a, y)] == [np.ndarray, int, float]
-            assert x.shape == x_ref.shape
-            assert np.array_equal(data[i][0], x) and data[i][1:] == (a, y)
-        assert rng.random() == ref_rng.random()
+    envs = (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8}),
+            ("rank1-uniform", {}))
+    for s_grid, n in ((S, 53), (S, 600), (build_cdf_grid(2), 2100), (build_cdf_grid(10), 700),
+                      (build_cdf_grid(4096), 70)):
+        for name, params in envs:
+            calls = []
+            env = _counting_env(make_catalog_env(name, OMEGA, s_grid, **params), calls)
+            rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+            data = generate_dataset(env, n, rng)
+            assert isinstance(data, Dataset) and len(data) == n
+            y_ref = np.empty(n)
+            for i in range(n):
+                x_ref = sample_context(env, ref_rng)
+                a_ref = int(ref_rng.integers(env.action_count))
+                y_ref[i] = sample_outcomes(env, x_ref, a_ref, 1, ref_rng)[0]
+                assert np.array_equal(data.X[i], x_ref) and data.A[i] == a_ref
+            assert np.array_equal(data.y, y_ref)
+            assert rng.random() == ref_rng.random()
+            # one coarse call per chunk: the calls short of the full row
+            # that reach the last node
+            chunks = sum(1 for _, s in calls if s[-1] == 1.0 and s.size < s_grid.size)
+            assert chunks >= (2 if n > 53 else 1)
+    for i, (x, a, y) in enumerate(list(data)):
+        assert [type(v) for v in (x, a, y)] == [np.ndarray, int, float]
+        assert x.shape == (env.context_dim,)
+        assert np.array_equal(data[i][0], x) and data[i][1:] == (a, y)
+
+
+def test_generate_dataset_evaluates_at_most_15_of_64_outcome_nodes_per_record():
+    # a coarse pass of 8 nodes and one bracket of at most 7; the full row,
+    # all 64 nodes, is evaluated only for a record whose uniform lies
+    # within 4 n_w eps of an examined F value
+    calls = []
+    env = _counting_env(make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps"), calls)
+    generate_dataset(env, 256, np.random.default_rng(3))
+    full_rows = sum(b for b, s in calls if s.size == S.size)
+    assert full_rows <= 2
+    assert sum(b * s.size for b, s in calls) <= 256 * 15 + S.size * full_rows
+
+
+def test_counts_refused_by_name():
+    # numpy used to refuse these as "negative dimensions are not allowed"
+    # or a bare TypeError, naming neither the function nor the value
+    from cdfreg import CoefficientEstimate, GridFunction, heldout_cdf_error, sample_outcomes
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    estimate = CoefficientEstimate(GridFunction(OMEGA, np.ones(OMEGA.size)), Diagnostics())
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError, match=r"sample_outcomes needs size >= 0 draws, not %r"
+                           % (bad,)):
+            sample_outcomes(env, np.zeros(2), 0, bad, rng)
+        with pytest.raises(ValueError, match=r"generate_dataset needs n >= 0 records, not %r"
+                           % (bad,)):
+            generate_dataset(env, bad, rng)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match=r"heldout_cdf_error needs at least one pair, "
+                           r"not n_pairs = %r" % (bad,)):
+            heldout_cdf_error(estimate, env, bad, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
+    assert sample_outcomes(env, np.zeros(2), 0, np.int64(3), rng).shape == (3,)
+    assert len(generate_dataset(env, np.int64(2), rng)) == 2
 
 
 def test_generate_dataset_refuses_negative_n_by_name():
