@@ -9,13 +9,13 @@ inversely proportional to K plus the scaled utility gap to the greedy one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .environments import Environment, check_norm_bound, inverse_cdf
 from .functionals import UtilityFunctional
+from .numerics import checked_count
 from .operators import BASIS_CHUNK, basis_values
 from .regression import DataStatistics, Dataset, ErrorBudget, error_budget, regress
 
@@ -137,11 +137,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     copied. The last epoch, which is never regressed, accumulates none. The
     returned trace keeps the columns (``RegretTrace``).
     """
-    if isinstance(T, bool) or not isinstance(T, numbers.Integral):
-        raise ValueError("horizon T must be an integer, not %r" % (T,))
-    T = int(T)
-    if T < 2:
-        raise ValueError("horizon T must be at least 2")
+    T = checked_count(T, 2, "horizon T must be an integer >= 2, not %r")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     check_norm_bound(env, M)

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import GridFunction, QuadratureGrid, same_grid
+from .numerics import GridFunction, QuadratureGrid, checked_count, same_grid
 from .operators import EVAL_BYTES, CdfBasis, basis_chunks, basis_values_at, mixture_cdf
 
 
@@ -108,18 +108,6 @@ def _bump_theta_star(omega_grid: QuadratureGrid) -> GridFunction:
     return GridFunction(omega_grid, values)
 
 
-def checked_count(value, least: int, refusal: str):
-    """``value`` if it is an integer (a bool is not) of at least ``least``;
-    otherwise ``ValueError(refusal % value)``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(refusal % (value,))
-    return value
-
-
-def _positive_int(label: str, value):
-    return checked_count(value, 1, label + " must be a positive integer, got %r")
-
-
 # name -> factory of (basis name, evaluator, L0, eta) from the entry's own
 # parameters; a factory refuses a parameter it does not take (TypeError).
 # Every entry has covering constant A = 1. finite-rank-r's L0 is an empirical
@@ -128,8 +116,9 @@ def _positive_int(label: str, value):
 BASIS_CATALOG = {
     "rank1-uniform": lambda: ("rank1-uniform", _rank1_eval, 0.0, 1.0 / 3.0),
     "kumaraswamy": lambda: ("kumaraswamy", _kumaraswamy_eval, 2.5, 0.2),
-    "finite-rank-r": lambda rank=8: ("finite-rank-%d" % _positive_int("rank", rank),
-                                     partial(_finite_rank_eval, rank), 60.0, 1.0 / (8.0 * rank)),
+    "finite-rank-r": lambda rank=8: (
+        "finite-rank-%d" % checked_count(rank, 1, "rank must be a positive integer, got %r"),
+        partial(_finite_rank_eval, rank), 60.0, 1.0 / (8.0 * rank)),
 }
 
 
@@ -144,8 +133,8 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     in w over ``rank`` slabs, so the point operators have rank <= rank.
     ``rank``, ``context_dim`` and ``action_count`` must be positive integers.
     """
-    _positive_int("context_dim", context_dim)
-    _positive_int("action_count", action_count)
+    checked_count(context_dim, 1, "context_dim must be a positive integer, got %r")
+    checked_count(action_count, 1, "action_count must be a positive integer, got %r")
     if name not in BASIS_CATALOG:
         raise ValueError("unknown catalog environment %r" % name)
     basis = CdfBasis(*BASIS_CATALOG[name](**params), covering_constant_A=1.0,

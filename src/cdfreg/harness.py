@@ -11,21 +11,19 @@ from pathlib import Path
 import numpy as np
 
 from .engine import RegretTrace, run_episode
-from .environments import (Environment, check_norm_bound, checked_count, draw_outcomes,
-                           make_catalog_env, sample_context)
+from .environments import (Environment, check_norm_bound, draw_outcomes, make_catalog_env,
+                           sample_context)
 from .functionals import make_functional
-from .numerics import build_cdf_grid, build_uniform_grid, same_grid
+from .numerics import build_cdf_grid, build_uniform_grid, checked_count, same_grid
 from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
 from .regression import Dataset, regress
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Round-trippable description of one experiment."""
+    """Round-trippable description of one experiment. Its counts follow
+    ``numerics.checked_count`` and are stored as ints, ``seeds`` and
+    ``sweep_n`` as tuples; a bad value is refused at construction."""
 
     environment: dict = field(default_factory=lambda: {"name": "kumaraswamy"})
     functional: dict = field(default_factory=lambda: {"name": "mean"})
@@ -43,10 +41,16 @@ class ExperimentConfig:
     heldout_pairs: int = 64
 
     def __post_init__(self):
-        if len(self.seeds) == 0:
+        for name, least in (("omega_nodes", 2), ("s_nodes", 2), ("horizon", 2),
+                            ("heldout_pairs", 1)):
+            object.__setattr__(self, name, checked_count(
+                getattr(self, name), least, "%s must be an integer >= %d, not %%r" % (name, least)))
+        object.__setattr__(self, "seeds", tuple(
+            checked_count(s, 0, "seeds must hold integers >= 0, not %r") for s in self.seeds))
+        object.__setattr__(self, "sweep_n", tuple(
+            checked_count(n, 1, "sweep_n must hold integers >= 1, not %r") for n in self.sweep_n))
+        if not self.seeds:
             raise ValueError("seeds must name at least one seed")
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int) or self.horizon < 2:
-            raise ValueError("horizon must be an integer >= 2, not %r" % (self.horizon,))
         numeric = isinstance(self.gamma, (int, float)) and not isinstance(self.gamma, bool)
         # NaN fails the range test
         if self.gamma != "estimate" and not (numeric and 0.0 < self.gamma <= 1.0):
@@ -55,11 +59,6 @@ class ExperimentConfig:
         if not (isinstance(self.M, (int, float)) and not isinstance(self.M, bool)
                 and 1.0 <= self.M < float("inf")):
             raise ValueError("M must be a finite number of at least 1, not %r" % (self.M,))
-        if not all(_positive_int(n) for n in self.sweep_n):
-            raise ValueError("sweep_n must hold positive integers, not %r" % (self.sweep_n,))
-        if not _positive_int(self.heldout_pairs):
-            raise ValueError("heldout_pairs must be a positive integer, not %r"
-                             % (self.heldout_pairs,))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -67,21 +66,12 @@ class ExperimentConfig:
         d["sweep_n"] = list(self.sweep_n)
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "seeds" in d:
-            d["seeds"] = tuple(d["seeds"])
-        if "sweep_n" in d:
-            d["sweep_n"] = tuple(d["sweep_n"])
-        return ExperimentConfig(**d)
-
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+        return ExperimentConfig(**json.loads(Path(path).read_text()))
 
 
 def build_environment(config: ExperimentConfig) -> Environment:
@@ -106,9 +96,11 @@ DECAY_KMAX = 16
 def eigendecay_prepass(env: Environment, seed: int, n_pairs: int = DECAY_PAIRS,
                        k_max: int = DECAY_KMAX) -> EigendecayFit:
     """Eigendecay fit over n_pairs random (context, action) pairs drawn by
-    ``_draw_records`` from ``default_rng(seed)``; n_pairs < 1 draws none,
-    which ``estimate_eigendecay`` refuses."""
-    X, A, _ = _draw_records(env, max(n_pairs, 0), np.random.default_rng(seed))
+    ``_draw_records`` from ``default_rng(seed)``; an n_pairs that is not an
+    integer of at least 1 is refused with ``ValueError`` before any draw."""
+    checked_count(n_pairs, 1, "eigendecay_prepass: need at least one sample pair, not "
+                  "n_pairs = %r")
+    X, A, _ = _draw_records(env, n_pairs, np.random.default_rng(seed))
     return estimate_eigendecay(env.basis, X, A, k_max, env.omega_grid, env.s_grid)
 
 

@@ -17,6 +17,15 @@ MAX_GRID_NODES = 10**7
 MAX_EIG_SIZE = 2000
 
 
+def checked_count(value, least: int, refusal: str) -> int:
+    """The package's one rule for counts: ``value`` as an int if it is an
+    ``int`` or a numpy integer (never a bool) of at least ``least``;
+    otherwise ``ValueError(refusal % value)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(refusal % (value,))
+    return int(value)
+
+
 def _readonly(a):
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.flags.writeable = False
@@ -91,8 +100,8 @@ def same_grid(a: QuadratureGrid, b: QuadratureGrid) -> bool:
 
 def build_uniform_grid(dim: int, nodes_per_dim: int) -> QuadratureGrid:
     """Midpoint product rule on the unit box [0,1]^dim."""
-    if dim < 1 or nodes_per_dim < 2:
-        raise ValueError("need dim >= 1 and nodes_per_dim >= 2")
+    checked_count(dim, 1, "build_uniform_grid needs dim >= 1, not %r")
+    checked_count(nodes_per_dim, 2, "build_uniform_grid needs nodes_per_dim >= 2, not %r")
     if dim * np.log(nodes_per_dim) > np.log(MAX_GRID_NODES):
         raise ValueError("grid would exceed the %d node limit" % MAX_GRID_NODES)
     axis = (np.arange(nodes_per_dim) + 0.5) / nodes_per_dim
@@ -108,8 +117,7 @@ def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
     Used for the outcome support so that indicator integrals, CDF terminal
     values, and inverse-CDF sampling are mutually consistent on the grid.
     """
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
+    checked_count(n_nodes, 2, "build_cdf_grid needs n_nodes >= 2, not %r")
     if n_nodes > MAX_GRID_NODES:
         raise ValueError("grid would exceed the node limit")
     nodes = (np.arange(n_nodes) + 1.0) / n_nodes
@@ -239,8 +247,9 @@ def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
     entry; it is then symmetrized and solved by ``quadrature_eig``, so all
     n*r eigenpairs are returned, round-off negatives clamped to zero.
     """
-    if n < 1 or not 1 <= r <= 16:
-        raise ValueError("need n >= 1 and 1 <= r <= 16")
+    checked_count(n, 1, "degenerate_kernel_eig needs n >= 1 cells, not %r")
+    if checked_count(r, 1, "degenerate_kernel_eig needs 1 <= r <= 16, not r = %r") > 16:
+        raise ValueError("degenerate_kernel_eig needs 1 <= r <= 16, not r = %r" % r)
     if n * r > MAX_EIG_SIZE:
         raise ValueError("n*r exceeds the %d limit" % MAX_EIG_SIZE)
 

@@ -16,6 +16,7 @@ from .numerics import (
     GridFunction,
     QuadratureGrid,
     SpectralDecomposition,
+    checked_count,
     quadrature_eig,
     quadrature_eigvals,
     same_grid,
@@ -222,8 +223,7 @@ def estimate_eigendecay(basis: CdfBasis, X, A, k_max: int,
     """
     if len(A) == 0:
         raise ValueError("need at least one sample pair")
-    if k_max < 4:
-        raise ValueError("k_max must be at least 4")
+    checked_count(k_max, 4, "estimate_eigendecay needs k_max >= 4, not %r")
     k_max = min(k_max, omega_grid.size)
     tau = np.zeros(k_max)
     for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):

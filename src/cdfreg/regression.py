@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import GridFunction, QuadratureGrid, SpectralDecomposition, same_grid
+from .numerics import (GridFunction, QuadratureGrid, SpectralDecomposition, checked_count,
+                       same_grid)
 from .operators import (
     CdfBasis,
     DesignOperator,
@@ -90,8 +91,7 @@ class ErrorBudget:
 
 def select_truncation(spec: SpectralDecomposition, n: int, gamma: float) -> TruncationPlan:
     """Truncation at threshold n * epsilon with epsilon = n^(-2/(gamma+2))."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    checked_count(n, 1, "select_truncation needs n >= 1 records, not %r")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
     epsilon = float(n) ** (-2.0 / (gamma + 2.0))
@@ -437,7 +437,9 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
     RIDGE/2 ((M + ||x||)^2 - ||y - x||^2), from f_ridge(y) <= f_ridge(y_0)
     and ||y_0|| <= M.
     Scaling the operator moves all four by round-off only. Under a zero
-    operator every point of C is a projection and the start is returned.
+    operator every point of C is a projection, and at M = 1 C is the
+    uniform density alone, which ``_cap_l2_norm`` makes the start: in both
+    cases the start is returned with default ``Diagnostics``, converged.
     A theta on another grid than the operator's is refused.
     """
     if not 1.0 <= M < math.inf:  # NaN fails
@@ -446,7 +448,7 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
         raise ValueError("theta lives on a different grid than the operator")
     weights = op.grid.weights
     start = _cap_l2_norm(_project_unit_mass(theta.values, weights), weights, M)
-    if not np.any(op.kernel_matrix):
+    if M == 1.0 or not np.any(op.kernel_matrix):
         return CoefficientEstimate(GridFunction(op.grid, start), Diagnostics())
     y, diag = _solve_projection(start, theta.values, op, M)
     return CoefficientEstimate(GridFunction(op.grid, y), diag)

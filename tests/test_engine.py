@@ -227,6 +227,16 @@ def test_run_episode_rejects_bad_horizon():
     assert len(run_episode(env, fn, np.int64(8), 0.1, 1.0, 2.0, seed=0).records) == 8
 
 
+def test_run_episode_at_M_one_reports_converged_projections():
+    # at M = 1 every projection returns C's one point, the uniform density;
+    # all 7 used to be reported as not converged, with residuals up to 0.13
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    summary = run_episode(env, make_functional("mean"), 256, 0.1, 1.0, 1.0, seed=0).summary
+    assert summary["oracle_calls"] == 7
+    assert summary["nonconverged_projections"] == 0
+    assert summary["max_projection_residual"] == 0.0
+
+
 def test_run_episode_rejects_M_below_theta_star_norm():
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
     assert 1.1 < env.theta_star.norm() < 1.2

@@ -9,16 +9,26 @@ import numpy as np
 import pytest
 
 from cdfreg import (
+    CoefficientEstimate,
     Dataset,
     ExperimentConfig,
+    GridFunction,
     build_cdf_grid,
     build_uniform_grid,
+    degenerate_kernel_eig,
+    design_operator,
+    eigendecay_prepass,
+    estimate_eigendecay,
     fit_loglog_slope,
+    heldout_cdf_error,
     make_catalog_env,
     make_functional,
     regress,
     regret_slope,
     run_episode,
+    sample_outcomes,
+    select_truncation,
+    spectral_decompose,
     sweep_regression_error,
 )
 from cdfreg.cli import main
@@ -153,6 +163,82 @@ def test_counts_refused_by_name():
     assert rng.bit_generator.state == state  # refused before any draw
     assert sample_outcomes(env, np.zeros(2), 0, np.int64(3), rng).shape == (3,)
     assert len(generate_dataset(env, np.int64(2), rng)) == 2
+
+
+def _env():
+    return make_catalog_env("kumaraswamy", OMEGA, S)
+
+
+def _spec():
+    return spectral_decompose(design_operator(_env().basis, [(np.zeros(2), 0)], OMEGA, S))
+
+
+def _heldout(n_pairs):
+    estimate = CoefficientEstimate(GridFunction(OMEGA, np.ones(OMEGA.size)), Diagnostics())
+    return heldout_cdf_error(estimate, _env(), n_pairs, np.random.default_rng(0))
+
+
+# every count the package takes: name -> (least value, call on a value)
+COUNT_INPUTS = {
+    "build_uniform_grid-dim": (1, lambda v: build_uniform_grid(v, 2)),
+    "build_uniform_grid-nodes_per_dim": (2, lambda v: build_uniform_grid(1, v)),
+    "build_cdf_grid-n_nodes": (2, build_cdf_grid),
+    "degenerate_kernel_eig-n": (1, lambda v: degenerate_kernel_eig(np.minimum, v, 4)),
+    "estimate_eigendecay-k_max": (4, lambda v: estimate_eigendecay(
+        _env().basis, np.zeros((1, 2)), [0], v, OMEGA, S)),
+    "select_truncation-n": (1, lambda v: select_truncation(_spec(), v, 1.0)),
+    "make_catalog_env-context_dim": (1, lambda v: make_catalog_env(
+        "kumaraswamy", OMEGA, S, context_dim=v)),
+    "make_catalog_env-action_count": (1, lambda v: make_catalog_env(
+        "kumaraswamy", OMEGA, S, action_count=v)),
+    "make_catalog_env-rank": (1, lambda v: make_catalog_env("finite-rank-r", OMEGA, S, rank=v)),
+    "sample_outcomes-size": (0, lambda v: sample_outcomes(
+        _env(), np.zeros(2), 0, v, np.random.default_rng(0))),
+    "run_episode-T": (2, lambda v: run_episode(_env(), make_functional("mean"), v, 0.1, 1.0,
+                                               2.0, seed=0)),
+    "generate_dataset-n": (0, lambda v: generate_dataset(_env(), v, np.random.default_rng(0))),
+    "heldout_cdf_error-n_pairs": (1, _heldout),
+    "eigendecay_prepass-n_pairs": (1, lambda v: eigendecay_prepass(_env(), 0, v)),
+    "config-horizon": (2, lambda v: ExperimentConfig(horizon=v)),
+    "config-seeds": (0, lambda v: ExperimentConfig(seeds=(0, v))),
+    "config-sweep_n": (1, lambda v: ExperimentConfig(sweep_n=(16, v))),
+    "config-heldout_pairs": (1, lambda v: ExperimentConfig(heldout_pairs=v)),
+    "config-omega_nodes": (2, lambda v: ExperimentConfig(omega_nodes=v)),
+    "config-s_nodes": (2, lambda v: ExperimentConfig(s_nodes=v)),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_INPUTS))
+def test_every_count_follows_one_rule(name):
+    # a bool, a float and a value below the least are refused by name;
+    # before numerics.checked_count some passed, some ran as the int they
+    # rounded to and some raised a bare TypeError, and np.int64 was refused
+    # by the config while the engine took it
+    least, call = COUNT_INPUTS[name]
+    for bad in (True, 2.0, least - 1):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value).endswith(repr(bad)), str(exc.value)
+    call(np.int64(least))
+
+
+@pytest.mark.parametrize("setting", [
+    {"seeds": [0, 1.5]}, {"seeds": [0, True]}, {"seeds": [0, -1]}, {"omega_nodes": 32.0},
+    {"omega_nodes": 1}, {"s_nodes": True}, {"s_nodes": 64.0},
+], ids=["seed-1.5", "seed-true", "seed-minus-1", "omega-32.0", "omega-1", "s-true", "s-64.0"])
+def test_cli_run_refuses_bad_counts_at_load(tmp_path, capsys, setting):
+    # seeds [0, 1.5] used to write seed 0's trace and summary, then exit 2;
+    # omega_nodes 32.0 ran as 32
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(dict(setting, horizon=8, output_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert "contract violation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_stores_sequences_as_tuples():
+    assert ExperimentConfig(seeds=[0, 1], sweep_n=[16]) == ExperimentConfig(seeds=(0, 1),
+                                                                            sweep_n=(16,))
 
 
 def test_generate_dataset_refuses_negative_n_by_name():
@@ -317,6 +403,29 @@ def test_trace_csv_round_trips_contexts(tmp_path, capsys, context_dim):
     assert "slope" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["dataset", "trace"])
+def test_csv_readers_skip_blank_lines(tmp_path, kind):
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    path = tmp_path / "records.csv"
+    if kind == "dataset":
+        data = generate_dataset(env, 20, np.random.default_rng(2))
+        write_dataset_csv(data, path)
+        read = read_dataset_csv
+    else:
+        trace = run_episode(env, make_functional("mean"), 20, 0.1, 1.0, 2.0, seed=2)
+        write_trace_csv(trace, path)
+        read = read_trace_csv
+    lines = path.read_text().splitlines()
+    # a blank line after the header, between rows and at the end
+    path.write_text("\n".join(lines[:1] + [""] + lines[1:5] + ["", ""] + lines[5:] + [""]) + "\n")
+    back = read(path)
+    if kind == "dataset":
+        for col in ("X", "A", "y"):
+            assert np.array_equal(getattr(back, col), getattr(data, col))
+    else:
+        _assert_trace_columns(back, trace)
+
+
 def test_trace_csv_reads_back_bit_for_bit(tmp_path, capsys):
     from cdfreg.engine import dyadic_checkpoints
     env = make_catalog_env("kumaraswamy", OMEGA, S)
@@ -375,6 +484,16 @@ def test_regret_slope_skips_leading_zeros():
             return self.summary["checkpoints"]
 
     assert regret_slope(Fake()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_regret_slope_needs_three_nonzero_checkpoints():
+    class Fake:
+        summary = {"checkpoints": [(2, 0.0), (4, 0.0), (8, 1.0), (16, 2.0)]}
+
+        def checkpoints(self):
+            return self.summary["checkpoints"]
+
+    assert regret_slope(Fake()) is None
 
 
 def test_regret_slope_rejects_nan_checkpoint():

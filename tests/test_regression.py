@@ -10,13 +10,18 @@ import pytest
 
 from cdfreg import (
     DesignOperator,
+    Environment,
     GridFunction,
+    QuadratureGrid,
+    SpectralDecomposition,
     basis_values,
     build_cdf_grid,
     build_uniform_grid,
+    degenerate_kernel_eig,
     design_operator,
     empirical_target,
     error_budget,
+    eval_expected_penalty,
     generate_dataset,
     loss,
     make_catalog_env,
@@ -28,6 +33,7 @@ from cdfreg import (
     select_truncation,
     spectral_decompose,
     true_cdf,
+    weighted_norm,
 )
 from cdfreg import regression
 from cdfreg.operators import BASIS_CHUNK, basis_chunks, weighted_quadratic
@@ -457,6 +463,67 @@ def test_projection_zero_operator_returns_start():
     est = project_to_C(GridFunction(OMEGA, x), op, 2.0)
     assert est.diagnostics.converged and est.diagnostics.projection_iterations == 0
     assert np.array_equal(est.theta_hat.values, _clipped_start(x, 2.0))
+
+
+def test_projection_at_M_one_returns_the_uniform_density():
+    # at M = 1 the uniform density is C's one point, and the start; the
+    # KKT check found no multiplier there (Slater's condition fails) and
+    # reported the projection as not converged
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    rng = np.random.default_rng(5)
+    op = design_operator(env.basis, [(rng.random(2), int(rng.integers(5))) for _ in range(8)],
+                         OMEGA, S)
+    for _ in range(5):
+        est = project_to_C(GridFunction(OMEGA, rng.normal(1.0, 0.8, OMEGA.size)), op, 1.0)
+        assert np.array_equal(est.theta_hat.values, np.ones(OMEGA.size))
+        assert est.diagnostics == regression.Diagnostics()
+
+
+def _refusal_cases():
+    """name -> (call, message) for input refusals across the oracle's layers."""
+    basis = make_catalog_env("kumaraswamy", OMEGA, S).basis
+    ones, grid2 = np.ones(OMEGA.size), build_uniform_grid(1, 2)
+    op = design_operator(basis, [(np.array([0.3, 0.6]), 1)], OMEGA, S)
+    spec = spectral_decompose(op)
+    other = GridFunction(build_uniform_grid(1, 16), np.ones(16))
+    tilted = ones.copy()
+    tilted[:2] = -0.5, 2.5
+    return {
+        "env-negative-theta": (lambda: Environment(basis, GridFunction(OMEGA, tilted), OMEGA, S,
+                                                   2, 5), "nonnegative"),
+        "env-theta-mass": (lambda: Environment(basis, GridFunction(OMEGA, 2.0 * ones), OMEGA, S,
+                                               2, 5), "integrate to 1"),
+        "grid-counts": (lambda: QuadratureGrid(np.zeros((3, 1)), [0.5, 0.5]), "counts differ"),
+        "grid-mass": (lambda: QuadratureGrid([[0.25], [0.75]], [0.5, 0.6]), "sum to 1"),
+        "grid-box": (lambda: QuadratureGrid([[0.5], [1.5]], [0.5, 0.5]), "outside the unit box"),
+        "grid-coords-2d": (lambda: build_uniform_grid(2, 2).coords(), "1-d grids"),
+        "function-count": (lambda: GridFunction(OMEGA, np.ones(3)), "value count"),
+        "function-nan": (lambda: GridFunction(OMEGA, np.full(OMEGA.size, np.nan)), "finite"),
+        "spectrum-negative": (lambda: SpectralDecomposition([1.0, -0.5], np.eye(2), grid2),
+                              "nonnegative"),
+        "spectrum-ascending": (lambda: SpectralDecomposition([0.5, 1.0], np.eye(2), grid2),
+                               "descending"),
+        "kernel-eig-size": (lambda: degenerate_kernel_eig(np.minimum, 1000, 3), r"n\*r exceeds"),
+        "design-shape": (lambda: DesignOperator(np.zeros((3, 3)), OMEGA, 1), "does not match"),
+        "design-no-pairs": (lambda: design_operator(basis, [], OMEGA, S), "nonempty"),
+        "norm-other-grid": (lambda: weighted_norm(other, op), "different grid"),
+        "norm-indefinite": (lambda: weighted_norm(GridFunction(OMEGA, ones),
+                                                  DesignOperator(-np.eye(OMEGA.size), OMEGA, 1)),
+                            "semidefinite"),
+        "pinv-other-grid": (lambda: pseudo_inverse_apply(spec, select_truncation(spec, 1, 1.0),
+                                                         other), "different grid"),
+        "truncation-gamma-0": (lambda: select_truncation(spec, 8, 0.0), r"gamma must lie"),
+        "truncation-gamma-1.5": (lambda: select_truncation(spec, 8, 1.5), r"gamma must lie"),
+        "penalty-negative-weights": (lambda: eval_expected_penalty([1.5, -0.5], [0.0, 1.0]),
+                                     "nonnegative"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusal_cases()))
+def test_inputs_outside_the_contract_are_refused(case):
+    call, message = _refusal_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_error_budget_hand_value():
