@@ -31,9 +31,9 @@ def main():
     s = build_cdf_grid(64)
     for name in BASIS_CATALOG:
         env = make_catalog_env(name, omega, s)
-        fit = eigendecay_prepass(env, seed=0, n_pairs=25, k_max=8)
+        fit = eigendecay_prepass(env, seed=0, n_pairs=25)
         print("\n%s point operators, dominating sequence over 25 pairs" % env.basis.name)
-        print("  tau:", np.array2string(fit.tau, precision=4))
+        print("  nonzero tau:", np.array2string(fit.tau[fit.tau > 0], precision=4))
         print("  fitted decay exponent gamma = %.2f, power sum s0 = %.3f"
               % (fit.gamma, fit.s0))
 

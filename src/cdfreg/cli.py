@@ -7,8 +7,8 @@ episode per seed), sweep (regression error vs n), and fit-slope (log-log
 slope of a saved trace CSV or summary JSON).
 
 decay, regress, run and sweep read every experiment setting from the JSON
-config named by --config (``harness.ExperimentConfig``); decay's --pairs,
---kmax and --seed shape its report only.
+config named by --config (``harness.ExperimentConfig``); decay's --pairs
+and --seed shape its report only.
 
 Every file a command writes holds each float as its shortest round-trip
 repr, so it reads back bit for bit.
@@ -57,7 +57,7 @@ def cmd_eig(args) -> int:
 def cmd_decay(args) -> int:
     config = harness.ExperimentConfig.load(args.config)
     env = harness.build_environment(config)
-    fit = harness.eigendecay_prepass(env, args.seed, args.pairs, args.kmax)
+    fit = harness.eigendecay_prepass(env, args.seed, args.pairs)
     print("gamma = %.2f" % fit.gamma)
     print("s0 = %.6g" % fit.s0)
     print("tau =", " ".join("%.10g" % t for t in fit.tau))
@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decay", help="empirical eigendecay report")
     p.add_argument("--config", required=True)
     p.add_argument("--pairs", type=int, default=harness.DECAY_PAIRS)
-    p.add_argument("--kmax", type=int, default=harness.DECAY_KMAX)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decay)
 

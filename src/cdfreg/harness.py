@@ -90,18 +90,17 @@ def build_functional(config: ExperimentConfig):
 
 # The eigendecay pre-pass behind gamma = "estimate" and ``cdfreg decay``.
 DECAY_PAIRS = 20
-DECAY_KMAX = 16
 
 
-def eigendecay_prepass(env: Environment, seed: int, n_pairs: int = DECAY_PAIRS,
-                       k_max: int = DECAY_KMAX) -> EigendecayFit:
+def eigendecay_prepass(env: Environment, seed: int,
+                       n_pairs: int = DECAY_PAIRS) -> EigendecayFit:
     """Eigendecay fit over n_pairs random (context, action) pairs drawn by
     ``_draw_records`` from ``default_rng(seed)``; an n_pairs that is not an
     integer of at least 1 is refused with ``ValueError`` before any draw."""
     checked_count(n_pairs, 1, "eigendecay_prepass: need at least one sample pair, not "
                   "n_pairs = %r")
     X, A, _ = _draw_records(env, n_pairs, np.random.default_rng(seed))
-    return estimate_eigendecay(env.basis, X, A, k_max, env.omega_grid, env.s_grid)
+    return estimate_eigendecay(env.basis, X, A, env.omega_grid, env.s_grid)
 
 
 def resolve_gamma(config: ExperimentConfig, env: Environment, seed: int = 0):

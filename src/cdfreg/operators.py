@@ -85,6 +85,8 @@ class DesignOperator:
         k = np.ascontiguousarray(k)
         k.flags.writeable = False
         object.__setattr__(self, "kernel_matrix", k)
+        object.__setattr__(self, "data_count", checked_count(
+            self.data_count, 1, "DesignOperator needs data_count >= 1, not %r"))
 
     def quadrature_trace(self) -> float:
         return float(self.grid.weights @ np.diag(self.kernel_matrix))
@@ -210,26 +212,24 @@ S0_BUDGET = 10.0
 TAU_FLOOR = 1e-12
 
 
-def estimate_eigendecay(basis: CdfBasis, X, A, k_max: int,
-                        omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> EigendecayFit:
+def estimate_eigendecay(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
+                        s_grid: QuadratureGrid) -> EigendecayFit:
     """Empirical dominating sequence over sampled point operators.
 
     tau_k is the max over the sampled pairs, contexts X (n, d) and actions
-    A (n,), of the k-th point-operator eigenvalue, set to 0 below
-    ``TAU_FLOOR * tau_1``; gamma is the smallest ladder value whose prefix
-    power sum stays within ``S0_BUDGET`` (gamma = 1 if none does). Each
-    chunk's point kernels are eigensolved as one stack, eigenvalues only,
-    one ``quadrature_eigvals`` call per ``BASIS_CHUNK`` pairs.
+    A (n,), of the k-th point-operator eigenvalue, one entry per Omega node,
+    set to 0 below ``TAU_FLOOR * tau_1``; gamma is the smallest ladder value
+    whose power sum stays within ``S0_BUDGET`` (gamma = 1 if none does).
+    Each chunk's point kernels are eigensolved as one stack, eigenvalues
+    only, one ``quadrature_eigvals`` call per ``BASIS_CHUNK`` pairs.
     """
     if len(A) == 0:
         raise ValueError("need at least one sample pair")
-    checked_count(k_max, 4, "estimate_eigendecay needs k_max >= 4, not %r")
-    k_max = min(k_max, omega_grid.size)
-    tau = np.zeros(k_max)
+    tau = np.zeros(omega_grid.size)
     for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
         k = pair_kernels(phi, s_grid.weights)
         vals = quadrature_eigvals((k + k.transpose(0, 2, 1)) / 2, omega_grid)
-        tau = np.maximum(tau, vals[:, :k_max].max(axis=0))
+        tau = np.maximum(tau, vals.max(axis=0))
     tau[tau < TAU_FLOOR * tau[0]] = 0.0
     for gamma in GAMMA_LADDER:
         s = float(np.sum(tau**gamma))

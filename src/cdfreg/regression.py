@@ -19,7 +19,6 @@ excess over the unridged optimum is bounded in its diagnostics.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,16 +152,15 @@ class DataStatistics:
         return DesignOperator((self.kernel + self.kernel.T) / 2.0, self.omega_grid, self.count)
 
 
-class Dataset(Sequence):
+class Dataset:
     """A dataset of (x, a, y) records held as read-only columns: contexts
     X (n, d), actions A (n,) and outcomes y (n,).
 
-    Record i is ``(X[i], int(A[i]), float(y[i]))``, by index or in
-    iteration, and a slice is a ``Dataset`` of views. Columns that already
-    are float and int arrays are viewed, not copied, so the engine hands the
-    oracle each epoch's slice of its episode-wide columns. An action whose
-    value is not an integer raises ``ValueError`` instead of being
-    truncated.
+    It is sized and iterable, not indexable: iteration gives record i as
+    ``(X[i], int(A[i]), float(y[i]))``. Columns that already are float and
+    int arrays are viewed, not copied, so the engine hands the oracle each
+    epoch's slice of its episode-wide columns. An action whose value is not
+    an integer raises ``ValueError`` instead of being truncated.
     """
 
     __slots__ = ("X", "A", "y")
@@ -180,30 +178,16 @@ class Dataset(Sequence):
     def __len__(self) -> int:
         return self.A.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Dataset(self.X[i], self.A[i], self.y[i])
-        return self.X[i], int(self.A[i]), float(self.y[i])
-
     def __iter__(self):
         return zip(self.X, self.A.tolist(), self.y.tolist())
-
-
-def _dataset_chunks(dataset: Dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
-                    s_grid: QuadratureGrid):
-    """(phi, y) over successive ``BASIS_CHUNK`` chunks of a dataset's
-    columns, from ``basis_chunks``, which evaluates phi once per batch of
-    whole chunks up to ``EVAL_BYTES``."""
-    for sl, phi in basis_chunks(basis, dataset.X, dataset.A, omega_grid, s_grid):
-        yield phi, dataset.y[sl]
 
 
 def data_statistics(dataset: Dataset, basis: CdfBasis, omega_grid: QuadratureGrid,
                     s_grid: QuadratureGrid) -> DataStatistics:
     """Everything the oracle needs from a dataset, from one basis pass."""
     stats = DataStatistics(omega_grid, s_grid)
-    for phi, y in _dataset_chunks(dataset, basis, omega_grid, s_grid):
-        stats.add(phi, y)
+    for sl, phi in basis_chunks(basis, dataset.X, dataset.A, omega_grid, s_grid):
+        stats.add(phi, dataset.y[sl])
     return stats
 
 
@@ -220,8 +204,9 @@ def loss(theta: GridFunction, dataset: Dataset, basis: CdfBasis,
     wtheta = omega_grid.weights * theta.values
     s_coords = s_grid.coords()
     total = 0.0
-    for phi, y in _dataset_chunks(dataset, basis, omega_grid, s_grid):
-        total += float(np.sum((_indicators(y, s_coords) - wtheta @ phi) ** 2 @ s_grid.weights))
+    for sl, phi in basis_chunks(basis, dataset.X, dataset.A, omega_grid, s_grid):
+        ind = _indicators(dataset.y[sl], s_coords)
+        total += float(np.sum((ind - wtheta @ phi) ** 2 @ s_grid.weights))
     return total
 
 
@@ -458,9 +443,11 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
                  L: float, L0: float, A: float, d: int, eta: float) -> ErrorBudget:
     """Closed-form budgets: e_delta(n), the random-design constant, and
     est = L^2 * c_const * e_delta^2 at the confidence level passed in."""
+    n = checked_count(n, 1, "error_budget needs n >= 1 samples, not %r")
+    d = checked_count(d, 1, "error_budget needs dimension d >= 1, not %r")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not (all(v > 0 for v in (n, s0, M, L, A, d, eta)) and L0 >= 0
+    if not (all(v > 0 for v in (s0, M, L, A, eta)) and L0 >= 0
             and 0.0 < gamma <= 1.0):  # NaN fails
         raise ValueError("all budget inputs must be positive (L0 nonnegative)")
     log_inv_delta = math.log(1.0 / delta)

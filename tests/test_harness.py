@@ -11,6 +11,7 @@ import pytest
 from cdfreg import (
     CoefficientEstimate,
     Dataset,
+    DesignOperator,
     ExperimentConfig,
     GridFunction,
     build_cdf_grid,
@@ -18,6 +19,7 @@ from cdfreg import (
     degenerate_kernel_eig,
     design_operator,
     eigendecay_prepass,
+    error_budget,
     estimate_eigendecay,
     fit_loglog_slope,
     heldout_cdf_error,
@@ -96,10 +98,11 @@ def _counting_env(env, calls):
 
 
 def test_generate_dataset_equals_per_sample_draws():
-    # listed or indexed, the Dataset gives the records generate_dataset used
-    # to return as a list, element types included; the outcomes equal
-    # full-row draws on outcome grids of 64 nodes, 2 (a single coarse
-    # node), 10 (a short last bracket) and 4096, over several chunks
+    # iterated, the Dataset gives the records generate_dataset used to
+    # return as a list, element types included, and its columns hold them;
+    # the outcomes equal full-row draws on outcome grids of 64 nodes, 2 (a
+    # single coarse node), 10 (a short last bracket) and 4096, over several
+    # chunks
     from cdfreg import Dataset, sample_context, sample_outcomes
     envs = (("kumaraswamy", {"theta_star": "bumps"}), ("finite-rank-r", {"rank": 8}),
             ("rank1-uniform", {}))
@@ -126,7 +129,7 @@ def test_generate_dataset_equals_per_sample_draws():
     for i, (x, a, y) in enumerate(list(data)):
         assert [type(v) for v in (x, a, y)] == [np.ndarray, int, float]
         assert x.shape == (env.context_dim,)
-        assert np.array_equal(data[i][0], x) and data[i][1:] == (a, y)
+        assert np.array_equal(data.X[i], x) and (data.A[i], data.y[i]) == (a, y)
 
 
 def test_generate_dataset_evaluates_at_most_15_of_64_outcome_nodes_per_record():
@@ -184,9 +187,10 @@ COUNT_INPUTS = {
     "build_uniform_grid-nodes_per_dim": (2, lambda v: build_uniform_grid(1, v)),
     "build_cdf_grid-n_nodes": (2, build_cdf_grid),
     "degenerate_kernel_eig-n": (1, lambda v: degenerate_kernel_eig(np.minimum, v, 4)),
-    "estimate_eigendecay-k_max": (4, lambda v: estimate_eigendecay(
-        _env().basis, np.zeros((1, 2)), [0], v, OMEGA, S)),
     "select_truncation-n": (1, lambda v: select_truncation(_spec(), v, 1.0)),
+    "error_budget-n": (1, lambda v: error_budget(v, 0.1, 1.0, 1.0, 2.0, 1.0, 2.5, 1.0, 1, 0.2)),
+    "error_budget-d": (1, lambda v: error_budget(2, 0.1, 1.0, 1.0, 2.0, 1.0, 2.5, 1.0, v, 0.2)),
+    "DesignOperator-data_count": (1, lambda v: DesignOperator(np.eye(OMEGA.size), OMEGA, v)),
     "make_catalog_env-context_dim": (1, lambda v: make_catalog_env(
         "kumaraswamy", OMEGA, S, context_dim=v)),
     "make_catalog_env-action_count": (1, lambda v: make_catalog_env(
@@ -594,8 +598,9 @@ def test_cli_decay_one_pair_prints_its_spectrum(tmp_path, capsys, environment, s
     rng = np.random.default_rng(seed)
     pair = (sample_context(env, rng), int(rng.integers(env.action_count)))
     op = design_operator(env.basis, [pair], env.omega_grid, env.s_grid)
-    # the pair's eigenvalues, those below the floor printed as 0
-    top = quadrature_eigvals(op.kernel_matrix, env.omega_grid)[:16]
+    # the pair's whole spectrum, one entry per Omega node, those below the
+    # floor printed as 0
+    top = quadrature_eigvals(op.kernel_matrix, env.omega_grid)
     top[top < TAU_FLOOR * top[0]] = 0.0
     assert tau_line == "tau = " + " ".join("%.10g" % lam for lam in top)
 
@@ -634,8 +639,7 @@ def test_eigendecay_prepass_draws_context_then_action_per_pair(monkeypatch):
             ref_rng = np.random.default_rng(seed)
             X, A = zip(*[(sample_context(env, ref_rng), int(ref_rng.integers(env.action_count)))
                          for _ in range(harness.DECAY_PAIRS)])
-            ref = estimate_eigendecay(env.basis, np.array(X), np.array(A), harness.DECAY_KMAX,
-                                      OMEGA, S)
+            ref = estimate_eigendecay(env.basis, np.array(X), np.array(A), OMEGA, S)
             assert np.array_equal(fit.tau, ref.tau)
             assert (fit.gamma, fit.s0) == (ref.gamma, ref.s0)
             assert len(used) == harness.DECAY_PAIRS and len({id(r) for r in used}) == 1
@@ -1098,7 +1102,6 @@ def test_package_reads_and_writes_records_as_columns_only(tmp_path, capsys, monk
         raise AssertionError("a tuple view of the records was read")
 
     monkeypatch.setattr(RegretTrace, "records", property(tuple_view))
-    monkeypatch.setattr(Dataset, "__getitem__", tuple_view)
     monkeypatch.setattr(Dataset, "__iter__", tuple_view)
     cfg = ExperimentConfig(horizon=64, gamma="estimate", seeds=(0, 1, 2, 3, 4),
                            sweep_n=(16, 32), heldout_pairs=8, output_dir=str(tmp_path / "out"))

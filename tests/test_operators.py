@@ -28,6 +28,7 @@ from cdfreg import (
 )
 from cdfreg import numerics, operators
 from cdfreg.environments import BASIS_CATALOG
+from cdfreg.harness import DECAY_PAIRS, _draw_records
 from cdfreg.numerics import quadrature_eigvals
 from cdfreg.operators import BASIS_CHUNK, GAMMA_LADDER, S0_BUDGET, TAU_FLOOR
 
@@ -218,7 +219,7 @@ def test_estimate_eigendecay_makes_one_eigensolve_per_chunk(monkeypatch, n_pairs
 
     monkeypatch.setattr(operators, "quadrature_eigvals", counting_eigvals)
     monkeypatch.setattr(numerics, "sym_eig", counting_sym_eig)
-    estimate_eigendecay(env.basis, *_columns(pairs), 16, OMEGA, S)
+    estimate_eigendecay(env.basis, *_columns(pairs), OMEGA, S)
     sizes = [min(BASIS_CHUNK, n_pairs - lo) for lo in range(0, n_pairs, BASIS_CHUNK)]
     assert len(calls) == -(-n_pairs // BASIS_CHUNK)
     assert calls == [(b, OMEGA.size, OMEGA.size) for b in sizes]
@@ -236,7 +237,7 @@ def test_eigenfunctions_quadrature_orthonormal():
 
 def test_estimate_eigendecay_rank1():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
-    fit = estimate_eigendecay(env.basis, *_columns(_random_pairs(env, 5, 41)), 6, OMEGA, S)
+    fit = estimate_eigendecay(env.basis, *_columns(_random_pairs(env, 5, 41)), OMEGA, S)
     # rank one: a single eigenvalue ~1/3, every gamma on the ladder works
     assert fit.gamma == 0.1
     assert fit.tau[0] == pytest.approx(0.3412, abs=1e-3)
@@ -247,11 +248,11 @@ def test_estimate_eigendecay_rank1():
 def test_estimate_eigendecay_dominates_samples():
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     pairs = _random_pairs(env, 10, 43)
-    fit = estimate_eigendecay(env.basis, *_columns(pairs), 8, OMEGA, S)
+    fit = estimate_eigendecay(env.basis, *_columns(pairs), OMEGA, S)
+    assert fit.tau.shape == (OMEGA.size,)
     for x, a in pairs:
         spec = spectral_decompose(design_operator(env.basis, [(x, a)], OMEGA, S))
-        k = min(8, spec.eigenvalues.shape[0])
-        assert np.all(spec.eigenvalues[:k] <= fit.tau[:k] + 1e-12)
+        assert np.all(spec.eigenvalues <= fit.tau + 1e-12)
     assert np.sum(fit.tau ** fit.gamma) <= 10.0 + 1e-9
 
 
@@ -270,12 +271,11 @@ def test_estimate_eigendecay_equals_per_pair_reference(name, seed):
 
     pairs = _random_pairs(env, 20, seed)
     basis = dataclasses.replace(env.basis, eval_matrix=counting)
-    fit = estimate_eigendecay(basis, *_columns(pairs), 16, OMEGA, S)
+    fit = estimate_eigendecay(basis, *_columns(pairs), OMEGA, S)
     assert batches == [20]
-    tau = np.zeros(16)
+    tau = np.zeros(OMEGA.size)
     for x, a in pairs:
-        tau = np.maximum(tau, quadrature_eigvals(point_kernel(env.basis, x, a, OMEGA, S),
-                                                 OMEGA)[:16])
+        tau = np.maximum(tau, quadrature_eigvals(point_kernel(env.basis, x, a, OMEGA, S), OMEGA))
     tau[tau < TAU_FLOOR * tau[0]] = 0.0
     assert np.array_equal(fit.tau, tau)
 
@@ -289,11 +289,11 @@ def test_estimate_eigendecay_fit_agrees_with_a_full_eigensolve(name, params, see
     # the floor sets to 0 (without it s0 moved by up to 7.8e-4 relative)
     env = make_catalog_env(name, OMEGA, S, **params)
     pairs = _random_pairs(env, 20, seed)
-    fit = estimate_eigendecay(env.basis, *_columns(pairs), 16, OMEGA, S)
-    tau = np.zeros(16)
+    fit = estimate_eigendecay(env.basis, *_columns(pairs), OMEGA, S)
+    tau = np.zeros(OMEGA.size)
     for x, a in pairs:
         tau = np.maximum(tau, spectral_decompose(design_operator(env.basis, [(x, a)], OMEGA,
-                                                                 S)).eigenvalues[:16])
+                                                                 S)).eigenvalues)
     tau[tau < TAU_FLOOR * tau[0]] = 0.0
     gamma = next(g for g in GAMMA_LADDER if np.sum(tau**g) <= S0_BUDGET)
     assert fit.gamma == gamma
@@ -309,3 +309,47 @@ def test_floored_prepass_keeps_exactly_the_rank(name, params, rank):
         tau = eigendecay_prepass(env, seed).tau
         assert np.count_nonzero(tau) == rank
         assert np.all(tau[:rank] > 0) and np.all(tau[rank:] == 0)
+
+
+def test_prepass_reads_the_whole_floored_spectrum_above_16_nodes():
+    # finite-rank-20 has 20 resolved eigenvalues; a cut at 16 entries read
+    # 16 of them, gamma 0.1 and s0 9.104
+    env = make_catalog_env("finite-rank-r", OMEGA, S, rank=20)
+    fit = eigendecay_prepass(env, 0)
+    assert fit.tau.shape == (OMEGA.size,) and np.count_nonzero(fit.tau) == 20
+    assert fit.gamma == 0.2
+    assert fit.s0 == pytest.approx(np.sum(fit.tau[:20] ** 0.2), rel=1e-15)
+    assert fit.s0 == pytest.approx(6.228, abs=1e-3)
+
+
+def _fit_cut_at_16(env, X, A):
+    """The pre-pass with tau cut at its first 16 entries, as it ran before
+    the floor alone decided which eigenvalues count."""
+    tau = np.zeros(16)
+    for _, phi in operators.basis_chunks(env.basis, X, A, env.omega_grid, env.s_grid):
+        k = operators.pair_kernels(phi, env.s_grid.weights)
+        vals = quadrature_eigvals((k + k.transpose(0, 2, 1)) / 2, env.omega_grid)
+        tau = np.maximum(tau, vals[:, :16].max(axis=0))
+    tau[tau < TAU_FLOOR * tau[0]] = 0.0
+    gamma = next((g for g in GAMMA_LADDER if np.sum(tau**g) <= S0_BUDGET), 1.0)
+    return tau, gamma, float(np.sum(tau**gamma))
+
+
+@pytest.mark.parametrize("grids", [(32, 64), (64, 256)], ids=["32x64", "64x256"])
+@pytest.mark.parametrize("name, params", [
+    ("kumaraswamy", {}), ("kumaraswamy", {"theta_star": "bumps"}),
+    ("finite-rank-r", {"rank": 8}), ("finite-rank-r", {"rank": 16}), ("rank1-uniform", {})],
+    ids=["kumaraswamy-uniform", "kumaraswamy-bumps", "rank-8", "rank-16", "rank1-uniform"])
+def test_prepass_fit_equals_the_cut_at_16_where_at_most_16_taus_count(name, params, grids):
+    # where at most 16 eigenvalues clear the floor, the whole spectrum and
+    # its first 16 entries give the same (gamma, s0) bit for bit, and every
+    # entry past 16 is 0
+    omega, s = build_uniform_grid(1, grids[0]), build_cdf_grid(grids[1])
+    env = make_catalog_env(name, omega, s, **params)
+    for seed in range(10):
+        fit = eigendecay_prepass(env, seed)
+        X, A, _ = _draw_records(env, DECAY_PAIRS, np.random.default_rng(seed))
+        tau, gamma, s0 = _fit_cut_at_16(env, X, A)
+        assert fit.tau.shape == (omega.size,)
+        assert np.array_equal(fit.tau[:16], tau) and np.all(fit.tau[16:] == 0)
+        assert (fit.gamma, fit.s0) == (gamma, s0)

@@ -21,6 +21,7 @@ from cdfreg import (
     design_operator,
     empirical_target,
     error_budget,
+    estimate_eigendecay,
     eval_expected_penalty,
     generate_dataset,
     loss,
@@ -36,6 +37,7 @@ from cdfreg import (
     weighted_norm,
 )
 from cdfreg import regression
+from cdfreg.numerics import MAX_GRID_NODES
 from cdfreg.operators import BASIS_CHUNK, basis_chunks, weighted_quadratic
 from cdfreg.regression import KKT_TOLERANCE
 
@@ -232,6 +234,30 @@ def test_projection_certifies_points_on_the_cap():
         # the active set stops when a feasible face repeats instead of
         # cycling among faces until MAX_FACES
         assert est.diagnostics.projection_iterations <= 40
+
+
+def test_projection_returns_a_face_whose_uniform_density_is_on_the_cap(monkeypatch):
+    # the uniform density on 8 of 32 nodes has norm exactly M = 2: on its
+    # face u = M^2, so the face holds one point of C and _face_minimizer
+    # returns it without an eigensolve
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    data = generate_dataset(env, 256, np.random.default_rng(1))
+    op = regression.data_statistics(data, env.basis, OMEGA, S).design_operator()
+    faces, face_minimizer = [], regression._face_minimizer
+
+    def spy(b_mat, bx, w, free, M, mu_guess):
+        faces.append(M * M - 1.0 / float(w[free].sum()))
+        return face_minimizer(b_mat, bx, w, free, M, mu_guess)
+
+    monkeypatch.setattr(regression, "_face_minimizer", spy)
+    x = np.zeros(OMEGA.size)
+    x[5:13] = 4.0
+    assert GridFunction(OMEGA, x).norm() == 2.0
+    est = project_to_C(GridFunction(OMEGA, x), op, 2.0)
+    assert faces == [0.0]
+    assert np.array_equal(est.theta_hat.values, x)
+    diag = est.diagnostics
+    assert (diag.projection_iterations, diag.converged, diag.projection_residual) == (1, True, 0.0)
 
 
 def _reference_face(quad, bx, w, start):
@@ -506,6 +532,9 @@ def _refusal_cases():
         "kernel-eig-size": (lambda: degenerate_kernel_eig(np.minimum, 1000, 3), r"n\*r exceeds"),
         "design-shape": (lambda: DesignOperator(np.zeros((3, 3)), OMEGA, 1), "does not match"),
         "design-no-pairs": (lambda: design_operator(basis, [], OMEGA, S), "nonempty"),
+        "eigendecay-no-pairs": (lambda: estimate_eigendecay(basis, np.zeros((0, 2)), [], OMEGA,
+                                                            S), "at least one sample pair"),
+        "cdf-grid-size": (lambda: build_cdf_grid(MAX_GRID_NODES + 1), "node limit"),
         "norm-other-grid": (lambda: weighted_norm(other, op), "different grid"),
         "norm-indefinite": (lambda: weighted_norm(GridFunction(OMEGA, ones),
                                                   DesignOperator(-np.eye(OMEGA.size), OMEGA, 1)),
@@ -698,29 +727,27 @@ def test_regress_refuses_statistics_of_another_dataset():
     stats = regression.data_statistics(data, env.basis, OMEGA, S)
     longer = regression.Dataset(*(np.concatenate([col, col[:1]])
                                   for col in (data.X, data.A, data.y)))
-    for other in (data[:-1], longer, regression.Dataset(np.empty((0, 2)), [], [])):
+    shorter = regression.Dataset(data.X[:-1], data.A[:-1], data.y[:-1])
+    for other in (shorter, longer, regression.Dataset(np.empty((0, 2)), [], [])):
         with pytest.raises(ValueError, match="statistics count"):
             regress(other, env.basis, 0.1, 2.0, OMEGA, S, statistics=stats)
     with pytest.raises(ValueError, match="outside the support"):
-        stats.add(basis_values(env.basis, [data[0][0]], [0], OMEGA, S), [1.5])
+        stats.add(basis_values(env.basis, data.X[:1], [0], OMEGA, S), [1.5])
 
 
 def test_dataset_is_a_sequence_of_records_over_read_only_columns():
+    # sized and iterable over read-only views of its columns; no indexing
     X, A, y = np.arange(12.0).reshape(4, 3), np.array([0, 2, 1, 2]), np.linspace(0, 1, 4)
     data = regression.Dataset(X, A, y)
-    assert len(data) == 4 and data[-1][1] == 2 and data[2][2] == y[2]
+    assert len(data) == 4
     assert np.shares_memory(data.X, X) and np.shares_memory(data.A, A)
     assert not (data.X.flags.writeable or data.A.flags.writeable or data.y.flags.writeable)
     for i, (x, a, out) in enumerate(data):
         assert np.array_equal(x, X[i]) and (a, out) == (A[i], y[i])
         assert type(a) is int and type(out) is float
-        assert np.array_equal(data[i][0], x) and data[i][1:] == (a, out)
-    part = data[1:3]
-    assert isinstance(part, regression.Dataset) and len(part) == 2
-    assert np.shares_memory(part.X, X) and np.array_equal(part.y, y[1:3])
     assert [r[1:] for r in data] == [r[1:] for r in data] != []  # re-iterable
-    with pytest.raises(IndexError):
-        data[4]
+    with pytest.raises(TypeError):
+        data[0]
     with pytest.raises(ValueError, match="dataset columns"):
         regression.Dataset(X, A[:3], y)
 
