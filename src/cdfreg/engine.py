@@ -15,7 +15,7 @@ import numpy as np
 
 from .environments import Environment, check_norm_bound, inverse_cdf
 from .functionals import UtilityFunctional
-from .numerics import checked_count
+from .numerics import checked_count, checked_real
 from .operators import BASIS_CHUNK, basis_values
 from .regression import DataStatistics, Dataset, ErrorBudget, error_budget, regress
 
@@ -73,8 +73,8 @@ def igw_distribution(utilities, varsigma: float) -> np.ndarray:
         raise ValueError("utilities must have a nonempty last axis")
     if not np.all(np.isfinite(v)):
         raise ValueError("utilities must be finite")
-    if not 0 < varsigma < math.inf:  # NaN fails
-        raise ValueError("varsigma must be positive and finite")
+    varsigma = checked_real(varsigma, lambda v: 0.0 < v < math.inf,
+                            "varsigma must be finite and > 0, not %r")
     K = v.shape[-1]
     rows = v.reshape(-1, K)
     idx = np.arange(rows.shape[0])
@@ -105,10 +105,10 @@ def exploration_param(m: int, K: int, budget: ErrorBudget, scale: float = 1.0) -
     """varsigma_m = scale * (1/2) * sqrt(K / est) for epoch m, where the
     caller computes the budget at confidence delta / (2 m^2) on the previous
     epoch's sample count."""
-    if m < 2:
-        raise ValueError("exploration_param is defined for epochs m >= 2")
-    if not (K >= 1 and 0 < scale < math.inf):  # NaN fails
-        raise ValueError("K must be positive and scale positive and finite")
+    checked_count(m, 2, "exploration_param is defined for epochs m >= 2, not %r")
+    K = checked_count(K, 1, "exploration_param needs K >= 1 actions, not %r")
+    scale = checked_real(scale, lambda v: 0.0 < v < math.inf,
+                         "scale must be finite and > 0, not %r")
     return scale * 0.5 * math.sqrt(K / budget.est)
 
 
@@ -138,9 +138,12 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     returned trace keeps the columns (``RegretTrace``).
     """
     T = checked_count(T, 2, "horizon T must be an integer >= 2, not %r")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    check_norm_bound(env, M)
+    delta = checked_real(delta, lambda v: 0.0 < v < 1.0, "delta must lie in (0, 1), not %r")
+    gamma = checked_real(gamma, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1], not %r")
+    s0 = checked_real(s0, lambda v: 0.0 < v < math.inf, "s0 must be finite and > 0, not %r")
+    exploration_scale = checked_real(exploration_scale, lambda v: 0.0 < v < math.inf,
+                                     "exploration_scale must be finite and > 0, not %r")
+    M = check_norm_bound(env, M)
     rng = np.random.default_rng(seed)
     # doubling epoch boundaries 0 < 2 < 4 < ... capped at T; epoch m plays
     # rounds bounds[m-1]+1 .. bounds[m]

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import GridFunction, QuadratureGrid, checked_count, same_grid
+from .numerics import GridFunction, QuadratureGrid, checked_count, checked_real, same_grid
 from .operators import EVAL_BYTES, CdfBasis, basis_chunks, basis_values_at, mixture_cdf
 
 
@@ -32,11 +32,13 @@ class Environment:
             raise ValueError("theta_star must integrate to 1")
 
 
-def check_norm_bound(env: Environment, M: float):
-    """Raise unless ||theta*|| <= M, i.e. unless theta* lies in the set C
-    that the oracle projects onto; NaN fails."""
+def check_norm_bound(env: Environment, M: float) -> float:
+    """M as a float if it is finite, at least 1 and at least ||theta*||, so
+    that theta* lies in the set C the oracle projects onto; else raise."""
+    M = checked_real(M, lambda v: 1.0 <= v < math.inf, "M must be finite and >= 1, not %r")
     if not env.theta_star.norm() <= M + 1e-9:
-        raise ValueError("theta_star exceeds the norm bound M")
+        raise ValueError("theta_star exceeds the norm bound M = %r" % M)
+    return M
 
 
 # Catalog evaluators take contexts X (B, d), actions A (B,), Omega nodes
@@ -74,23 +76,18 @@ def _kumaraswamy_eval(X, A, omega_nodes, s):
 
 def _finite_rank_eval(rank, X, A, omega_nodes, s):
     # cell c carries the CDF of a uniform law on a short interval inside
-    # [c/rank, (c+1)/rank]; the interval's offset moves with (x, a).  The
-    # staggered supports keep all `rank` Gram eigenvalues well separated
-    # from zero, unlike smooth families whose spectra collapse numerically.
+    # [c/rank, (c+1)/rank] whose offset moves with (x, a), evaluated once per
+    # cell and repeated over its nodes. The staggered supports keep all `rank`
+    # Gram eigenvalues well separated from zero, unlike smooth families.
     xm = X.mean(axis=1)[:, None]
     a1 = (A + 1)[:, None]
-    cell = np.minimum((omega_nodes[:, 0] * rank).astype(int), rank - 1)
+    cell, node_cell = np.unique(np.minimum((omega_nodes[:, 0] * rank).astype(int), rank - 1),
+                                return_inverse=True)
     u = 0.5 * (1.0 + np.sin(2.0 * np.pi * (0.9 * xm + 0.41 * a1 + 1.7 * (cell + 1) / rank)))
     width = 0.5 / rank
     left = cell / rank + (1.0 / rank - width) * u
-    # clip(s / width - left / width, 0, 1) as one (B n_w, 2) @ (2, n_s)
-    # product of rows [1, -left / width] and [s / width; 1], which BLAS
-    # runs faster than the broadcast subtraction: 1 * a + b * 1 rounds once,
-    # so it is the subtraction bit for bit, and equal to clip((s - left) /
-    # width, 0, 1) when width is a power of two (rank 1, 2, 4, 8, ...)
-    rows = np.stack([np.ones_like(left), -left / width], axis=-1).reshape(-1, 2)
-    out = (rows @ np.stack([s / width, np.ones_like(s)])).reshape(*left.shape, s.shape[0])
-    return np.clip(out, 0.0, 1.0, out=out)
+    out = np.subtract(s, left[:, :, None])
+    return np.take(np.clip(np.divide(out, width, out=out), 0.0, 1.0, out=out), node_cell, axis=1)
 
 
 # (center, height, width) of each Gaussian bump added to the uniform density

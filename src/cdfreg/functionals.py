@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import QuadratureGrid
+from .numerics import QuadratureGrid, checked_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,24 +66,9 @@ def eval_variance(F, grid: QuadratureGrid):
     return ey2 - ey**2
 
 
-def _check_quantile_parameters(q: float, h: float):
-    # the tests state the pass conditions, so NaN fails them
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1), not %r" % (q,))
-    if not 0.0 < h < np.inf:
-        raise ValueError("bandwidth h must be a positive finite number, not %r" % (h,))
-
-
 def eval_smoothed_quantile(F, grid: QuadratureGrid, q: float, h: float):
-    """Logistic-smoothed level-q quantile: integral sigma((q - F(s)) / h).
-
-    Converges to the exact quantile as h -> 0; Lipschitz with constant
-    1/(4h) on L2(S,m) with m(S) = 1.
-    """
-    _check_quantile_parameters(q, h)
-    z = (q - _check_cdf(F, grid)) / h
-    sigma = 1.0 / (1.0 + np.exp(-z))
-    return _integrate(sigma, grid)
+    """``smoothed_quantile_functional(q, h)`` of F: integral sigma((q - F(s)) / h)."""
+    return smoothed_quantile_functional(q, h)(F, grid)
 
 
 def eval_expected_penalty(weights, loss_row):
@@ -109,10 +94,15 @@ def variance_functional() -> UtilityFunctional:
 
 
 def smoothed_quantile_functional(q: float, h: float = 0.05) -> UtilityFunctional:
-    _check_quantile_parameters(q, h)
+    """Logistic-smoothed level-q quantile: integral sigma((q - F(s)) / h)
+    for q in (0, 1) and a finite h > 0. It converges to the exact quantile
+    as h -> 0 and is Lipschitz with constant 1/(4h) on L2(S,m), m(S) = 1."""
+    q = checked_real(q, lambda v: 0.0 < v < 1.0, "q must lie in (0, 1), not %r")
+    h = checked_real(h, lambda v: 0.0 < v < np.inf, "bandwidth h must be finite and > 0, not %r")
 
     def evaluator(F, grid: QuadratureGrid):
-        return eval_smoothed_quantile(F, grid, q, h)
+        z = (q - _check_cdf(F, grid)) / h
+        return _integrate(1.0 / (1.0 + np.exp(-z)), grid)
 
     return UtilityFunctional("smoothed_quantile", 1.0 / (4.0 * h), evaluator)
 

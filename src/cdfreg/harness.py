@@ -14,7 +14,7 @@ from .engine import RegretTrace, run_episode
 from .environments import (Environment, check_norm_bound, draw_outcomes, make_catalog_env,
                            sample_context)
 from .functionals import make_functional
-from .numerics import build_cdf_grid, build_uniform_grid, checked_count, same_grid
+from .numerics import build_cdf_grid, build_uniform_grid, checked_count, checked_real, same_grid
 from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
 from .regression import Dataset, regress
 
@@ -22,8 +22,9 @@ from .regression import Dataset, regress
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Round-trippable description of one experiment. Its counts follow
-    ``numerics.checked_count`` and are stored as ints, ``seeds`` and
-    ``sweep_n`` as tuples; a bad value is refused at construction."""
+    ``numerics.checked_count`` (stored as ints, ``seeds`` and ``sweep_n`` as
+    tuples) and its reals ``numerics.checked_real`` (stored as floats, gamma
+    unless "estimate"); a bad value is refused at construction."""
 
     environment: dict = field(default_factory=lambda: {"name": "kumaraswamy"})
     functional: dict = field(default_factory=lambda: {"name": "mean"})
@@ -51,20 +52,18 @@ class ExperimentConfig:
             checked_count(n, 1, "sweep_n must hold integers >= 1, not %r") for n in self.sweep_n))
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
-        numeric = isinstance(self.gamma, (int, float)) and not isinstance(self.gamma, bool)
-        # NaN fails the range test
-        if self.gamma != "estimate" and not (numeric and 0.0 < self.gamma <= 1.0):
-            raise ValueError('gamma must be "estimate" or a number in (0, 1], not %r'
-                             % (self.gamma,))
-        if not (isinstance(self.M, (int, float)) and not isinstance(self.M, bool)
-                and 1.0 <= self.M < float("inf")):
-            raise ValueError("M must be a finite number of at least 1, not %r" % (self.M,))
+        for name, ok, rule in (
+                ("delta", lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+                ("gamma", lambda v: 0.0 < v <= 1.0, 'be "estimate" or a number in (0, 1]'),
+                ("s0", lambda v: 0.0 < v < np.inf, "be finite and > 0"),
+                ("M", lambda v: 1.0 <= v < np.inf, "be finite and >= 1"),
+                ("exploration_scale", lambda v: 0.0 < v < np.inf, "be finite and > 0")):
+            if not (name == "gamma" and self.gamma == "estimate"):
+                object.__setattr__(self, name, checked_real(
+                    getattr(self, name), ok, "%s must %s, not %%r" % (name, rule)))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["seeds"] = list(self.seeds)
-        d["sweep_n"] = list(self.sweep_n)
-        return d
+        return dict(asdict(self), seeds=list(self.seeds), sweep_n=list(self.sweep_n))
 
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
@@ -108,7 +107,7 @@ def resolve_gamma(config: ExperimentConfig, env: Environment, seed: int = 0):
     if config.gamma == "estimate":
         fit = eigendecay_prepass(env, seed)
         return fit.gamma, max(fit.s0, 1e-6), "estimate"
-    return float(config.gamma), float(config.s0), "config"
+    return config.gamma, config.s0, "config"
 
 
 def _draw_records(env, n, rng, outcomes=False):

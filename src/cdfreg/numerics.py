@@ -26,6 +26,16 @@ def checked_count(value, least: int, refusal: str) -> int:
     return int(value)
 
 
+def checked_real(value, ok, refusal: str) -> float:
+    """The package's one rule for reals: ``value`` as a float if it is an
+    ``int``, ``float`` or numpy real, never a bool or a string, that passes
+    the interval test ``ok`` (NaN fails all); else ``ValueError(refusal % value)``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not ok(float(value))):
+        raise ValueError(refusal % (value,))
+    return float(value)
+
+
 def _readonly(a):
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.flags.writeable = False
@@ -119,7 +129,8 @@ def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
     """
     checked_count(n_nodes, 2, "build_cdf_grid needs n_nodes >= 2, not %r")
     if n_nodes > MAX_GRID_NODES:
-        raise ValueError("grid would exceed the node limit")
+        raise ValueError("grid would exceed the %d node limit: n_nodes = %r"
+                         % (MAX_GRID_NODES, n_nodes))
     nodes = (np.arange(n_nodes) + 1.0) / n_nodes
     weights = np.full(n_nodes, 1.0 / n_nodes)
     return QuadratureGrid(nodes[:, None], weights)

@@ -238,12 +238,10 @@ def _finite_rank_out_of_place(rank, X, A, omega_nodes, s):
 
 @pytest.mark.parametrize("B", [1, 5, 16, 80, 333])
 def test_in_place_evaluators_equal_out_of_place_expressions(B):
-    # ranks whose ramp width 0.5 / rank is a power of two: the fused
-    # s / width - left / width rounds exactly as (s - left) / width
     rng = np.random.default_rng(B)
     X, A = rng.random((B, 3)), rng.integers(0, 7, size=B)
     nodes, s = OMEGA.nodes, S.coords()
-    for rank in (1, 4, 8):
+    for rank in (1, 3, 4, 5, 8, 12, 20):
         assert np.array_equal(_finite_rank_eval(rank, X, A, nodes, s),
                               _finite_rank_out_of_place(rank, X, A, nodes, s))
 

@@ -4,6 +4,7 @@ command-line front end."""
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cdfreg import (
     CoefficientEstimate,
     Dataset,
     DesignOperator,
+    ErrorBudget,
     ExperimentConfig,
     GridFunction,
     build_cdf_grid,
@@ -21,10 +23,13 @@ from cdfreg import (
     eigendecay_prepass,
     error_budget,
     estimate_eigendecay,
+    exploration_param,
     fit_loglog_slope,
     heldout_cdf_error,
+    igw_distribution,
     make_catalog_env,
     make_functional,
+    project_to_C,
     regress,
     regret_slope,
     run_episode,
@@ -34,7 +39,7 @@ from cdfreg import (
     sweep_regression_error,
 )
 from cdfreg.cli import main
-from cdfreg.environments import BASIS_CATALOG
+from cdfreg.environments import BASIS_CATALOG, check_norm_bound
 from cdfreg.functionals import FUNCTIONAL_CATALOG
 from cdfreg.harness import (
     build_environment,
@@ -209,6 +214,8 @@ COUNT_INPUTS = {
     "config-heldout_pairs": (1, lambda v: ExperimentConfig(heldout_pairs=v)),
     "config-omega_nodes": (2, lambda v: ExperimentConfig(omega_nodes=v)),
     "config-s_nodes": (2, lambda v: ExperimentConfig(s_nodes=v)),
+    "exploration_param-m": (2, lambda v: exploration_param(v, 5, ErrorBudget(1.0, 1.0, 1.0))),
+    "exploration_param-K": (1, lambda v: exploration_param(2, v, ErrorBudget(1.0, 1.0, 1.0))),
 }
 
 
@@ -237,6 +244,90 @@ def test_cli_run_refuses_bad_counts_at_load(tmp_path, capsys, setting):
     cpath.write_text(json.dumps(dict(setting, horizon=8, output_dir=str(tmp_path / "out"))))
     assert main(["run", "--config", str(cpath)]) == 3
     assert "contract violation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# error_budget's keyword arguments, each inside its interval
+BUDGET = dict(n=2, delta=0.1, gamma=1.0, s0=1.0, M=2.0, L=1.0, L0=2.5, A=1.0, d=1, eta=0.2)
+
+
+def _episode(**reals):
+    reals = dict(dict(delta=0.1, gamma=1.0, M=2.0, s0=1.0, exploration_scale=1.0), **reals)
+    return run_episode(_env(), make_functional("mean"), 2, seed=0, **reals)
+
+
+def _projection(M):
+    op = design_operator(_env().basis, [(np.zeros(2), 0)], OMEGA, S)
+    return project_to_C(GridFunction(OMEGA, np.ones(OMEGA.size)), op, M)
+
+
+ABOVE_ONE, BELOW_ONE = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+# name -> (the nearest refused value below its interval, the nearest above,
+# a value inside)
+EPISODE_REALS = {"delta": (0.0, 1.0, 0.1), "gamma": (0.0, ABOVE_ONE, 0.5),
+                 "s0": (0.0, math.inf, 2.0), "M": (BELOW_ONE, math.inf, 2.0),
+                 "exploration_scale": (0.0, math.inf, 2.0)}
+BUDGET_REALS = dict({k: EPISODE_REALS[k] for k in ("delta", "gamma", "s0", "M")},
+                    L=(0.0, math.inf, 2.0), A=(0.0, math.inf, 2.0), eta=(0.0, math.inf, 0.2),
+                    L0=(-5e-324, math.inf, 2.5))
+# every real the package takes: name -> (below, above, inside, call on a value)
+REAL_INPUTS = {
+    **{"config-" + k: (*v, lambda x, k=k: ExperimentConfig(**{k: x}))
+       for k, v in EPISODE_REALS.items()},
+    **{"run_episode-" + k: (*v, lambda x, k=k: _episode(**{k: x}))
+       for k, v in EPISODE_REALS.items()},
+    **{"error_budget-" + k: (*v, lambda x, k=k: error_budget(**dict(BUDGET, **{k: x})))
+       for k, v in BUDGET_REALS.items()},
+    "check_norm_bound-M": (BELOW_ONE, math.inf, 2.0, lambda v: check_norm_bound(_env(), v)),
+    "select_truncation-gamma": (0.0, ABOVE_ONE, 0.5, lambda v: select_truncation(_spec(), 8, v)),
+    "project_to_C-M": (BELOW_ONE, math.inf, 2.0, _projection),
+    "exploration_param-scale": (0.0, math.inf, 2.0, lambda v: exploration_param(
+        2, 5, ErrorBudget(1.0, 1.0, 1.0), scale=v)),
+    "igw_distribution-varsigma": (0.0, math.inf, 2.0, lambda v: igw_distribution([1.0, 0.0], v)),
+    "smoothed_quantile-q": (0.0, 1.0, 0.5, lambda v: make_functional("smoothed_quantile", q=v)),
+    "smoothed_quantile-h": (0.0, math.inf, 0.05, lambda v: make_functional(
+        "smoothed_quantile", q=0.5, h=v)),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_INPUTS))
+def test_every_real_parameter_follows_one_rule(name):
+    # True, NaN, a string and the nearest values outside the interval are
+    # refused by name; before numerics.checked_real some were taken (True
+    # as 1, M = True projected with M = 1), some were refused without their
+    # value, and the config refused np.float32 while taking np.float64
+    below, above, inside, call = REAL_INPUTS[name]
+    for bad in (True, math.nan, str(inside), below, above):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value).endswith(repr(bad)), str(exc.value)
+    call(np.float32(inside))
+
+
+def test_config_stores_reals_as_floats():
+    config = ExperimentConfig(delta=np.float32(0.5), gamma=1, s0=np.int64(3), M=2,
+                              exploration_scale=np.float64(1e8))
+    assert [type(getattr(config, k)) for k in ("delta", "gamma", "s0", "M",
+                                               "exploration_scale")] == [float] * 5
+    assert (config.delta, config.gamma, config.s0, config.M) == (0.5, 1.0, 3.0, 2.0)
+    summary = run_episode(_env(), make_functional("mean"), 2, 0.1, 1, 2, seed=0).summary
+    assert [type(summary[k]) for k in ("delta", "gamma", "s0", "M",
+                                       "exploration_scale")] == [float] * 5
+
+
+@pytest.mark.parametrize("setting", [{"delta": 2}, {"s0": -1}, {"exploration_scale": 0},
+                                     {"delta": "0.1"}],
+                         ids=["delta-2", "s0-minus-1", "scale-0", "delta-string"])
+def test_cli_run_refuses_bad_reals_at_load(tmp_path, capsys, setting):
+    # each used to load: delta = 2 was refused by run_episode without its
+    # value, s0 = -1 and exploration_scale = 0 only at the second epoch, and
+    # "0.1" ended in a TypeError (exit 2); now each is refused at load by name
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(dict(setting, horizon=8, output_dir=str(tmp_path / "out"))))
+    with pytest.raises(ValueError):
+        ExperimentConfig.load(cpath)
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert capsys.readouterr().err.rstrip().endswith("not %r" % (*setting.values(),))
     assert not (tmp_path / "out").exists()
 
 

@@ -534,7 +534,8 @@ def _refusal_cases():
         "design-no-pairs": (lambda: design_operator(basis, [], OMEGA, S), "nonempty"),
         "eigendecay-no-pairs": (lambda: estimate_eigendecay(basis, np.zeros((0, 2)), [], OMEGA,
                                                             S), "at least one sample pair"),
-        "cdf-grid-size": (lambda: build_cdf_grid(MAX_GRID_NODES + 1), "node limit"),
+        "cdf-grid-size": (lambda: build_cdf_grid(MAX_GRID_NODES + 1), r"the %d node limit: "
+                          r"n_nodes = %d$" % (MAX_GRID_NODES, MAX_GRID_NODES + 1)),
         "norm-other-grid": (lambda: weighted_norm(other, op), "different grid"),
         "norm-indefinite": (lambda: weighted_norm(GridFunction(OMEGA, ones),
                                                   DesignOperator(-np.eye(OMEGA.size), OMEGA, 1)),
@@ -735,7 +736,7 @@ def test_regress_refuses_statistics_of_another_dataset():
         stats.add(basis_values(env.basis, data.X[:1], [0], OMEGA, S), [1.5])
 
 
-def test_dataset_is_a_sequence_of_records_over_read_only_columns():
+def test_dataset_is_iterable_over_read_only_columns():
     # sized and iterable over read-only views of its columns; no indexing
     X, A, y = np.arange(12.0).reshape(4, 3), np.array([0, 2, 1, 2]), np.linspace(0, 1, 4)
     data = regression.Dataset(X, A, y)
