@@ -48,8 +48,7 @@ NAMED_KERNELS = {
 
 def cmd_eig(args) -> int:
     spec = degenerate_kernel_eig(NAMED_KERNELS[args.kernel], args.n, args.r)
-    top = spec.eigenvalues[: args.top]
-    for i, lam in enumerate(top, start=1):
+    for i, lam in enumerate(spec.eigenvalues[: args.top], start=1):
         print("lambda_%d = %.10g" % (i, lam))
     return EXIT_OK
 

@@ -73,8 +73,7 @@ def igw_distribution(utilities, varsigma: float) -> np.ndarray:
         raise ValueError("utilities must have a nonempty last axis")
     if not np.all(np.isfinite(v)):
         raise ValueError("utilities must be finite")
-    varsigma = checked_real(varsigma, lambda v: 0.0 < v < math.inf,
-                            "varsigma must be finite and > 0, not %r")
+    varsigma = checked_real(varsigma, "varsigma")
     K = v.shape[-1]
     rows = v.reshape(-1, K)
     idx = np.arange(rows.shape[0])
@@ -101,14 +100,12 @@ def _choose_actions(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(cdf <= u[:, None], axis=-1)
 
 
-def exploration_param(m: int, K: int, budget: ErrorBudget, scale: float = 1.0) -> float:
-    """varsigma_m = scale * (1/2) * sqrt(K / est) for epoch m, where the
+def exploration_param(K: int, budget: ErrorBudget, scale: float = 1.0) -> float:
+    """varsigma_m = scale * (1/2) * sqrt(K / est) for epoch m >= 2, where the
     caller computes the budget at confidence delta / (2 m^2) on the previous
     epoch's sample count."""
-    checked_count(m, 2, "exploration_param is defined for epochs m >= 2, not %r")
     K = checked_count(K, 1, "exploration_param needs K >= 1 actions, not %r")
-    scale = checked_real(scale, lambda v: 0.0 < v < math.inf,
-                         "scale must be finite and > 0, not %r")
+    scale = checked_real(scale, "exploration_scale")
     return scale * 0.5 * math.sqrt(K / budget.est)
 
 
@@ -138,11 +135,8 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     returned trace keeps the columns (``RegretTrace``).
     """
     T = checked_count(T, 2, "horizon T must be an integer >= 2, not %r")
-    delta = checked_real(delta, lambda v: 0.0 < v < 1.0, "delta must lie in (0, 1), not %r")
-    gamma = checked_real(gamma, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1], not %r")
-    s0 = checked_real(s0, lambda v: 0.0 < v < math.inf, "s0 must be finite and > 0, not %r")
-    exploration_scale = checked_real(exploration_scale, lambda v: 0.0 < v < math.inf,
-                                     "exploration_scale must be finite and > 0, not %r")
+    delta, gamma, s0, exploration_scale = (checked_real(v, name) for name, v in zip(
+        ("delta", "gamma", "s0", "exploration_scale"), (delta, gamma, s0, exploration_scale)))
     M = check_norm_bound(env, M)
     rng = np.random.default_rng(seed)
     # doubling epoch boundaries 0 < 2 < 4 < ... capped at T; epoch m plays
@@ -172,7 +166,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
                 A=basis.covering_constant_A, d=basis.omega_dim,
                 eta=basis.kernel_floor_eta,
             )
-            varsigma = exploration_param(m, K, budget, exploration_scale)
+            varsigma = exploration_param(K, budget, exploration_scale)
             data = Dataset(X[prev], actions[prev], y[prev])  # views, not copies
             estimate = regress(data, basis, gamma, M, omega_grid, s_grid, statistics=stats)
             diagnostics.append(estimate.diagnostics)

@@ -9,7 +9,8 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import GridFunction, QuadratureGrid, checked_count, checked_real, same_grid
+from .numerics import (MAX_GRID_NODES, GridFunction, QuadratureGrid, checked_count, checked_real,
+                       same_grid)
 from .operators import EVAL_BYTES, CdfBasis, basis_chunks, basis_values_at, mixture_cdf
 
 
@@ -35,7 +36,7 @@ class Environment:
 def check_norm_bound(env: Environment, M: float) -> float:
     """M as a float if it is finite, at least 1 and at least ||theta*||, so
     that theta* lies in the set C the oracle projects onto; else raise."""
-    M = checked_real(M, lambda v: 1.0 <= v < math.inf, "M must be finite and >= 1, not %r")
+    M = checked_real(M, "M")
     if not env.theta_star.norm() <= M + 1e-9:
         raise ValueError("theta_star exceeds the norm bound M = %r" % M)
     return M
@@ -105,6 +106,12 @@ def _bump_theta_star(omega_grid: QuadratureGrid) -> GridFunction:
     return GridFunction(omega_grid, values)
 
 
+def _finite_rank_basis(rank=8):
+    if checked_count(rank, 1, "rank must be a positive integer, got %r") > MAX_GRID_NODES:
+        raise ValueError("rank must be at most the %d node limit, not %r" % (MAX_GRID_NODES, rank))
+    return "finite-rank-%d" % rank, partial(_finite_rank_eval, rank), 60.0, 1.0 / (8.0 * rank)
+
+
 # name -> factory of (basis name, evaluator, L0, eta) from the entry's own
 # parameters; a factory refuses a parameter it does not take (TypeError).
 # Every entry has covering constant A = 1. finite-rank-r's L0 is an empirical
@@ -113,9 +120,7 @@ def _bump_theta_star(omega_grid: QuadratureGrid) -> GridFunction:
 BASIS_CATALOG = {
     "rank1-uniform": lambda: ("rank1-uniform", _rank1_eval, 0.0, 1.0 / 3.0),
     "kumaraswamy": lambda: ("kumaraswamy", _kumaraswamy_eval, 2.5, 0.2),
-    "finite-rank-r": lambda rank=8: (
-        "finite-rank-%d" % checked_count(rank, 1, "rank must be a positive integer, got %r"),
-        partial(_finite_rank_eval, rank), 60.0, 1.0 / (8.0 * rank)),
+    "finite-rank-r": _finite_rank_basis,
 }
 
 
@@ -128,7 +133,8 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     world). kumaraswamy: phi = 1 - (1 - s^alpha)^beta with smooth bounded
     context/action/index dependence. finite-rank-r: phi piecewise constant
     in w over ``rank`` slabs, so the point operators have rank <= rank.
-    ``rank``, ``context_dim`` and ``action_count`` must be positive integers.
+    ``rank``, ``context_dim`` and ``action_count`` must be positive integers,
+    and no grid resolves more than ``MAX_GRID_NODES`` slabs, so neither may rank.
     """
     checked_count(context_dim, 1, "context_dim must be a positive integer, got %r")
     checked_count(action_count, 1, "action_count must be a positive integer, got %r")

@@ -53,14 +53,12 @@ def _integrate(values, grid: QuadratureGrid):
 def eval_mean(F, grid: QuadratureGrid):
     """Mean of a distribution on [0,1] from its CDF, via the survival
     function: E[Y] = integral (1 - F)."""
-    F = _check_cdf(F, grid)
-    return _integrate(1.0 - F, grid)
+    return _integrate(1.0 - _check_cdf(F, grid), grid)
 
 
 def eval_variance(F, grid: QuadratureGrid):
     """Variance from the CDF: E[Y^2] = integral 2 s (1 - F(s))."""
-    F = _check_cdf(F, grid)
-    survival = 1.0 - F
+    survival = 1.0 - _check_cdf(F, grid)
     ey = _integrate(survival, grid)
     ey2 = _integrate(2.0 * grid.coords() * survival, grid)
     return ey2 - ey**2
@@ -97,8 +95,7 @@ def smoothed_quantile_functional(q: float, h: float = 0.05) -> UtilityFunctional
     """Logistic-smoothed level-q quantile: integral sigma((q - F(s)) / h)
     for q in (0, 1) and a finite h > 0. It converges to the exact quantile
     as h -> 0 and is Lipschitz with constant 1/(4h) on L2(S,m), m(S) = 1."""
-    q = checked_real(q, lambda v: 0.0 < v < 1.0, "q must lie in (0, 1), not %r")
-    h = checked_real(h, lambda v: 0.0 < v < np.inf, "bandwidth h must be finite and > 0, not %r")
+    q, h = checked_real(q, "q"), checked_real(h, "h")
 
     def evaluator(F, grid: QuadratureGrid):
         z = (q - _check_cdf(F, grid)) / h

@@ -9,6 +9,8 @@ at the supremum of the support (where every CDF equals 1).
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +28,27 @@ def checked_count(value, least: int, refusal: str) -> int:
     return int(value)
 
 
-def checked_real(value, ok, refusal: str) -> float:
-    """The package's one rule for reals: ``value`` as a float if it is an
-    ``int``, ``float`` or numpy real, never a bool or a string, that passes
-    the interval test ``ok`` (NaN fails all); else ``ValueError(refusal % value)``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not ok(float(value))):
-        raise ValueError(refusal % (value,))
-    return float(value)
+# every real the package takes: name -> (interval test, the words for it)
+REAL_RULES = {
+    **dict.fromkeys(("delta", "q"), (lambda v: 0.0 < v < 1.0, "be in (0, 1)")),
+    "gamma": (lambda v: 0.0 < v <= 1.0, "be in (0, 1]"),
+    "M": (lambda v: 1.0 <= v < math.inf, "be finite and >= 1"),
+    "L0": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0"),
+    **dict.fromkeys(("s0", "exploration_scale", "varsigma", "L", "A", "eta", "h"),
+                    (lambda v: 0.0 < v < math.inf, "be finite and > 0")),
+}
+
+
+def checked_real(value, name: str) -> float:
+    """The package's one rule for reals: ``value`` as a float if it is an int,
+    float or numpy real (never a bool) that passes ``REAL_RULES[name]``'s test
+    (NaN fails all); else ``ValueError("<name> must <words>, not <value!r>")``."""
+    ok, words = REAL_RULES[name]
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    with contextlib.suppress(OverflowError):  # float() of an int beyond the float range
+        if real and ok(float(value)):
+            return float(value)
+    raise ValueError("%s must %s, not %r" % (name, words, value))
 
 
 def _readonly(a):
@@ -112,8 +127,9 @@ def build_uniform_grid(dim: int, nodes_per_dim: int) -> QuadratureGrid:
     """Midpoint product rule on the unit box [0,1]^dim."""
     checked_count(dim, 1, "build_uniform_grid needs dim >= 1, not %r")
     checked_count(nodes_per_dim, 2, "build_uniform_grid needs nodes_per_dim >= 2, not %r")
-    if dim * np.log(nodes_per_dim) > np.log(MAX_GRID_NODES):
-        raise ValueError("grid would exceed the %d node limit" % MAX_GRID_NODES)
+    if dim * math.log(nodes_per_dim) > math.log(MAX_GRID_NODES):
+        raise ValueError("grid would exceed the %d node limit: dim = %r, nodes_per_dim = %r"
+                         % (MAX_GRID_NODES, dim, nodes_per_dim))
     axis = (np.arange(nodes_per_dim) + 0.5) / nodes_per_dim
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)

@@ -91,7 +91,7 @@ class ErrorBudget:
 def select_truncation(spec: SpectralDecomposition, n: int, gamma: float) -> TruncationPlan:
     """Truncation at threshold n * epsilon with epsilon = n^(-2/(gamma+2))."""
     checked_count(n, 1, "select_truncation needs n >= 1 records, not %r")
-    gamma = checked_real(gamma, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1], not %r")
+    gamma = checked_real(gamma, "gamma")
     epsilon = float(n) ** (-2.0 / (gamma + 2.0))
     threshold = n * epsilon
     vals = spec.eigenvalues
@@ -426,7 +426,7 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
     cases the start is returned with default ``Diagnostics``, converged.
     A theta on another grid than the operator's is refused.
     """
-    M = checked_real(M, lambda v: 1.0 <= v < math.inf, "M must be finite and >= 1, not %r")
+    M = checked_real(M, "M")
     if not same_grid(theta.grid, op.grid):
         raise ValueError("theta lives on a different grid than the operator")
     weights = op.grid.weights
@@ -443,13 +443,9 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
     est = L^2 * c_const * e_delta^2 at the confidence level passed in."""
     n = checked_count(n, 1, "error_budget needs n >= 1 samples, not %r")
     d = checked_count(d, 1, "error_budget needs dimension d >= 1, not %r")
-    delta = checked_real(delta, lambda v: 0.0 < v < 1.0, "delta must lie in (0, 1), not %r")
-    gamma = checked_real(gamma, lambda v: 0.0 < v <= 1.0, "gamma must lie in (0, 1], not %r")
-    M = checked_real(M, lambda v: 1.0 <= v < math.inf, "M must be finite and >= 1, not %r")
-    L0 = checked_real(L0, lambda v: 0.0 <= v < math.inf, "L0 must be finite and >= 0, not %r")
-    s0, L, A, eta = (checked_real(v, lambda v: 0.0 < v < math.inf,
-                                  name + " must be finite and > 0, not %r")
-                     for name, v in (("s0", s0), ("L", L), ("A", A), ("eta", eta)))
+    delta, gamma, s0, M, L, L0, A, eta = (checked_real(v, name) for name, v in zip(
+        ("delta", "gamma", "s0", "M", "L", "L0", "A", "eta"),
+        (delta, gamma, s0, M, L, L0, A, eta)))
     log_inv_delta = math.log(1.0 / delta)
     e_delta = 2.0 * math.sqrt(log_inv_delta) + (
         2.0 * math.sqrt(s0 * math.log(1.0 + n)) + M

@@ -142,35 +142,30 @@ def _budget(est):
 
 def test_exploration_param_hand_value():
     budget = _budget(1.25)  # K/4 with K=5
-    assert exploration_param(2, 5, budget) == pytest.approx(1.0, rel=1e-9)
+    assert exploration_param(5, budget) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_exploration_param_scale_homogeneous():
     budget = _budget(0.7)
-    one = exploration_param(3, 4, budget, scale=1.0)
-    two = exploration_param(3, 4, budget, scale=2.0)
+    one = exploration_param(4, budget, scale=1.0)
+    two = exploration_param(4, budget, scale=2.0)
     assert two == pytest.approx(2.0 * one)
 
 
 def test_exploration_param_monotone_in_est():
-    lo = exploration_param(2, 5, _budget(0.5))
-    hi = exploration_param(2, 5, _budget(2.0))
+    lo = exploration_param(5, _budget(0.5))
+    hi = exploration_param(5, _budget(2.0))
     assert hi < lo
-
-
-def test_exploration_param_rejects_first_epoch():
-    with pytest.raises(ValueError):
-        exploration_param(1, 5, _budget(1.0))
 
 
 def test_exploration_param_rejects_nan_scale():
     with pytest.raises(ValueError):
-        exploration_param(2, 5, _budget(1.0), scale=np.nan)
+        exploration_param(5, _budget(1.0), scale=np.nan)
 
 
 def test_exploration_param_rejects_infinite_scale():
     with pytest.raises(ValueError):
-        exploration_param(2, 5, _budget(1.0), scale=np.inf)
+        exploration_param(5, _budget(1.0), scale=np.inf)
 
 
 def test_run_episode_ties_break_to_lowest_action():
@@ -265,7 +260,7 @@ def _per_round_reference(env, functional, T, delta, gamma, M, seed, scale, s0):
                                   gamma, s0, M, functional.lipschitz_L, basis.lipschitz_L0,
                                   basis.covering_constant_A, basis.omega_dim,
                                   basis.kernel_floor_eta)
-            varsigma = exploration_param(m, K, budget, scale)
+            varsigma = exploration_param(K, budget, scale)
             prev = Dataset(*map(np.array, zip(*prev)))
             w_hat = omega.weights * regress(prev, basis, gamma, M, omega, S).theta_hat.values
             calls += 1

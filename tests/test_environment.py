@@ -23,6 +23,7 @@ from cdfreg import (
 )
 from cdfreg.environments import (BASIS_CATALOG, Environment, _finite_rank_eval, _kumaraswamy_eval,
                                  check_norm_bound)
+from cdfreg.numerics import MAX_GRID_NODES
 
 OMEGA = build_uniform_grid(1, 32)
 S = build_cdf_grid(64)
@@ -75,6 +76,16 @@ def test_catalog_entry_refuses_parameters_it_does_not_take(name, params):
 def test_catalog_rank_accepts_numpy_integer():
     env = make_catalog_env("finite-rank-r", OMEGA, S, rank=np.int64(4))
     assert env.basis.name == "finite-rank-4"
+
+
+def test_catalog_rank_stops_at_the_node_limit():
+    # no grid resolves more slabs than MAX_GRID_NODES; rank 10**30 used to
+    # warn on the cast to int, then end in an OverflowError
+    assert make_catalog_env("finite-rank-r", OMEGA, S, rank=MAX_GRID_NODES).basis.name == (
+        "finite-rank-%d" % MAX_GRID_NODES)
+    for rank in (MAX_GRID_NODES + 1, 10**30):
+        with pytest.raises(ValueError, match=r"^rank must be at most .*, not %d$" % rank):
+            make_catalog_env("finite-rank-r", OMEGA, S, rank=rank)
 
 
 def test_theta_star_bumps_in_C():

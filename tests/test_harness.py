@@ -53,6 +53,7 @@ from cdfreg.harness import (
     write_summary_json,
     write_trace_csv,
 )
+from cdfreg.numerics import REAL_RULES
 from cdfreg.regression import KKT_TOLERANCE, Diagnostics
 
 OMEGA = build_uniform_grid(1, 32)
@@ -214,8 +215,7 @@ COUNT_INPUTS = {
     "config-heldout_pairs": (1, lambda v: ExperimentConfig(heldout_pairs=v)),
     "config-omega_nodes": (2, lambda v: ExperimentConfig(omega_nodes=v)),
     "config-s_nodes": (2, lambda v: ExperimentConfig(s_nodes=v)),
-    "exploration_param-m": (2, lambda v: exploration_param(v, 5, ErrorBudget(1.0, 1.0, 1.0))),
-    "exploration_param-K": (1, lambda v: exploration_param(2, v, ErrorBudget(1.0, 1.0, 1.0))),
+    "exploration_param-K": (1, lambda v: exploration_param(v, ErrorBudget(1.0, 1.0, 1.0))),
 }
 
 
@@ -235,11 +235,14 @@ def test_every_count_follows_one_rule(name):
 
 @pytest.mark.parametrize("setting", [
     {"seeds": [0, 1.5]}, {"seeds": [0, True]}, {"seeds": [0, -1]}, {"omega_nodes": 32.0},
-    {"omega_nodes": 1}, {"s_nodes": True}, {"s_nodes": 64.0},
-], ids=["seed-1.5", "seed-true", "seed-minus-1", "omega-32.0", "omega-1", "s-true", "s-64.0"])
+    {"omega_nodes": 1}, {"s_nodes": True}, {"s_nodes": 64.0}, {"omega_nodes": 10**30},
+    {"environment": {"name": "finite-rank-r", "rank": 10**30}},
+], ids=["seed-1.5", "seed-true", "seed-minus-1", "omega-32.0", "omega-1", "s-true", "s-64.0",
+        "omega-huge", "rank-huge"])
 def test_cli_run_refuses_bad_counts_at_load(tmp_path, capsys, setting):
     # seeds [0, 1.5] used to write seed 0's trace and summary, then exit 2;
-    # omega_nodes 32.0 ran as 32
+    # omega_nodes 32.0 ran as 32; omega_nodes 10**30 ended in numpy's
+    # TypeError (exit 2) and rank 10**30 in an OverflowError (exit 1)
     cpath = tmp_path / "config.json"
     cpath.write_text(json.dumps(dict(setting, horizon=8, output_dir=str(tmp_path / "out"))))
     assert main(["run", "--config", str(cpath)]) == 3
@@ -281,8 +284,8 @@ REAL_INPUTS = {
     "check_norm_bound-M": (BELOW_ONE, math.inf, 2.0, lambda v: check_norm_bound(_env(), v)),
     "select_truncation-gamma": (0.0, ABOVE_ONE, 0.5, lambda v: select_truncation(_spec(), 8, v)),
     "project_to_C-M": (BELOW_ONE, math.inf, 2.0, _projection),
-    "exploration_param-scale": (0.0, math.inf, 2.0, lambda v: exploration_param(
-        2, 5, ErrorBudget(1.0, 1.0, 1.0), scale=v)),
+    "exploration_param-exploration_scale": (0.0, math.inf, 2.0, lambda v: exploration_param(
+        5, ErrorBudget(1.0, 1.0, 1.0), scale=v)),
     "igw_distribution-varsigma": (0.0, math.inf, 2.0, lambda v: igw_distribution([1.0, 0.0], v)),
     "smoothed_quantile-q": (0.0, 1.0, 0.5, lambda v: make_functional("smoothed_quantile", q=v)),
     "smoothed_quantile-h": (0.0, math.inf, 0.05, lambda v: make_functional(
@@ -295,13 +298,21 @@ def test_every_real_parameter_follows_one_rule(name):
     # True, NaN, a string and the nearest values outside the interval are
     # refused by name; before numerics.checked_real some were taken (True
     # as 1, M = True projected with M = 1), some were refused without their
-    # value, and the config refused np.float32 while taking np.float64
+    # value, and the config refused np.float32 while taking np.float64; an
+    # int beyond the float range ended in an OverflowError
     below, above, inside, call = REAL_INPUTS[name]
-    for bad in (True, math.nan, str(inside), below, above):
+    for bad in (True, math.nan, str(inside), below, above, 10**400, -10**400):
         with pytest.raises(ValueError) as exc:
             call(bad)
-        assert str(exc.value).endswith(repr(bad)), str(exc.value)
+        message = str(exc.value)
+        assert message.startswith(name.partition("-")[2] + " must be "), message
+        assert message.endswith(", not " + repr(bad)), message
     call(np.float32(inside))
+
+
+def test_every_real_rule_has_its_boundary_row():
+    # a rule added to numerics.REAL_RULES without a row above is untested
+    assert {name.partition("-")[2] for name in REAL_INPUTS} == set(REAL_RULES)
 
 
 def test_config_stores_reals_as_floats():
@@ -316,12 +327,13 @@ def test_config_stores_reals_as_floats():
 
 
 @pytest.mark.parametrize("setting", [{"delta": 2}, {"s0": -1}, {"exploration_scale": 0},
-                                     {"delta": "0.1"}],
-                         ids=["delta-2", "s0-minus-1", "scale-0", "delta-string"])
+                                     {"delta": "0.1"}, {"M": 10**400}],
+                         ids=["delta-2", "s0-minus-1", "scale-0", "delta-string", "M-huge"])
 def test_cli_run_refuses_bad_reals_at_load(tmp_path, capsys, setting):
     # each used to load: delta = 2 was refused by run_episode without its
-    # value, s0 = -1 and exploration_scale = 0 only at the second epoch, and
-    # "0.1" ended in a TypeError (exit 2); now each is refused at load by name
+    # value, s0 = -1 and exploration_scale = 0 only at the second epoch,
+    # "0.1" ended in a TypeError (exit 2) and M = 10**400 in an OverflowError
+    # (exit 1); now each is refused at load by name
     cpath = tmp_path / "config.json"
     cpath.write_text(json.dumps(dict(setting, horizon=8, output_dir=str(tmp_path / "out"))))
     with pytest.raises(ValueError):

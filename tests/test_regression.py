@@ -536,14 +536,16 @@ def _refusal_cases():
                                                             S), "at least one sample pair"),
         "cdf-grid-size": (lambda: build_cdf_grid(MAX_GRID_NODES + 1), r"the %d node limit: "
                           r"n_nodes = %d$" % (MAX_GRID_NODES, MAX_GRID_NODES + 1)),
+        "uniform-grid-size": (lambda: build_uniform_grid(1, 10**30), r"the %d node limit: "
+                              r"dim = 1, nodes_per_dim = %d$" % (MAX_GRID_NODES, 10**30)),
         "norm-other-grid": (lambda: weighted_norm(other, op), "different grid"),
         "norm-indefinite": (lambda: weighted_norm(GridFunction(OMEGA, ones),
                                                   DesignOperator(-np.eye(OMEGA.size), OMEGA, 1)),
                             "semidefinite"),
         "pinv-other-grid": (lambda: pseudo_inverse_apply(spec, select_truncation(spec, 1, 1.0),
                                                          other), "different grid"),
-        "truncation-gamma-0": (lambda: select_truncation(spec, 8, 0.0), r"gamma must lie"),
-        "truncation-gamma-1.5": (lambda: select_truncation(spec, 8, 1.5), r"gamma must lie"),
+        "truncation-gamma-0": (lambda: select_truncation(spec, 8, 0.0), r"gamma must be"),
+        "truncation-gamma-1.5": (lambda: select_truncation(spec, 8, 1.5), r"gamma must be"),
         "penalty-negative-weights": (lambda: eval_expected_penalty([1.5, -0.5], [0.0, 1.0]),
                                      "nonnegative"),
     }
