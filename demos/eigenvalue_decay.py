@@ -27,7 +27,7 @@ def main():
         print("  k=%d  computed %.6f  analytic %.6f  rel err %.2e"
               % (k, lam, ref, abs(lam - ref) / ref))
 
-    omega = build_uniform_grid(1, 32)
+    omega = build_uniform_grid(32)
     s = build_cdf_grid(64)
     for name in BASIS_CATALOG:
         env = make_catalog_env(name, omega, s)

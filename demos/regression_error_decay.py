@@ -17,7 +17,7 @@ from cdfreg import (
 
 
 def main():
-    omega = build_uniform_grid(1, 32)
+    omega = build_uniform_grid(32)
     s = build_cdf_grid(64)
     env = make_catalog_env("kumaraswamy", omega, s, theta_star="bumps")
     sizes = (64, 256, 1024)

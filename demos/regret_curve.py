@@ -19,7 +19,7 @@ from cdfreg import (
 
 
 def main():
-    omega = build_uniform_grid(1, 32)
+    omega = build_uniform_grid(32)
     s = build_cdf_grid(64)
     env = make_catalog_env("finite-rank-r", omega, s, rank=8,
                            theta_star="uniform")

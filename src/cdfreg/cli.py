@@ -14,7 +14,7 @@ Every file a command writes holds each float as its shortest round-trip
 repr, so it reads back bit for bit.
 
 Exit codes: 0 success, 2 bad usage, config or input file (a CSV field that
-does not parse included), 3 numeric contract violation, 4 missing file.
+does not parse included), 3 contract violation or input too large, 4 missing file.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ def cmd_regress(args) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     theta_path = outdir / "theta_hat.csv"
-    harness.write_csv(theta_path, ["w%d" % i for i in range(env.omega_grid.dim)] + ["theta"],
-                      ([*node, val] for node, val
-                       in zip(env.omega_grid.nodes, estimate.theta_hat.values)))
+    harness.write_csv(theta_path, ["w0", "theta"],
+                      zip(env.omega_grid.nodes, estimate.theta_hat.values))
     diag = dataclasses.asdict(estimate.diagnostics)
     (outdir / "diagnostics.json").write_text(json.dumps(diag, indent=2))
     print("wrote %s" % theta_path)
@@ -182,6 +181,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print("contract violation: %s" % exc, file=sys.stderr)
+        return EXIT_CONTRACT
+    except (OverflowError, MemoryError) as exc:
+        print("contract violation: input too large to run (%r)" % (exc,), file=sys.stderr)
         return EXIT_CONTRACT
 
 

@@ -145,7 +145,6 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     K, d = env.action_count, env.context_dim
     basis = env.basis
     omega_grid, s_grid = env.omega_grid, env.s_grid
-    s_coords = s_grid.coords()
     w_theta_star = omega_grid.weights * env.theta_star.values
 
     draws = rng.random((T, d + 2))
@@ -188,7 +187,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
                 hat_cdfs = (w_theta_hat @ phi).reshape(B, K, s_grid.size)
                 p = igw_distribution(functional(hat_cdfs, s_grid), varsigma)
             chosen = _choose_actions(p, u_action[block])
-            y[block] = inverse_cdf(true_cdfs[rows, chosen], u_outcome[block], s_coords)
+            y[block] = inverse_cdf(true_cdfs[rows, chosen], u_outcome[block], s_grid.nodes)
             if stats is not None:
                 stats.add(phi[rows * K + chosen], y[block])
             del phi  # free it before the next block allocates its own (peak RSS)

@@ -43,7 +43,7 @@ def check_norm_bound(env: Environment, M: float) -> float:
 
 
 # Catalog evaluators take contexts X (B, d), actions A (B,), Omega nodes
-# (n_w, dim) and outcome coordinates s (n_s,), and return (B, n_w, n_s).
+# (n_w,) and outcome coordinates s (n_s,), and return (B, n_w, n_s).
 
 def _rank1_eval(X, A, omega_nodes, s):
     return np.broadcast_to(s, (A.shape[0], omega_nodes.shape[0], s.shape[0])).copy()
@@ -52,9 +52,8 @@ def _rank1_eval(X, A, omega_nodes, s):
 def _kumaraswamy_eval(X, A, omega_nodes, s):
     xm = X.mean(axis=1)[:, None]
     a1 = (A + 1)[:, None]
-    wm = omega_nodes.mean(axis=1)
-    g1 = 0.5 * (1.0 + np.sin(2.0 * np.pi * (xm + 0.7 * wm + 0.31 * a1)))
-    g2 = 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * wm + 0.13 * a1)))
+    g1 = 0.5 * (1.0 + np.sin(2.0 * np.pi * (xm + 0.7 * omega_nodes + 0.31 * a1)))
+    g2 = 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * omega_nodes + 0.13 * a1)))
     alpha = 1.0 + g1
     beta = 1.0 + g2
     # 1 - (1 - s^alpha)^beta as 1 - exp(beta log(1 - exp(alpha log s))), in
@@ -82,7 +81,7 @@ def _finite_rank_eval(rank, X, A, omega_nodes, s):
     # Gram eigenvalues well separated from zero, unlike smooth families.
     xm = X.mean(axis=1)[:, None]
     a1 = (A + 1)[:, None]
-    cell, node_cell = np.unique(np.minimum((omega_nodes[:, 0] * rank).astype(int), rank - 1),
+    cell, node_cell = np.unique(np.minimum((omega_nodes * rank).astype(int), rank - 1),
                                 return_inverse=True)
     u = 0.5 * (1.0 + np.sin(2.0 * np.pi * (0.9 * xm + 0.41 * a1 + 1.7 * (cell + 1) / rank)))
     width = 0.5 / rank
@@ -92,15 +91,13 @@ def _finite_rank_eval(rank, X, A, omega_nodes, s):
 
 
 # (center, height, width) of each Gaussian bump added to the uniform density
-BUMPS = (((0.3,), 2.0, 0.12), ((0.75,), -0.8, 0.1))
+BUMPS = ((0.3, 2.0, 0.12), (0.75, -0.8, 0.1))
 
 
 def _bump_theta_star(omega_grid: QuadratureGrid) -> GridFunction:
     values = np.ones(omega_grid.size)
     for center, height, width in BUMPS:
-        center = np.asarray(center, dtype=float)
-        dist2 = np.sum((omega_grid.nodes - center) ** 2, axis=1)
-        values = values + height * np.exp(-dist2 / (2.0 * width**2))
+        values = values + height * np.exp(-(omega_grid.nodes - center) ** 2 / (2.0 * width**2))
     values = np.maximum(values, 0.0)
     values = values / float(omega_grid.weights @ values)
     return GridFunction(omega_grid, values)
@@ -141,7 +138,7 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     if name not in BASIS_CATALOG:
         raise ValueError("unknown catalog environment %r" % name)
     basis = CdfBasis(*BASIS_CATALOG[name](**params), covering_constant_A=1.0,
-                     omega_dim=omega_grid.dim)
+                     omega_dim=1)
 
     if theta_star == "uniform":
         theta = GridFunction(omega_grid, np.ones(omega_grid.size))
@@ -191,7 +188,7 @@ def draw_outcomes(env: Environment, X, A, u) -> np.ndarray:
     its full row instead, chunk by chunk as ``basis_chunks`` evaluates it.
     """
     X, A, u = np.asarray(X, dtype=float), np.asarray(A), np.asarray(u, dtype=float)
-    s = env.s_grid.coords()
+    s = env.s_grid.nodes
     nodes, n_w = env.omega_grid.nodes, env.omega_grid.size
     w_theta = env.omega_grid.weights * env.theta_star.values
     margin = 4 * n_w * np.finfo(float).eps
@@ -228,4 +225,4 @@ def sample_outcomes(env: Environment, x, a: int, size: int,
     negative, non-integral or boolean size raises ``ValueError``."""
     checked_count(size, 0, "sample_outcomes needs size >= 0 draws, not %r")
     f = true_cdf(env, x, a)
-    return inverse_cdf(f.values, rng.random(size), f.grid.coords())
+    return inverse_cdf(f.values, rng.random(size), f.grid.nodes)

@@ -60,7 +60,7 @@ def eval_variance(F, grid: QuadratureGrid):
     """Variance from the CDF: E[Y^2] = integral 2 s (1 - F(s))."""
     survival = 1.0 - _check_cdf(F, grid)
     ey = _integrate(survival, grid)
-    ey2 = _integrate(2.0 * grid.coords() * survival, grid)
+    ey2 = _integrate(2.0 * grid.nodes * survival, grid)
     return ey2 - ey**2
 
 

@@ -68,7 +68,7 @@ class ExperimentConfig:
 
 
 def build_environment(config: ExperimentConfig) -> Environment:
-    omega_grid = build_uniform_grid(1, config.omega_nodes)
+    omega_grid = build_uniform_grid(config.omega_nodes)
     s_grid = build_cdf_grid(config.s_nodes)
     env_params = dict(config.environment)
     name = env_params.pop("name")

@@ -1,6 +1,6 @@
 """Quadrature grids, grid-function algebra, and integral-operator eigensolvers.
 
-Functions on the unit box are represented by their values at quadrature
+Functions on [0, 1] are represented by their values at quadrature
 nodes, so every inner product and operator application is a finite weighted
 sum. Two node layouts are used: midpoint rules for the coefficient domain,
 and a right-endpoint rule for the outcome domain so that the last node sits
@@ -52,26 +52,28 @@ def checked_real(value, name: str) -> float:
 
 
 def _readonly(a):
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float, order="C")  # a scalar stays 0-d
     a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Nodes and positive weights on the unit box [0,1]^dim.
+    """Nodes and positive weights on the unit interval [0,1].
 
-    ``nodes`` has shape (n, dim), ``weights`` shape (n,); the weights sum
-    to 1, the volume of the box.
+    ``nodes`` and ``weights`` have shape (n,); the weights sum to 1, the
+    length of the interval.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _readonly(np.atleast_2d(self.nodes)))
+        object.__setattr__(self, "nodes", _readonly(self.nodes))
         object.__setattr__(self, "weights", _readonly(self.weights))
-        if self.nodes.shape[0] != self.weights.shape[0]:
+        if self.nodes.ndim != 1:
+            raise ValueError("nodes must be a 1-d array, not of shape %r" % (self.nodes.shape,))
+        if self.nodes.shape != self.weights.shape:
             raise ValueError("node and weight counts differ")
         # each check states its pass condition, so a NaN fails it
         if not np.all(self.weights > 0):
@@ -84,16 +86,6 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.nodes.shape[1]
-
-    def coords(self) -> np.ndarray:
-        """Node coordinates for 1-d grids, as a flat array."""
-        if self.dim != 1:
-            raise ValueError("coords() only makes sense for 1-d grids")
-        return self.nodes[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +115,20 @@ def same_grid(a: QuadratureGrid, b: QuadratureGrid) -> bool:
     return a.size == b.size and np.array_equal(a.nodes, b.nodes)
 
 
-def build_uniform_grid(dim: int, nodes_per_dim: int) -> QuadratureGrid:
-    """Midpoint product rule on the unit box [0,1]^dim."""
-    checked_count(dim, 1, "build_uniform_grid needs dim >= 1, not %r")
-    checked_count(nodes_per_dim, 2, "build_uniform_grid needs nodes_per_dim >= 2, not %r")
-    if dim * math.log(nodes_per_dim) > math.log(MAX_GRID_NODES):
-        raise ValueError("grid would exceed the %d node limit: dim = %r, nodes_per_dim = %r"
-                         % (MAX_GRID_NODES, dim, nodes_per_dim))
-    axis = (np.arange(nodes_per_dim) + 0.5) / nodes_per_dim
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    weights = np.full(nodes.shape[0], nodes_per_dim ** (-float(dim)))
-    return QuadratureGrid(nodes, weights)
+def _checked_node_count(n_nodes, rule: str) -> int:
+    """The node count of a grid rule: an int of at least 2 and at most
+    ``MAX_GRID_NODES``."""
+    n = checked_count(n_nodes, 2, rule + " needs n_nodes >= 2, not %r")
+    if n > MAX_GRID_NODES:
+        raise ValueError("grid would exceed the %d node limit: n_nodes = %r" % (MAX_GRID_NODES, n))
+    return n
+
+
+def build_uniform_grid(n_nodes: int) -> QuadratureGrid:
+    """Midpoint rule on [0,1]."""
+    n_nodes = _checked_node_count(n_nodes, "build_uniform_grid")
+    nodes = (np.arange(n_nodes) + 0.5) / n_nodes
+    return QuadratureGrid(nodes, np.full(n_nodes, n_nodes ** -1.0))
 
 
 def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
@@ -143,13 +137,9 @@ def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
     Used for the outcome support so that indicator integrals, CDF terminal
     values, and inverse-CDF sampling are mutually consistent on the grid.
     """
-    checked_count(n_nodes, 2, "build_cdf_grid needs n_nodes >= 2, not %r")
-    if n_nodes > MAX_GRID_NODES:
-        raise ValueError("grid would exceed the %d node limit: n_nodes = %r"
-                         % (MAX_GRID_NODES, n_nodes))
+    n_nodes = _checked_node_count(n_nodes, "build_cdf_grid")
     nodes = (np.arange(n_nodes) + 1.0) / n_nodes
-    weights = np.full(n_nodes, 1.0 / n_nodes)
-    return QuadratureGrid(nodes[:, None], weights)
+    return QuadratureGrid(nodes, np.full(n_nodes, 1.0 / n_nodes))
 
 
 def _symmetrized(matrix) -> np.ndarray:
@@ -292,4 +282,4 @@ def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
         raise ValueError("kernel must map node arrays to an array of their shape")
     if not np.max(np.abs(kmat - kmat.T)) <= 1e-8 * max(1.0, np.max(np.abs(kmat))):
         raise ValueError("kernel is not finite and symmetric")
-    return quadrature_eig((kmat + kmat.T) / 2.0, QuadratureGrid(omega[:, None], weights))
+    return quadrature_eig((kmat + kmat.T) / 2.0, QuadratureGrid(omega, weights))

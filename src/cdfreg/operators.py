@@ -42,19 +42,20 @@ class CdfBasis:
     constants.
 
     ``eval_matrix(X, A, omega_nodes, s_coords)`` is batched: for B contexts
-    X of shape (B, d) and B actions A of shape (B,) it returns the
-    (B, n_w, n_s) array of phi values, row b for the pair (X[b], A[b]). A
-    single pair is a batch of one. Callers go through ``basis_values`` or
-    ``basis_values_at``, which check the shape and the [0, 1] range once
-    per batch. The value at s_k must not depend on the other coordinates
-    of the call (phi is pointwise in s, as a function of s is): the outcome
-    draw (``environments.draw_outcomes``) evaluates phi at a few outcome
-    coordinates at a time.
-    ``lipschitz_L0`` bounds |phi(x,a,w,s) - phi(x,a,r,s)| / ||w - r||_inf,
+    X of shape (B, d), B actions A of shape (B,) and Omega nodes of shape
+    (n_w,) it returns the (B, n_w, n_s) array of phi values, row b for the
+    pair (X[b], A[b]). A single pair is a batch of one. Callers go through
+    ``basis_values`` or ``basis_values_at``, which check the shape and the
+    [0, 1] range once per batch. The value at s_k must not depend on the
+    other coordinates of the call (phi is pointwise in s, as a function of
+    s is): the outcome draw (``environments.draw_outcomes``) evaluates phi
+    at a few outcome coordinates at a time.
+    ``lipschitz_L0`` bounds |phi(x,a,w,s) - phi(x,a,r,s)| / |w - r|,
     ``kernel_floor_eta`` lower-bounds the point-kernel entries, and
     ``covering_constant_A`` enters the covering-number constant of the
-    random-design error bound. The norm bound M of the admissible set C is
-    not a property of the basis: the oracle and the engine take it as an
+    random-design error bound, with ``omega_dim`` (1: Omega is [0, 1]) as
+    its dimension d. The norm bound M of the admissible set C is not a
+    property of the basis: the oracle and the engine take it as an
     argument, and ``environments.check_norm_bound`` checks theta* against
     it.
     """
@@ -134,7 +135,7 @@ def basis_values_at(basis: CdfBasis, X, A, omega_nodes: np.ndarray,
 def basis_values(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
                  s_grid: QuadratureGrid) -> np.ndarray:
     """``basis_values_at`` on every node of the two grids."""
-    return basis_values_at(basis, X, A, omega_grid.nodes, s_grid.coords())
+    return basis_values_at(basis, X, A, omega_grid.nodes, s_grid.nodes)
 
 
 def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,

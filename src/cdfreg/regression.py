@@ -141,7 +141,7 @@ class DataStatistics:
     def add(self, phi: np.ndarray, y) -> None:
         """Add B records: phi (B, n_w, n_s) of their pairs and outcomes y (B,)."""
         s_w = self.s_grid.weights
-        indicator = _indicators(y, self.s_grid.coords())
+        indicator = _indicators(y, self.s_grid.nodes)
         self.kernel += pair_kernels(phi, s_w).sum(axis=0)
         self.target += np.einsum("bws,bs->w", phi, indicator * s_w)
         self.indicator_sq += float(np.sum(indicator @ s_w))  # 0/1, so ind^2 = ind
@@ -201,10 +201,9 @@ def loss(theta: GridFunction, dataset: Dataset, basis: CdfBasis,
     """Summed squared L2(S) distance between indicator targets and the
     mixture CDFs induced by theta."""
     wtheta = omega_grid.weights * theta.values
-    s_coords = s_grid.coords()
     total = 0.0
     for sl, phi in basis_chunks(basis, dataset.X, dataset.A, omega_grid, s_grid):
-        ind = _indicators(dataset.y[sl], s_coords)
+        ind = _indicators(dataset.y[sl], s_grid.nodes)
         total += float(np.sum((ind - wtheta @ phi) ** 2 @ s_grid.weights))
     return total
 
@@ -250,9 +249,8 @@ def _face_minimizer(b_mat, bx, w, free, M, mu_guess):
     z(mu) = -V c / (lam + mu), c = V' N' (B_FF u - bx_F). B carries the
     ridge RIDGE W, so N' B_FF N holds RIDGE I and every lam is at least
     RIDGE: z(0) is the unique unconstrained minimizer. The cap binds if
-    ||z(0)|| > E; mu then solves the concave equation 1/||z(mu)|| = 1/E by
-    Newton steps, which rise monotonically from the left (More and Sorensen
-    1983).
+    ||z(0)|| > E; mu then solves the concave equation 1/||z(mu)|| = 1/E
+    (``_cap_multiplier``).
     """
     wf = w[free]
     u = 1.0 / float(wf.sum())
@@ -269,17 +267,27 @@ def _face_minimizer(b_mat, bx, w, free, M, mu_guess):
     c = vecs.T @ (nmat.T @ (u * b_ff.sum(axis=1) - bx[free]))
     mu = 0.0
     if float(np.sum((c / lam) ** 2)) > E_sq:
-        E = math.sqrt(E_sq)
-        mu = mu_guess
-        for _ in range(100):
-            d = c / (lam + mu)
-            r_sq = float(d @ d)
-            step = r_sq * (math.sqrt(r_sq) / E - 1.0) / float(d @ (d / (lam + mu)))
-            mu = max(mu + step, 0.0)
-            if abs(step) <= 1e-12 * mu:
-                break
+        mu = _cap_multiplier(c, lam, math.sqrt(E_sq), mu_guess)[0]
     y[free] -= nmat @ (vecs @ (c / (lam + mu)))
     return y, mu
+
+
+def _cap_multiplier(c, lam, E, mu):
+    """The root of 1/||c / (lam + mu)|| = 1/E and the count of Newton steps
+    from ``mu``, which rise monotonically from the left (More and Sorensen
+    1983). They stop at 1e-12 mu, or at one within 1e-8 mu that does not
+    shrink: at mu below 4e-10 they can cycle in round-off at 1.5e-12 to
+    1.2e-9 mu."""
+    prev = math.inf
+    for steps in range(1, 101):
+        d = c / (lam + mu)
+        r_sq = float(d @ d)
+        step = r_sq * (math.sqrt(r_sq) / E - 1.0) / float(d @ (d / (lam + mu)))
+        mu = max(mu + step, 0.0)
+        if abs(step) <= 1e-12 * mu or abs(prev) <= abs(step) <= 1e-8 * mu:
+            break
+        prev = step
+    return mu, steps
 
 
 def _active_set(b_mat, bx, w, M, start):

@@ -41,7 +41,7 @@ from cdfreg import (
 )
 from cdfreg.environments import BASIS_CATALOG
 
-OMEGA = build_uniform_grid(1, 32)
+OMEGA = build_uniform_grid(32)
 S = build_cdf_grid(64)
 
 EXPLORATION_SCALE = 1e8
@@ -171,7 +171,7 @@ def test_criterion_6_fixed_design_coverage(report):
     gamma, s0 = 0.1, 2.879  # floored eigendecay fit of this basis at seed 0
     budget = error_budget(256, 0.1, gamma, s0, M=2.0, L=1.0,
                           L0=env.basis.lipschitz_L0, A=env.basis.covering_constant_A,
-                          d=OMEGA.dim, eta=env.basis.kernel_floor_eta)
+                          d=env.basis.omega_dim, eta=env.basis.kernel_floor_eta)
     covered = 0
     for seed in range(50):
         rng = np.random.default_rng(6000 + seed)
@@ -253,7 +253,7 @@ def test_criterion_9_sampling_fidelity(report):
         a = int(rng.integers(env.action_count))
         draws = np.sort(sample_outcomes(env, x, a, 100000, rng))
         f = true_cdf(env, x, a)
-        ecdf = np.searchsorted(draws, s_fine.coords(), side="right") / draws.size
+        ecdf = np.searchsorted(draws, s_fine.nodes, side="right") / draws.size
         worst = max(worst, float(np.max(np.abs(ecdf - f.values))))
     elapsed = time.perf_counter() - start
     ok = worst <= allowance

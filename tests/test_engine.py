@@ -25,7 +25,7 @@ from cdfreg import (
 )
 from cdfreg.regression import KKT_TOLERANCE
 
-OMEGA = build_uniform_grid(1, 32)
+OMEGA = build_uniform_grid(32)
 S = build_cdf_grid(64)
 
 
@@ -276,7 +276,7 @@ def _per_round_reference(env, functional, T, delta, gamma, M, seed, scale, s0):
             else:
                 p = _igw_vector_reference(functional(w_hat @ phi, S), varsigma)
             a = int(rng.choice(K, p=p))
-            y = float(inverse_cdf(true_cdfs[a], rng.random(), S.coords()))
+            y = float(inverse_cdf(true_cdfs[a], rng.random(), S.nodes))
             a_star = int(np.argmax(true_utils))
             gap = float(true_utils[a_star] - true_utils[a])
             cum += gap

@@ -25,14 +25,14 @@ from cdfreg.environments import (BASIS_CATALOG, Environment, _finite_rank_eval, 
                                  check_norm_bound)
 from cdfreg.numerics import MAX_GRID_NODES
 
-OMEGA = build_uniform_grid(1, 32)
+OMEGA = build_uniform_grid(32)
 S = build_cdf_grid(64)
 
 
 def test_rank1_true_cdf_is_identity():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
     f = true_cdf(env, np.array([0.4, 0.8]), 3)
-    assert np.allclose(f.values, S.coords(), atol=1e-12)
+    assert np.allclose(f.values, S.nodes, atol=1e-12)
 
 
 def test_environment_refuses_theta_star_on_another_grid():
@@ -44,7 +44,7 @@ def test_environment_refuses_theta_star_on_another_grid():
     assert theta.integral() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="theta_star must live on omega_grid"):
         Environment(env.basis, theta, OMEGA, S, env.context_dim, env.action_count)
-    same = GridFunction(build_uniform_grid(1, 32), env.theta_star.values)
+    same = GridFunction(build_uniform_grid(32), env.theta_star.values)
     Environment(env.basis, same, OMEGA, S, env.context_dim, env.action_count)
 
 
@@ -145,11 +145,11 @@ def test_inverse_cdf_is_clamped_left_searchsorted():
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
     F = true_cdf(env, np.array([0.3, 0.6]), 2).values
     u = np.array([0.0, F[10], 0.5, 0.999, 1.0])
-    expected = S.coords()[np.minimum(np.searchsorted(F, u, side="left"), S.size - 1)]
-    assert np.array_equal(inverse_cdf(F, u, S.coords()), expected)
-    assert inverse_cdf(F, F[10], S.coords()) == S.coords()[10]
+    expected = S.nodes[np.minimum(np.searchsorted(F, u, side="left"), S.size - 1)]
+    assert np.array_equal(inverse_cdf(F, u, S.nodes), expected)
+    assert inverse_cdf(F, F[10], S.nodes) == S.nodes[10]
     # uniforms beyond the last CDF value clamp to the last node
-    assert inverse_cdf(np.full(S.size, 0.5), 0.9, S.coords()) == S.coords()[-1]
+    assert inverse_cdf(np.full(S.size, 0.5), 0.9, S.nodes) == S.nodes[-1]
 
 
 def test_inverse_cdf_rows_equal_per_row_calls():
@@ -162,11 +162,11 @@ def test_inverse_cdf_rows_equal_per_row_calls():
     u = rng.random((3, 5))
     u[1, 2] = F[1, 2, 10]  # a tie with a node's CDF value
     u[2, 4] = 0.0
-    rows = inverse_cdf(F, u, S.coords())
+    rows = inverse_cdf(F, u, S.nodes)
     assert rows.shape == (3, 5)
     for i in range(3):
         for a in range(5):
-            assert rows[i, a] == inverse_cdf(F[i, a], u[i, a], S.coords())
+            assert rows[i, a] == inverse_cdf(F[i, a], u[i, a], S.nodes)
 
 
 @pytest.mark.parametrize("name", sorted(BASIS_CATALOG))
@@ -192,7 +192,7 @@ def test_draw_outcomes_equals_full_rows_at_ties(name):
     u = np.concatenate([Fk, np.nextafter(Fk, 2.0), np.nextafter(Fk, -1.0),
                         np.nextafter(F[:, -1], 2.0)])
     y = draw_outcomes(traced, np.tile(X, (4, 1)), np.tile(A, 4), u)
-    assert np.array_equal(y, inverse_cdf(np.tile(F, (4, 1)), u, S.coords()))
+    assert np.array_equal(y, inverse_cdf(np.tile(F, (4, 1)), u, S.nodes))
     assert sum(full) == 160
     assert np.all(y[120:] == 1.0)
 
@@ -200,8 +200,8 @@ def test_draw_outcomes_equals_full_rows_at_ties(name):
 def test_sample_outcome_mass_at_first_node():
     from cdfreg import inverse_cdf
     # a CDF identically 1 puts all mass on the first node
-    draws = inverse_cdf(np.ones(S.size), np.array([0.0, 0.5, 0.999, 1.0]), S.coords())
-    assert np.all(draws == S.coords()[0])
+    draws = inverse_cdf(np.ones(S.size), np.array([0.0, 0.5, 0.999, 1.0]), S.nodes)
+    assert np.all(draws == S.nodes[0])
 
 
 def test_sampling_reproducible_under_seed():
@@ -220,7 +220,7 @@ def test_sampling_ks_fidelity():
     x, a = sample_context(env, rng), 2
     y = sample_outcomes(env, x, a, 20000, rng)
     f = true_cdf(env, x, a)
-    coords = S.coords()
+    coords = S.nodes
     ecdf = np.searchsorted(np.sort(y), coords, side="right") / y.size
     assert np.max(np.abs(ecdf - f.values)) <= 0.01 + 1.0 / 64
 
@@ -230,9 +230,8 @@ def _kumaraswamy_pow(X, A, omega_nodes, s):
     alpha, beta of shape (B, n_w, 1)."""
     xm = X.mean(axis=1)[:, None]
     a1 = (A + 1)[:, None]
-    wm = omega_nodes.mean(axis=1)
-    alpha = 1.0 + 0.5 * (1.0 + np.sin(2.0 * np.pi * (xm + 0.7 * wm + 0.31 * a1)))
-    beta = 1.0 + 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * wm + 0.13 * a1)))
+    alpha = 1.0 + 0.5 * (1.0 + np.sin(2.0 * np.pi * (xm + 0.7 * omega_nodes + 0.31 * a1)))
+    beta = 1.0 + 0.5 * (1.0 + np.cos(2.0 * np.pi * (0.8 * xm + 0.57 * omega_nodes + 0.13 * a1)))
     alpha, beta = alpha[:, :, None], beta[:, :, None]
     return 1.0 - (1.0 - s ** alpha) ** beta, alpha, beta
 
@@ -240,7 +239,7 @@ def _kumaraswamy_pow(X, A, omega_nodes, s):
 def _finite_rank_out_of_place(rank, X, A, omega_nodes, s):
     xm = X.mean(axis=1)[:, None]
     a1 = (A + 1)[:, None]
-    cell = np.minimum((omega_nodes[:, 0] * rank).astype(int), rank - 1)
+    cell = np.minimum((omega_nodes * rank).astype(int), rank - 1)
     u = 0.5 * (1.0 + np.sin(2.0 * np.pi * (0.9 * xm + 0.41 * a1 + 1.7 * (cell + 1) / rank)))
     width = 0.5 / rank
     left = cell / rank + (1.0 / rank - width) * u
@@ -251,7 +250,7 @@ def _finite_rank_out_of_place(rank, X, A, omega_nodes, s):
 def test_in_place_evaluators_equal_out_of_place_expressions(B):
     rng = np.random.default_rng(B)
     X, A = rng.random((B, 3)), rng.integers(0, 7, size=B)
-    nodes, s = OMEGA.nodes, S.coords()
+    nodes, s = OMEGA.nodes, S.nodes
     for rank in (1, 3, 4, 5, 8, 12, 20):
         assert np.array_equal(_finite_rank_eval(rank, X, A, nodes, s),
                               _finite_rank_out_of_place(rank, X, A, nodes, s))
@@ -267,8 +266,8 @@ def test_kumaraswamy_eval_within_4_eps_of_longdouble(B, n_s):
     # the support: s = 0 gives exactly 0 and s = 1 exactly 1
     rng = np.random.default_rng(B)
     X, A = rng.random((B, 3)), rng.integers(0, 7, size=B)
-    nodes = OMEGA.nodes if n_s == 64 else build_uniform_grid(1, 2).nodes
-    s = np.concatenate(([0.0], build_cdf_grid(n_s).coords()))
+    nodes = OMEGA.nodes if n_s == 64 else build_uniform_grid(2).nodes
+    s = np.concatenate(([0.0], build_cdf_grid(n_s).nodes))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         phi = _kumaraswamy_eval(X, A, nodes, s)

@@ -14,7 +14,7 @@ from cdfreg import (
 )
 
 S = build_cdf_grid(256)
-COORDS = S.coords()
+COORDS = S.nodes
 
 
 def _uniform_cdf():
@@ -28,7 +28,7 @@ def _step_cdf(at):
 def test_mean_of_uniform():
     # right-endpoint rule biases the survival sum by half a grid step
     fine = build_cdf_grid(512)
-    F = GridFunction(fine, fine.coords().copy())
+    F = GridFunction(fine, fine.nodes.copy())
     assert eval_mean(F.values, F.grid) == pytest.approx(0.5, abs=1e-3)
 
 
@@ -214,7 +214,7 @@ def test_identical_rows_give_bitwise_equal_values(name, params):
 def test_invalid_cdf_batch_raises(name, params):
     grid = build_cdf_grid(64)
     fn = make_functional(name, **params)
-    batch = np.tile(grid.coords(), (4, 1))
+    batch = np.tile(grid.nodes, (4, 1))
     fn(batch, grid)
     decreasing = batch.copy()
     decreasing[2, 10] = decreasing[2, 11] + 0.1

@@ -56,7 +56,7 @@ from cdfreg.harness import (
 from cdfreg.numerics import REAL_RULES
 from cdfreg.regression import KKT_TOLERANCE, Diagnostics
 
-OMEGA = build_uniform_grid(1, 32)
+OMEGA = build_uniform_grid(32)
 S = build_cdf_grid(64)
 
 
@@ -189,8 +189,7 @@ def _heldout(n_pairs):
 
 # every count the package takes: name -> (least value, call on a value)
 COUNT_INPUTS = {
-    "build_uniform_grid-dim": (1, lambda v: build_uniform_grid(v, 2)),
-    "build_uniform_grid-nodes_per_dim": (2, lambda v: build_uniform_grid(1, v)),
+    "build_uniform_grid-n_nodes": (2, build_uniform_grid),
     "build_cdf_grid-n_nodes": (2, build_cdf_grid),
     "degenerate_kernel_eig-n": (1, lambda v: degenerate_kernel_eig(np.minimum, v, 4)),
     "select_truncation-n": (1, lambda v: select_truncation(_spec(), v, 1.0)),
@@ -237,16 +236,36 @@ def test_every_count_follows_one_rule(name):
     {"seeds": [0, 1.5]}, {"seeds": [0, True]}, {"seeds": [0, -1]}, {"omega_nodes": 32.0},
     {"omega_nodes": 1}, {"s_nodes": True}, {"s_nodes": 64.0}, {"omega_nodes": 10**30},
     {"environment": {"name": "finite-rank-r", "rank": 10**30}},
+    {"environment": {"name": "kumaraswamy", "action_count": 10**30}},
 ], ids=["seed-1.5", "seed-true", "seed-minus-1", "omega-32.0", "omega-1", "s-true", "s-64.0",
-        "omega-huge", "rank-huge"])
+        "omega-huge", "rank-huge", "action-count-huge"])
 def test_cli_run_refuses_bad_counts_at_load(tmp_path, capsys, setting):
     # seeds [0, 1.5] used to write seed 0's trace and summary, then exit 2;
     # omega_nodes 32.0 ran as 32; omega_nodes 10**30 ended in numpy's
-    # TypeError (exit 2) and rank 10**30 in an OverflowError (exit 1)
+    # TypeError (exit 2) and rank 10**30 in an OverflowError (exit 1);
+    # action_count 10**30 loads, and still ends in run_episode's OverflowError,
+    # which exited 1 with a traceback
     cpath = tmp_path / "config.json"
     cpath.write_text(json.dumps(dict(setting, horizon=8, output_dir=str(tmp_path / "out"))))
     assert main(["run", "--config", str(cpath)]) == 3
     assert "contract violation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_exits_3_when_an_episode_runs_out_of_memory(tmp_path, capsys, monkeypatch):
+    # a horizon of 10**11 ended in numpy's MemoryError traceback (exit 1);
+    # the error is raised here, since a real allocation of that size could
+    # start writing terabytes on a machine that overcommits memory
+    from cdfreg import harness
+
+    def out_of_memory(config, seed):
+        raise MemoryError("Unable to allocate 2.91 TiB")
+
+    monkeypatch.setattr(harness, "run_config", out_of_memory)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cpath)]) == 3
+    assert "too large to run (MemoryError('Unable to allocate" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -628,7 +647,7 @@ FUNCTIONAL_PARAMS = {
     "smoothed_quantile": {"q": 0.9},
     # one loss per outcome node, so s_nodes entries
     "expected_penalty": {"loss_row": [float(s > 0.5) for s in
-                                      build_cdf_grid(ExperimentConfig().s_nodes).coords()]},
+                                      build_cdf_grid(ExperimentConfig().s_nodes).nodes]},
 }
 
 
@@ -1006,7 +1025,7 @@ def test_cli_regress_and_sweep(tmp_path, capsys):
         theta_rows = list(csv.DictReader(fh))
     assert list(theta_rows[0]) == ["w0", "theta"]
     theta_hat = regress(data, env.basis, 0.1, cfg.M, env.omega_grid, env.s_grid).theta_hat
-    assert np.array_equal([float(r["w0"]) for r in theta_rows], env.omega_grid.nodes[:, 0])
+    assert np.array_equal([float(r["w0"]) for r in theta_rows], env.omega_grid.nodes)
     assert np.array_equal([float(r["theta"]) for r in theta_rows], theta_hat.values)
     diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert list(diag) == [f.name for f in dataclasses.fields(Diagnostics)]

@@ -17,51 +17,46 @@ from cdfreg.numerics import MAX_EIG_SIZE, quadrature_eig, quadrature_eigvals
 
 
 def test_uniform_grid_1d_two_nodes():
-    grid = build_uniform_grid(1, 2)
-    assert np.allclose(grid.nodes[:, 0], [0.25, 0.75])
+    grid = build_uniform_grid(2)
+    assert np.allclose(grid.nodes, [0.25, 0.75])
     assert np.allclose(grid.weights, [0.5, 0.5])
 
 
 def test_uniform_grid_weights_sum_to_volume():
-    for dim, n in [(1, 7), (2, 5), (3, 3)]:
-        grid = build_uniform_grid(dim, n)
-        assert grid.nodes.shape == (n**dim, dim)
-        assert abs(grid.weights.sum() - 1.0) < 1e-12
+    grid = build_uniform_grid(7)
+    assert grid.nodes.shape == grid.weights.shape == (7,)
+    assert abs(grid.weights.sum() - 1.0) < 1e-12
 
 
 def test_uniform_grid_refuses_huge_grids():
-    with pytest.raises(ValueError):
-        build_uniform_grid(4, 100)
+    with pytest.raises(ValueError, match="node limit"):
+        build_uniform_grid(10**8)
 
 
 def test_cdf_grid_right_endpoint():
     grid = build_cdf_grid(64)
-    coords = grid.coords()
+    coords = grid.nodes
     assert coords[-1] == 1.0
     assert np.allclose(np.diff(coords), 1.0 / 64)
     assert abs(grid.weights.sum() - 1.0) < 1e-12
 
-
 def test_grid_function_integral_and_norm():
-    grid = build_uniform_grid(1, 128)
-    f = GridFunction(grid, grid.coords())
+    grid = build_uniform_grid(128)
+    f = GridFunction(grid, grid.nodes)
     assert abs(f.integral() - 0.5) < 1e-4
     assert abs(f.norm() - np.sqrt(1.0 / 3.0)) < 1e-4
 
-
 def test_quadrature_grid_rejects_nan_weight():
     with pytest.raises(ValueError):
-        QuadratureGrid([[0.25], [0.75]], [0.5, np.nan])
-
+        QuadratureGrid([0.25, 0.75], [0.5, np.nan])
 
 def test_gauss_legendre_exact_for_polynomials():
     # the degenerate-kernel grid is a 6-point Gauss-Legendre rule per cell;
     # degree 11 is the highest degree such a rule integrates exactly
     grid = degenerate_kernel_eig(lambda s, t: s * t, 3, 6).grid
-    nodes, weights = grid.coords(), grid.weights
+    nodes, weights = grid.nodes, grid.weights
     assert abs(weights @ nodes**10 - 1.0 / 11.0) < 1e-13
     assert abs(weights @ nodes**11 - 1.0 / 12.0) < 1e-13
-
 
 def test_gauss_legendre_rejects_bad_order():
     # the rule's order r must lie in [1, 16], and the cell count n >= 1
@@ -69,12 +64,10 @@ def test_gauss_legendre_rejects_bad_order():
         with pytest.raises(ValueError):
             degenerate_kernel_eig(lambda s, t: s * t, n, r)
 
-
 def test_degenerate_kernel_rejects_non_vectorized_kernel():
     for kernel in (lambda s, t: 1.0, lambda s, t: min(s, t)):
         with pytest.raises(ValueError):
             degenerate_kernel_eig(kernel, 4, 2)
-
 
 def test_sym_eig_descending_and_orthonormal():
     rng = np.random.default_rng(11)
@@ -85,20 +78,17 @@ def test_sym_eig_descending_and_orthonormal():
     assert np.allclose(vecs.T @ vecs, np.eye(20), atol=1e-10)
     assert np.allclose(sym @ vecs, vecs * vals, atol=1e-9)
 
-
 def test_sym_eig_rejects_asymmetric():
     for matrix in ([[0.0, 1.0], [0.0, 0.0]], [[1.0, np.nan], [np.nan, 1.0]],
                    [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(ValueError):
             sym_eig(np.array(matrix))
 
-
 def _psd_stack(rng, lead, n, rank):
     """Random PSD matrices G G^T of rank ``rank``, stacked on ``lead``;
     below full rank their smallest eigenvalues are round-off."""
     g = rng.normal(size=lead + (n, rank))
     return g @ np.swapaxes(g, -1, -2)
-
 
 @pytest.mark.parametrize("lead", [(1,), (7,), (2, 3)])
 @pytest.mark.parametrize("rank", [3, 12])
@@ -111,12 +101,11 @@ def test_sym_eig_on_a_stack_equals_per_matrix_calls(lead, rank):
         assert vals[idx].tobytes() == one_vals.tobytes()
         assert vecs[idx].tobytes() == one_vecs.tobytes()
 
-
 @pytest.mark.parametrize("rank", [3, 12])
 def test_quadrature_eig_on_a_stack_equals_per_matrix_calls(rank):
     rng = np.random.default_rng(5 + rank)
     w = rng.uniform(0.5, 1.5, size=12)
-    grid = QuadratureGrid(np.linspace(0.02, 0.98, 12)[:, None], w / w.sum())
+    grid = QuadratureGrid(np.linspace(0.02, 0.98, 12), w / w.sum())
     stack = _psd_stack(rng, (9,), 12, rank)
     spec = quadrature_eig(stack, grid)
     assert spec.eigenvalues.shape == (9, 12) and spec.eigenfunctions.shape == (9, 12, 12)
@@ -125,7 +114,6 @@ def test_quadrature_eig_on_a_stack_equals_per_matrix_calls(rank):
         one = quadrature_eig(kernel, grid)
         assert spec.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
         assert spec.eigenfunctions[i].tobytes() == one.eigenfunctions.tobytes()
-
 
 def test_sym_eig_refuses_a_stack_with_one_bad_member():
     stack = _psd_stack(np.random.default_rng(17), (6,), 8, 8)
@@ -140,21 +128,19 @@ def test_sym_eig_refuses_a_stack_with_one_bad_member():
     with pytest.raises(ValueError, match="size limit"):
         sym_eig(np.broadcast_to(0.0, (2, MAX_EIG_SIZE + 1, MAX_EIG_SIZE + 1)))
 
-
 def test_quadrature_eig_refuses_a_stack_with_one_indefinite_member():
-    grid = build_uniform_grid(1, 8)
+    grid = build_uniform_grid(8)
     stack = _psd_stack(np.random.default_rng(19), (5,), 8, 4)
     quadrature_eig(stack, grid)
     stack[2] -= np.eye(8)
     with pytest.raises(ValueError, match="not positive semidefinite"):
         quadrature_eig(stack, grid)
 
-
 @pytest.mark.parametrize("rank", [3, 12])
 def test_quadrature_eigvals_on_a_stack_equals_per_matrix_calls(rank):
     rng = np.random.default_rng(7 + rank)
     w = rng.uniform(0.5, 1.5, size=12)
-    grid = QuadratureGrid(np.linspace(0.02, 0.98, 12)[:, None], w / w.sum())
+    grid = QuadratureGrid(np.linspace(0.02, 0.98, 12), w / w.sum())
     stack = _psd_stack(rng, (33,), 12, rank)
     vals = quadrature_eigvals(stack, grid)
     assert vals.shape == (33, 12)
@@ -165,9 +151,8 @@ def test_quadrature_eigvals_on_a_stack_equals_per_matrix_calls(rank):
     for i, kernel in enumerate(stack):
         assert vals[i].tobytes() == quadrature_eigvals(kernel, grid).tobytes()
 
-
 def test_quadrature_eigvals_refuses_what_quadrature_eig_refuses():
-    grid = build_uniform_grid(1, 8)
+    grid = build_uniform_grid(8)
     stack = _psd_stack(np.random.default_rng(23), (6,), 8, 4)
     quadrature_eigvals(stack, grid)
     cases = []
@@ -178,13 +163,12 @@ def test_quadrature_eigvals_refuses_what_quadrature_eig_refuses():
     indefinite = stack.copy()
     indefinite[2] -= np.eye(8)
     cases.append((indefinite, grid, "not positive semidefinite"))
-    big = build_uniform_grid(1, MAX_EIG_SIZE + 1)
+    big = build_uniform_grid(MAX_EIG_SIZE + 1)
     cases.append((np.broadcast_to(0.0, (1, big.size, big.size)), big, "size limit"))
     for kernel, g, message in cases:
         for solve in (quadrature_eig, quadrature_eigvals):
             with pytest.raises(ValueError, match=message):
                 solve(kernel, g)
-
 
 def test_degenerate_kernel_min_spectrum():
     """Brownian motion kernel min(s,t): eigenvalues 1/((k-1/2)^2 pi^2)."""
@@ -193,12 +177,10 @@ def test_degenerate_kernel_min_spectrum():
     rel = np.abs(spec.eigenvalues[:5] - analytic) / analytic
     assert np.all(rel < 0.01)
 
-
 def test_degenerate_kernel_rank_one_product():
     spec = degenerate_kernel_eig(lambda s, t: s * t, 16, 4)
     assert abs(spec.eigenvalues[0] - 1.0 / 3.0) < 1e-6
     assert np.all(spec.eigenvalues[1:] < 1e-10)
-
 
 def test_degenerate_kernel_eigenfunctions_orthonormal():
     spec = degenerate_kernel_eig(lambda s, t: np.minimum(s, t), 8, 3)
@@ -206,7 +188,6 @@ def test_degenerate_kernel_eigenfunctions_orthonormal():
     gram = funcs.T @ (spec.grid.weights[:, None] * funcs)
     k = min(6, funcs.shape[1])
     assert np.allclose(gram[:k, :k], np.eye(k), atol=1e-8)
-
 
 @pytest.mark.parametrize("kernel", [lambda s, t: s * t, lambda s, t: np.ones_like(s + t)],
                          ids=["prod", "const"])
@@ -220,11 +201,9 @@ def test_degenerate_kernel_keeps_all_eigenpairs(kernel):
     gram = funcs.T @ (spec.grid.weights[:, None] * funcs)
     assert np.allclose(gram, np.eye(32), atol=1e-10)
 
-
 def _min_kernel_plus(eps):
     """min(s, t) plus an asymmetric part of size eps."""
     return lambda s, t: np.minimum(s, t) + eps * (s > t)
-
 
 @pytest.mark.parametrize("n, eps", [(1, 1e-9), (16, 5e-9)])
 def test_degenerate_kernel_symmetrizes_nearly_symmetric_kernel(n, eps):
@@ -233,14 +212,12 @@ def test_degenerate_kernel_symmetrizes_nearly_symmetric_kernel(n, eps):
         lambda s, t: np.minimum(s, t) + 0.5 * eps * (s != t), n, 4)
     assert np.max(np.abs(spec.eigenvalues - symmetrized.eigenvalues)) <= 1e-8
 
-
 def test_degenerate_kernel_rejects_asymmetric_kernel():
     with pytest.raises(ValueError):
         degenerate_kernel_eig(_min_kernel_plus(1e-7), 16, 4)
 
-
 def test_spectral_decomposition_checks_eigenfunction_array():
-    grid = build_uniform_grid(1, 4)
+    grid = build_uniform_grid(4)
     vals = np.array([2.0, 1.0])
     spec = SpectralDecomposition(vals, np.eye(4)[:, :2], grid)
     assert spec.eigenfunctions.shape == (4, 2)
@@ -249,7 +226,6 @@ def test_spectral_decomposition_checks_eigenfunction_array():
         SpectralDecomposition(vals, np.eye(4)[:, :3], grid)
     with pytest.raises(ValueError):
         SpectralDecomposition(vals, np.full((4, 2), np.nan), grid)
-
 
 def test_degenerate_kernel_rejects_indefinite():
     with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from cdfreg.harness import DECAY_PAIRS, _draw_records
 from cdfreg.numerics import quadrature_eigvals
 from cdfreg.operators import BASIS_CHUNK, GAMMA_LADDER, S0_BUDGET, TAU_FLOOR
 
-OMEGA = build_uniform_grid(1, 32)
+OMEGA = build_uniform_grid(32)
 S = build_cdf_grid(64)
 
 
@@ -121,18 +121,18 @@ def test_declared_lipschitz_L0_bounds_phi_in_w(name):
     X = rng.random((32, env.context_dim))
     A = rng.integers(env.action_count, size=32)
     # every pair of Omega nodes
-    w = OMEGA.coords()
+    w = OMEGA.nodes
     phi = basis_values(env.basis, X, A, OMEGA, S)
     jump = np.max(np.abs(phi[:, :, None, :] - phi[:, None, :, :]), axis=-1)
     dist = np.abs(w[:, None] - w[None, :])
     apart = dist > 0
     assert np.all(jump[:, apart] <= L0 * dist[apart] + 1e-12)
     # neighbours on a fine w-grid, whose slopes bound every pair on it
-    fine = build_uniform_grid(1, 4001)
+    fine = build_uniform_grid(4001)
     for b in range(X.shape[0]):
         phi = basis_values(env.basis, X[b:b + 1], A[b:b + 1], fine, S)[0]
         jump = np.max(np.abs(np.diff(phi, axis=0)), axis=-1)
-        assert np.all(jump <= L0 * np.diff(fine.coords()) + 1e-12)
+        assert np.all(jump <= L0 * np.diff(fine.nodes) + 1e-12)
 
 
 def test_point_operator_spectral_invariants():
@@ -344,7 +344,7 @@ def test_prepass_fit_equals_the_cut_at_16_where_at_most_16_taus_count(name, para
     # where at most 16 eigenvalues clear the floor, the whole spectrum and
     # its first 16 entries give the same (gamma, s0) bit for bit, and every
     # entry past 16 is 0
-    omega, s = build_uniform_grid(1, grids[0]), build_cdf_grid(grids[1])
+    omega, s = build_uniform_grid(grids[0]), build_cdf_grid(grids[1])
     env = make_catalog_env(name, omega, s, **params)
     for seed in range(10):
         fit = eigendecay_prepass(env, seed)

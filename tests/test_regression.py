@@ -41,7 +41,7 @@ from cdfreg.numerics import MAX_GRID_NODES
 from cdfreg.operators import BASIS_CHUNK, basis_chunks, weighted_quadratic
 from cdfreg.regression import KKT_TOLERANCE
 
-OMEGA = build_uniform_grid(1, 32)
+OMEGA = build_uniform_grid(32)
 S = build_cdf_grid(64)
 
 
@@ -168,7 +168,7 @@ def test_projection_refuses_theta_on_another_grid():
     # operator's grid; one on a 64-node grid raised an IndexError
     env = make_catalog_env("kumaraswamy", OMEGA, S)
     op = design_operator(env.basis, [(np.array([0.3, 0.6]), 1)], OMEGA, S)
-    for grid in (build_cdf_grid(OMEGA.size), build_uniform_grid(1, 64)):
+    for grid in (build_cdf_grid(OMEGA.size), build_uniform_grid(64)):
         with pytest.raises(ValueError, match="different grid"):
             project_to_C(GridFunction(grid, np.ones(grid.size)), op, 2.0)
 
@@ -456,6 +456,26 @@ def test_projection_certifies_points_near_C(eps):
         assert est.diagnostics.converged
 
 
+@pytest.mark.parametrize("eps", [1e-4, 1e-6])
+def test_cap_multiplier_stops_when_its_steps_reach_round_off(monkeypatch, eps):
+    # on these inputs 17 faces (mu 5e-13 to 4e-10) ran all 100 Newton
+    # steps: their steps cycled in round-off at 1.5e-12 to 1.2e-9 mu, above
+    # the 1e-12 mu stop
+    steps, cap_multiplier = [], regression._cap_multiplier
+
+    def spy(*args):
+        mu, n = cap_multiplier(*args)
+        steps.append(n)
+        return mu, n
+
+    monkeypatch.setattr(regression, "_cap_multiplier", spy)
+    op, inputs = _criterion4_inputs(20)
+    for x0 in inputs:
+        p = project_to_C(GridFunction(OMEGA, x0), op, 2.0).theta_hat.values
+        project_to_C(GridFunction(OMEGA, p + eps * (x0 - p)), op, 2.0)
+    assert steps and max(steps) <= 20
+
+
 def test_projection_solve_count():
     # the criterion-4 inputs: 200 pairs of projections on one 16-pair design
     op, inputs = _criterion4_inputs(400)
@@ -508,10 +528,10 @@ def test_projection_at_M_one_returns_the_uniform_density():
 def _refusal_cases():
     """name -> (call, message) for input refusals across the oracle's layers."""
     basis = make_catalog_env("kumaraswamy", OMEGA, S).basis
-    ones, grid2 = np.ones(OMEGA.size), build_uniform_grid(1, 2)
+    ones, grid2 = np.ones(OMEGA.size), build_uniform_grid(2)
     op = design_operator(basis, [(np.array([0.3, 0.6]), 1)], OMEGA, S)
     spec = spectral_decompose(op)
-    other = GridFunction(build_uniform_grid(1, 16), np.ones(16))
+    other = GridFunction(build_uniform_grid(16), np.ones(16))
     tilted = ones.copy()
     tilted[:2] = -0.5, 2.5
     return {
@@ -519,10 +539,11 @@ def _refusal_cases():
                                                    2, 5), "nonnegative"),
         "env-theta-mass": (lambda: Environment(basis, GridFunction(OMEGA, 2.0 * ones), OMEGA, S,
                                                2, 5), "integrate to 1"),
-        "grid-counts": (lambda: QuadratureGrid(np.zeros((3, 1)), [0.5, 0.5]), "counts differ"),
-        "grid-mass": (lambda: QuadratureGrid([[0.25], [0.75]], [0.5, 0.6]), "sum to 1"),
-        "grid-box": (lambda: QuadratureGrid([[0.5], [1.5]], [0.5, 0.5]), "outside the unit box"),
-        "grid-coords-2d": (lambda: build_uniform_grid(2, 2).coords(), "1-d grids"),
+        "grid-counts": (lambda: QuadratureGrid(np.zeros(3), [0.5, 0.5]), "counts differ"),
+        "grid-2d-nodes": (lambda: QuadratureGrid([[0.25], [0.75]], [0.5, 0.5]), "1-d array"),
+        "grid-scalar-node": (lambda: QuadratureGrid(0.5, [1.0]), "1-d array"),
+        "grid-mass": (lambda: QuadratureGrid([0.25, 0.75], [0.5, 0.6]), "sum to 1"),
+        "grid-box": (lambda: QuadratureGrid([0.5, 1.5], [0.5, 0.5]), "outside the unit box"),
         "function-count": (lambda: GridFunction(OMEGA, np.ones(3)), "value count"),
         "function-nan": (lambda: GridFunction(OMEGA, np.full(OMEGA.size, np.nan)), "finite"),
         "spectrum-negative": (lambda: SpectralDecomposition([1.0, -0.5], np.eye(2), grid2),
@@ -536,8 +557,8 @@ def _refusal_cases():
                                                             S), "at least one sample pair"),
         "cdf-grid-size": (lambda: build_cdf_grid(MAX_GRID_NODES + 1), r"the %d node limit: "
                           r"n_nodes = %d$" % (MAX_GRID_NODES, MAX_GRID_NODES + 1)),
-        "uniform-grid-size": (lambda: build_uniform_grid(1, 10**30), r"the %d node limit: "
-                              r"dim = 1, nodes_per_dim = %d$" % (MAX_GRID_NODES, 10**30)),
+        "uniform-grid-size": (lambda: build_uniform_grid(10**30), r"the %d node limit: "
+                              r"n_nodes = %d$" % (MAX_GRID_NODES, 10**30)),
         "norm-other-grid": (lambda: weighted_norm(other, op), "different grid"),
         "norm-indefinite": (lambda: weighted_norm(GridFunction(OMEGA, ones),
                                                   DesignOperator(-np.eye(OMEGA.size), OMEGA, 1)),
@@ -633,7 +654,7 @@ def _per_sample_statistics(data, basis):
     indicator_sq = 0.0
     for x, a, y in data:
         phi = basis_values(basis, [x], [a], OMEGA, S)[0]
-        indicator = (S.coords() >= y).astype(float)
+        indicator = (S.nodes >= y).astype(float)
         kernel += (phi * S.weights) @ phi.T
         target += phi @ (S.weights * indicator)
         indicator_sq += float(S.weights @ indicator**2)
@@ -659,7 +680,7 @@ def test_chunked_statistics_match_per_sample_sums(n):
     assert close(empirical_target(data, env.basis, OMEGA, S).values, target)
     assert stats.indicator_sq == pytest.approx(indicator_sq, rel=1e-12)
     theta = env.theta_star
-    direct = sum(float(S.weights @ ((S.coords() >= y) - true_cdf(env, x, a).values) ** 2)
+    direct = sum(float(S.weights @ ((S.nodes >= y) - true_cdf(env, x, a).values) ** 2)
                  for x, a, y in data)
     assert loss(theta, data, env.basis, OMEGA, S) == pytest.approx(direct, rel=1e-12)
 
@@ -702,7 +723,7 @@ def test_regress_from_statistics_equals_dataset_path(name, params, n):
 def test_data_statistics_evaluates_phi_in_batches_of_chunks(omega_nodes, s_nodes, batch):
     # a chunk of phi is 256 KB on 32 x 64 grids, so four chunks make a
     # 1 MiB batch; on 64 x 512 grids one chunk is 4 MiB and its own batch
-    omega, s = build_uniform_grid(1, omega_nodes), build_cdf_grid(s_nodes)
+    omega, s = build_uniform_grid(omega_nodes), build_cdf_grid(s_nodes)
     env = make_catalog_env("kumaraswamy", omega, s, theta_star="bumps")
     n = 149
     data = generate_dataset(env, n, np.random.default_rng(71))
