@@ -30,7 +30,7 @@ def main():
     print("horizon %d, oracle calls %d (cap %d)"
           % (T, trace.summary["oracle_calls"], math.ceil(math.log2(T)) + 1))
     print("round   cum regret")
-    for r, v in trace.checkpoints():
+    for r, v in trace.summary["checkpoints"]:
         print("%-7d %.3f" % (r, v))
     slope = regret_slope(trace)
     print("log-log regret slope: %s"

@@ -39,9 +39,7 @@ from .regression import (
 )
 from .functionals import (
     UtilityFunctional,
-    eval_expected_penalty,
     eval_mean,
-    eval_smoothed_quantile,
     eval_variance,
     make_functional,
 )

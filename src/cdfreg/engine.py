@@ -48,9 +48,6 @@ class RegretTrace:
                         self.optimal_actions.tolist(), self.gaps.tolist(),
                         self.cum_regret.tolist()))
 
-    def checkpoints(self) -> list[tuple[int, float]]:
-        return [(int(r), float(v)) for r, v in self.summary["checkpoints"]]
-
 
 def dyadic_checkpoints(cum_regret) -> list[tuple[int, float]]:
     """(2^k, cumulative regret after round 2^k) for k >= 1 while 2^k <= T,

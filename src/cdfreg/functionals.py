@@ -64,33 +64,6 @@ def eval_variance(F, grid: QuadratureGrid):
     return ey2 - ey**2
 
 
-def eval_smoothed_quantile(F, grid: QuadratureGrid, q: float, h: float):
-    """``smoothed_quantile_functional(q, h)`` of F: integral sigma((q - F(s)) / h)."""
-    return smoothed_quantile_functional(q, h)(F, grid)
-
-
-def eval_expected_penalty(weights, loss_row):
-    """Negated expected penalty of a hypothesis choice under posterior
-    weights (maximization convention); ``weights`` has shape (..., n) and
-    the result shape (...)."""
-    weights = np.asarray(weights, dtype=float)
-    loss_row = np.asarray(loss_row, dtype=float)
-    if weights.shape[-1:] != loss_row.shape:
-        raise ValueError("weights and losses have different lengths")
-    if np.any(weights < 0):
-        raise ValueError("posterior weights must be nonnegative")
-    return -(weights * loss_row).sum(axis=-1)
-
-
-def mean_functional() -> UtilityFunctional:
-    return UtilityFunctional("mean", 1.0, eval_mean)
-
-
-def variance_functional() -> UtilityFunctional:
-    # conservative: |2s| <= 2 plus the mean term's contribution
-    return UtilityFunctional("variance", 3.0, eval_variance)
-
-
 def smoothed_quantile_functional(q: float, h: float = 0.05) -> UtilityFunctional:
     """Logistic-smoothed level-q quantile: integral sigma((q - F(s)) / h)
     for q in (0, 1) and a finite h > 0. It converges to the exact quantile
@@ -111,7 +84,8 @@ def expected_penalty_functional(loss_row) -> UtilityFunctional:
     * sqrt(sum_k w_k d_k^2), so with the grid's weights w_k = 1/n_s the
     constant is L = sqrt(n_s) ||l||. Grids with other weights are refused.
     ``loss_row`` must be a nonempty 1-d array of finite numbers; its length
-    is checked against the grid's at evaluation.
+    is checked against the grid's at evaluation, where F values below 0 are
+    refused.
     """
     loss_row = np.asarray(loss_row, dtype=float)
     if loss_row.ndim != 1 or loss_row.size == 0 or not np.isfinite(loss_row).all():
@@ -122,15 +96,19 @@ def expected_penalty_functional(loss_row) -> UtilityFunctional:
     def evaluator(F, grid: QuadratureGrid):
         if not np.array_equal(grid.weights, s_weights):
             raise ValueError("expected_penalty needs a uniform outcome grid of len(loss_row) nodes")
-        return eval_expected_penalty(_check_cdf(F, grid), loss_row)
+        F = _check_cdf(F, grid)
+        if np.any(F < 0):
+            raise ValueError("posterior weights must be nonnegative")
+        return -(F * loss_row).sum(axis=-1)
 
     L = float(np.sqrt(np.sum(loss_row**2 / s_weights)))
     return UtilityFunctional("expected_penalty", L, evaluator)
 
 
 FUNCTIONAL_CATALOG = {
-    "mean": mean_functional,
-    "variance": variance_functional,
+    "mean": lambda: UtilityFunctional("mean", 1.0, eval_mean),
+    # conservative: |2s| <= 2 plus the mean term's contribution
+    "variance": lambda: UtilityFunctional("variance", 3.0, eval_variance),
     "smoothed_quantile": smoothed_quantile_functional,
     "expected_penalty": expected_penalty_functional,
 }

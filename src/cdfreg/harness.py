@@ -21,10 +21,12 @@ from .regression import Dataset, regress
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Round-trippable description of one experiment. Its counts follow
-    ``numerics.checked_count`` (stored as ints, ``seeds`` and ``sweep_n`` as
-    tuples) and its reals ``numerics.checked_real`` (stored as floats, gamma
-    unless "estimate"); a bad value is refused at construction."""
+    """Round-trippable description of one experiment. ``environment`` and
+    ``functional`` are dicts with a "name" key (anything else raises
+    ``TypeError``), its counts follow ``numerics.checked_count`` (stored as
+    ints, ``seeds`` and ``sweep_n`` as tuples) and its reals
+    ``numerics.checked_real`` (stored as floats, gamma unless "estimate");
+    a bad value is refused at construction."""
 
     environment: dict = field(default_factory=lambda: {"name": "kumaraswamy"})
     functional: dict = field(default_factory=lambda: {"name": "mean"})
@@ -42,6 +44,10 @@ class ExperimentConfig:
     heldout_pairs: int = 64
 
     def __post_init__(self):
+        for name in ("environment", "functional"):
+            value = getattr(self, name)
+            if not (isinstance(value, dict) and "name" in value):
+                raise TypeError("%s must be a dict with a \"name\" key, not %r" % (name, value))
         for name, least in (("omega_nodes", 2), ("s_nodes", 2), ("horizon", 2),
                             ("heldout_pairs", 1)):
             object.__setattr__(self, name, checked_count(
@@ -186,7 +192,7 @@ def fit_loglog_slope(checkpoints) -> float:
 def regret_slope(trace: RegretTrace) -> float | None:
     """Log-log slope of cumulative regret over dyadic checkpoints, skipping
     zero-regret checkpoints; None if fewer than 3 remain."""
-    pts = [(r, v) for r, v in trace.checkpoints() if v != 0]
+    pts = [(r, v) for r, v in trace.summary["checkpoints"] if v != 0]
     return fit_loglog_slope(pts) if len(pts) >= 3 else None
 
 
@@ -265,9 +271,18 @@ def _read_csv_columns(path, parsers: dict) -> dict:
 
 def read_trace_csv(path) -> dict:
     """A trace CSV as columns: round, epoch, context (T, d), action,
-    optimal_action, gap and cum_regret (see ``_read_csv_columns``)."""
-    return _read_csv_columns(path, {"round": int, "epoch": int, "action": int,
-                                    "optimal_action": int, "gap": float, "cum_regret": float})
+    optimal_action, gap and cum_regret (see ``_read_csv_columns``). The
+    rounds must be 1..T in file order, or ``csv.Error`` names the file and
+    the first round out of place."""
+    columns = _read_csv_columns(path, {"round": int, "epoch": int, "action": int,
+                                       "optimal_action": int, "gap": float, "cum_regret": float})
+    rounds = columns["round"]
+    misplaced = np.flatnonzero(rounds != np.arange(1, rounds.size + 1))
+    if misplaced.size:
+        t = misplaced[0]
+        raise csv.Error("%s: round %d stands where round %d belongs; a trace holds rounds 1..T "
+                        "in file order" % (path, rounds[t], t + 1))
+    return columns
 
 
 def write_summary_json(trace: RegretTrace, path, config: ExperimentConfig | None = None,

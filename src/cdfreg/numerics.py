@@ -159,32 +159,29 @@ def _symmetrized(matrix) -> np.ndarray:
 
 
 def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a
-    symmetric matrix, or of each matrix in a stack.
+    """Eigenvalues (descending) and orthonormal eigenvector columns of one
+    symmetric (n, n) matrix; a stack (..., n, n) is refused.
 
-    ``matrix`` has shape (..., n, n); the result is eigenvalues (..., n)
-    and eigenvectors (..., n, n), so a single matrix is a stack of one.
-    The size limit and the symmetry check apply to each matrix, and one
-    that fails refuses the whole stack. Backed by LAPACK's symmetric
-    solver, which runs on each matrix of a stack as on that matrix alone,
-    so a stack's eigenpairs equal the per-matrix calls' bit for bit; the
-    contract (residuals within 1e-8 * ||A||, orthonormal vectors) is what
-    the rest of the package relies on.
+    Backed by LAPACK's symmetric solver; the contract (residuals within
+    1e-8 * ||A||, orthonormal vectors) is what the rest of the package
+    relies on.
     """
+    if np.ndim(matrix) > 2:
+        raise ValueError("expected one (n, n) matrix, not an array of shape %r"
+                         % (np.shape(matrix),))
     vals, vecs = np.linalg.eigh(_symmetrized(matrix))
-    # eigh returns each matrix's eigenvalues in ascending order
-    return vals[..., ::-1], vecs[..., ::-1]
+    # eigh returns the eigenvalues in ascending order
+    return vals[::-1], vecs[:, ::-1]
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Descending nonnegative eigenvalues with quadrature-orthonormal
-    eigenfunctions of a positive self-adjoint integral operator, or of each
-    operator in a stack.
+    """Descending nonnegative eigenvalues (n_eigs,) with
+    quadrature-orthonormal eigenfunctions of one positive self-adjoint
+    integral operator.
 
     ``eigenfunctions`` holds the eigenfunction values at the grid nodes as
-    columns, shape (n_nodes, n_eigs) for one operator; a stack of operators
-    has eigenvalues (..., n_eigs) and eigenfunctions (..., n_nodes, n_eigs).
+    columns, shape (n_nodes, n_eigs).
     """
 
     eigenvalues: np.ndarray
@@ -195,13 +192,14 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
         object.__setattr__(self, "eigenfunctions", _readonly(self.eigenfunctions))
         vals = self.eigenvalues
-        if self.eigenfunctions.shape != vals.shape[:-1] + (self.grid.size, vals.shape[-1]):
-            raise ValueError("eigenfunctions must be an (..., n_nodes, n_eigs) array")
+        if vals.ndim != 1 or self.eigenfunctions.shape != (self.grid.size, vals.size):
+            raise ValueError("eigenvalues must be an (n_eigs,) and eigenfunctions an "
+                             "(n_nodes, n_eigs) array")
         if not np.all(np.isfinite(self.eigenfunctions)):
             raise ValueError("eigenfunction values must be finite")
         if np.any(vals < 0):
             raise ValueError("eigenvalues must be nonnegative")
-        if np.any(np.diff(vals, axis=-1) > 1e-12):
+        if np.any(np.diff(vals) > 1e-12):
             raise ValueError("eigenvalues must be descending")
 
 
@@ -216,18 +214,15 @@ def _clamped(vals: np.ndarray) -> np.ndarray:
 
 def quadrature_eig(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> SpectralDecomposition:
     """Eigenpairs of the integral operator whose symmetric positive
-    semidefinite kernel has values ``kernel_matrix`` at the grid's nodes,
-    or of each operator in a stack of kernel matrices (..., n, n), in one
-    ``sym_eig`` call.
+    semidefinite kernel has values ``kernel_matrix`` (n, n) at the grid's
+    nodes, by one ``sym_eig`` call; a stack of kernel matrices is refused.
 
     With D = diag(weights) the weighted problem K D e = lambda e is
     symmetrized as D^(1/2) K D^(1/2); the eigenfunctions D^(-1/2) v are then
     orthonormal under the grid's quadrature. Negative eigenvalues are
     round-off for a positive operator: they are clamped to zero and kept,
     so n nodes give n eigenpairs. One below -max(1e-10 lambda_1, 1e-12)
-    means the kernel is not positive semidefinite; one such matrix refuses
-    the whole stack. Each matrix's eigenpairs equal those of a call on it
-    alone, bit for bit.
+    means the kernel is not positive semidefinite.
     """
     sqw = np.sqrt(grid.weights)
     vals, vecs = sym_eig(sqw[:, None] * kernel_matrix * sqw[None, :])
@@ -236,12 +231,13 @@ def quadrature_eig(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> SpectralD
 
 def quadrature_eigvals(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     """The eigenvalues of ``quadrature_eig`` without eigenfunctions:
-    descending and clamped, (..., n) for a stack (..., n, n), refused by
-    the same checks. LAPACK's eigenvalue-only solver takes about half the
-    time and runs on each matrix of a stack as on that matrix alone, so a
-    stack's eigenvalues equal the per-matrix calls' bit for bit. Being
-    another algorithm, it can differ from ``quadrature_eig`` in the last
-    digits, and entirely in the round-off eigenvalues.
+    descending and clamped, (..., n) for a stack (..., n, n); a matrix
+    that fails its checks refuses the whole stack. LAPACK's eigenvalue-only
+    solver takes about half the time and runs on each matrix of a stack as
+    on that matrix alone, so a stack's eigenvalues equal the per-matrix
+    calls' bit for bit. Being another algorithm, it can differ from
+    ``quadrature_eig`` in the last digits, and entirely in the round-off
+    eigenvalues.
     """
     sqw = np.sqrt(grid.weights)
     weighted = _symmetrized(sqw[:, None] * kernel_matrix * sqw[None, :])

@@ -190,7 +190,7 @@ def test_run_episode_smoke():
     assert trace.summary["oracle_calls"] <= math.ceil(math.log2(128)) + 1
     assert trace.summary["nonconverged_projections"] == 0
     assert 0.0 <= trace.summary["max_projection_residual"] <= KKT_TOLERANCE
-    rounds = [r for r, _ in trace.checkpoints()]
+    rounds = [r for r, _ in trace.summary["checkpoints"]]
     assert rounds == [2, 4, 8, 16, 32, 64, 128]
 
 

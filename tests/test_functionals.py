@@ -6,9 +6,7 @@ import pytest
 from cdfreg import (
     GridFunction,
     build_cdf_grid,
-    eval_expected_penalty,
     eval_mean,
-    eval_smoothed_quantile,
     eval_variance,
     make_functional,
 )
@@ -71,12 +69,13 @@ def test_variance_of_bernoulli_half():
 
 def test_smoothed_quantile_of_uniform():
     F = _uniform_cdf()
-    assert eval_smoothed_quantile(F.values, F.grid, 0.5, 0.01) == pytest.approx(0.5, abs=1e-2)
+    median = make_functional("smoothed_quantile", q=0.5, h=0.01)
+    assert median(F.values, F.grid) == pytest.approx(0.5, abs=1e-2)
 
 
 def test_smoothed_quantile_of_mass_at_zero():
     F = GridFunction(S, np.ones(S.size))
-    val = eval_smoothed_quantile(F.values, F.grid, 0.5, 0.01)
+    val = make_functional("smoothed_quantile", q=0.5, h=0.01)(F.values, F.grid)
     assert val == pytest.approx(0.0, abs=1e-6)
 
 
@@ -87,19 +86,29 @@ def test_smoothed_quantile_monotone_in_q():
         vals[-1] = 1.0
         F = GridFunction(S, vals)
         qs = np.linspace(0.1, 0.9, 5)
-        out = [eval_smoothed_quantile(F.values, F.grid, q, 0.05) for q in qs]
+        out = [make_functional("smoothed_quantile", q=q, h=0.05)(F.values, F.grid)
+               for q in qs]
         assert np.all(np.diff(out) >= -1e-12)
 
 
+def _expected_penalty(F, loss_row):
+    fn = make_functional("expected_penalty", loss_row=loss_row)
+    return fn(F, build_cdf_grid(len(loss_row)))
+
+
 def test_expected_penalty_examples():
-    assert eval_expected_penalty([1.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0)
-    assert eval_expected_penalty([0.5, 0.5], [2.0, 4.0]) == pytest.approx(-3.0)
-    assert eval_expected_penalty([0.3, 0.7], [0.0, 0.0]) == pytest.approx(0.0)
+    assert _expected_penalty([0.0, 1.0], [5.0, 0.0]) == pytest.approx(0.0)
+    assert _expected_penalty([0.5, 0.5], [2.0, 4.0]) == pytest.approx(-3.0)
+    assert _expected_penalty([0.3, 0.7], [0.0, 0.0]) == pytest.approx(0.0)
+    assert _expected_penalty([0.25, 0.5, 1.0], [4.0, 2.0, 1.0]) == pytest.approx(-3.0)
 
 
 def test_expected_penalty_rejects_mismatch():
-    with pytest.raises(ValueError):
-        eval_expected_penalty([1.0], [0.0, 1.0])
+    fn = make_functional("expected_penalty", loss_row=[0.0, 1.0])
+    with pytest.raises(ValueError, match="uniform outcome grid"):
+        fn([0.0, 0.5, 1.0], build_cdf_grid(3))
+    with pytest.raises(ValueError, match="node count"):
+        fn([1.0], build_cdf_grid(2))
 
 
 def test_make_functional_catalog():

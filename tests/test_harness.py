@@ -562,7 +562,7 @@ def test_trace_csv_reads_back_bit_for_bit(tmp_path, capsys):
     assert len(cols["round"]) == 1024
     _assert_trace_columns(cols, trace)
     checkpoints = dyadic_checkpoints(cols["cum_regret"])
-    assert checkpoints == trace.checkpoints()
+    assert checkpoints == trace.summary["checkpoints"]
     assert fit_loglog_slope(checkpoints) == regret_slope(trace)
     spath = tmp_path / "summary.json"
     write_summary_json(trace, spath)
@@ -606,9 +606,6 @@ def test_regret_slope_skips_leading_zeros():
     class Fake:
         summary = {"checkpoints": [(2, 0.0), (4, 0.0), (8, 1.0), (16, 2.0), (32, 4.0)]}
 
-        def checkpoints(self):
-            return self.summary["checkpoints"]
-
     assert regret_slope(Fake()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -616,18 +613,12 @@ def test_regret_slope_needs_three_nonzero_checkpoints():
     class Fake:
         summary = {"checkpoints": [(2, 0.0), (4, 0.0), (8, 1.0), (16, 2.0)]}
 
-        def checkpoints(self):
-            return self.summary["checkpoints"]
-
     assert regret_slope(Fake()) is None
 
 
 def test_regret_slope_rejects_nan_checkpoint():
     class Fake:
         summary = {"checkpoints": [(2, np.nan), (4, 0.0), (8, 1.0), (16, 2.0), (32, 4.0)]}
-
-        def checkpoints(self):
-            return self.summary["checkpoints"]
 
     with pytest.raises(ValueError, match="must be finite"):
         regret_slope(Fake())
@@ -840,11 +831,29 @@ def test_cli_run_rejects_bad_functional_parameters(tmp_path, capsys, params):
     assert not (tmp_path / "out").exists()
 
 
+NOT_A_NAMED_DICT = [
+    {"environment": "kumaraswamy"},
+    {"environment": ["name"]},
+    {"environment": {"rank": 8}},
+    {"functional": "mean"},
+]
+
+
+@pytest.mark.parametrize("setting", NOT_A_NAMED_DICT)
+def test_config_refuses_an_entry_that_is_not_a_named_dict(setting):
+    (name, _value), = setting.items()
+    with pytest.raises(TypeError, match="^%s must be a dict with a \"name\" key" % name):
+        ExperimentConfig(**setting)
+
+
 @pytest.mark.parametrize("config", [
     # a parameter the catalog entry does not take
     {"environment": {"name": "kumaraswamy", "rank": 8}},
     # omega_dim is no longer a config field: Omega is always 1-d
     {"omega_dim": 1},
+    # a string or list used to pass the config and end in a dict() error
+    # naming no field, with exit 3
+    *NOT_A_NAMED_DICT,
 ])
 def test_cli_run_refuses_unknown_settings_as_malformed(tmp_path, capsys, config):
     cpath = tmp_path / "config.json"
@@ -1202,6 +1211,26 @@ def test_read_trace_csv_refuses_a_row_with_extra_fields(tmp_path):
     _append_field(path, 4)
     with pytest.raises(csv.Error, match=r"trace\.csv line 4: 1 field\(s\) more than the header"):
         read_trace_csv(path)
+
+
+@pytest.mark.parametrize("order", ["thinned", "shuffled"])
+def test_cli_fit_slope_refuses_rounds_out_of_order(tmp_path, capsys, order):
+    # dyadic_checkpoints reads cum_regret by row position: this trace's
+    # slope is 1.338, and its thinned and shuffled copies used to give
+    # 1.128 and 0.150
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run_config(ExperimentConfig(horizon=64), 0), path)
+    header, *rows = path.read_text().splitlines()
+    if order == "thinned":
+        rows = rows[1::2]
+    else:
+        rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(csv.Error, match=r"trace\.csv: round \d+ stands where round \d+ "
+                       r"belongs; a trace holds rounds 1\.\.T in file order"):
+        read_trace_csv(path)
+    assert main(["fit-slope", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("malformed config or input")
 
 
 def test_cli_regress_exits_2_on_a_row_with_extra_fields(tmp_path, capsys):

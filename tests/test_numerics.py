@@ -90,50 +90,33 @@ def _psd_stack(rng, lead, n, rank):
     g = rng.normal(size=lead + (n, rank))
     return g @ np.swapaxes(g, -1, -2)
 
-@pytest.mark.parametrize("lead", [(1,), (7,), (2, 3)])
-@pytest.mark.parametrize("rank", [3, 12])
-def test_sym_eig_on_a_stack_equals_per_matrix_calls(lead, rank):
-    stack = _psd_stack(np.random.default_rng(rank + len(lead)), lead, 12, rank)
-    vals, vecs = sym_eig(stack)
-    assert vals.shape == lead + (12,) and vecs.shape == lead + (12, 12)
-    for idx in np.ndindex(*lead):
-        one_vals, one_vecs = sym_eig(stack[idx])
-        assert vals[idx].tobytes() == one_vals.tobytes()
-        assert vecs[idx].tobytes() == one_vecs.tobytes()
-
-@pytest.mark.parametrize("rank", [3, 12])
-def test_quadrature_eig_on_a_stack_equals_per_matrix_calls(rank):
-    rng = np.random.default_rng(5 + rank)
-    w = rng.uniform(0.5, 1.5, size=12)
-    grid = QuadratureGrid(np.linspace(0.02, 0.98, 12), w / w.sum())
-    stack = _psd_stack(rng, (9,), 12, rank)
-    spec = quadrature_eig(stack, grid)
-    assert spec.eigenvalues.shape == (9, 12) and spec.eigenfunctions.shape == (9, 12, 12)
-    assert np.all(spec.eigenvalues >= 0)
-    for i, kernel in enumerate(stack):
-        one = quadrature_eig(kernel, grid)
-        assert spec.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
-        assert spec.eigenfunctions[i].tobytes() == one.eigenfunctions.tobytes()
-
-def test_sym_eig_refuses_a_stack_with_one_bad_member():
-    stack = _psd_stack(np.random.default_rng(17), (6,), 8, 8)
-    sym_eig(stack)
+def test_sym_eig_refuses_a_bad_matrix():
+    matrix = _psd_stack(np.random.default_rng(17), (), 8, 8)
+    sym_eig(matrix)
     for bad in (1e-6, np.nan):
-        broken = stack.copy()
-        broken[4, 0, 1] += bad
+        broken = matrix.copy()
+        broken[0, 1] += bad
         with pytest.raises(ValueError, match="not finite and symmetric"):
             sym_eig(broken)
     with pytest.raises(ValueError, match="square"):
-        sym_eig(np.zeros((3, 4, 5)))
+        sym_eig(np.zeros((4, 5)))
     with pytest.raises(ValueError, match="size limit"):
-        sym_eig(np.broadcast_to(0.0, (2, MAX_EIG_SIZE + 1, MAX_EIG_SIZE + 1)))
+        sym_eig(np.broadcast_to(0.0, (MAX_EIG_SIZE + 1, MAX_EIG_SIZE + 1)))
 
-def test_quadrature_eig_refuses_a_stack_with_one_indefinite_member():
+def test_quadrature_eig_refuses_an_indefinite_kernel():
     grid = build_uniform_grid(8)
-    stack = _psd_stack(np.random.default_rng(19), (5,), 8, 4)
-    quadrature_eig(stack, grid)
-    stack[2] -= np.eye(8)
+    kernel = _psd_stack(np.random.default_rng(19), (), 8, 4)
+    quadrature_eig(kernel, grid)
     with pytest.raises(ValueError, match="not positive semidefinite"):
+        quadrature_eig(kernel - np.eye(8), grid)
+
+def test_sym_eig_and_quadrature_eig_refuse_a_stack():
+    grid = build_uniform_grid(8)
+    stack = _psd_stack(np.random.default_rng(29), (2,), 8, 8)
+    refusal = r"one \(n, n\) matrix, not an array of shape \(2, 8, 8\)"
+    with pytest.raises(ValueError, match=refusal):
+        sym_eig(stack)
+    with pytest.raises(ValueError, match=refusal):
         quadrature_eig(stack, grid)
 
 @pytest.mark.parametrize("rank", [3, 12])
@@ -145,30 +128,32 @@ def test_quadrature_eigvals_on_a_stack_equals_per_matrix_calls(rank):
     vals = quadrature_eigvals(stack, grid)
     assert vals.shape == (33, 12)
     assert np.all(vals >= 0) and np.all(np.diff(vals, axis=-1) <= 0)
-    # the eigenvalue-only solver agrees with the eigenpair one up to round-off
-    full = quadrature_eig(stack, grid).eigenvalues
-    assert np.allclose(vals, full, rtol=0, atol=1e-12 * np.max(full))
     for i, kernel in enumerate(stack):
         assert vals[i].tobytes() == quadrature_eigvals(kernel, grid).tobytes()
+        # the eigenvalue-only solver agrees with the eigenpair one up to round-off
+        full = quadrature_eig(kernel, grid).eigenvalues
+        assert np.allclose(vals[i], full, rtol=0, atol=1e-12 * np.max(full))
 
 def test_quadrature_eigvals_refuses_what_quadrature_eig_refuses():
     grid = build_uniform_grid(8)
     stack = _psd_stack(np.random.default_rng(23), (6,), 8, 4)
     quadrature_eigvals(stack, grid)
+    # (stack, grid, message, index of the one member that fails)
     cases = []
     for bad in (1e-6, np.nan):
         broken = stack.copy()
         broken[4, 0, 1] += bad
-        cases.append((broken, grid, "not finite and symmetric"))
+        cases.append((broken, grid, "not finite and symmetric", 4))
     indefinite = stack.copy()
     indefinite[2] -= np.eye(8)
-    cases.append((indefinite, grid, "not positive semidefinite"))
+    cases.append((indefinite, grid, "not positive semidefinite", 2))
     big = build_uniform_grid(MAX_EIG_SIZE + 1)
-    cases.append((np.broadcast_to(0.0, (1, big.size, big.size)), big, "size limit"))
-    for kernel, g, message in cases:
-        for solve in (quadrature_eig, quadrature_eigvals):
-            with pytest.raises(ValueError, match=message):
-                solve(kernel, g)
+    cases.append((np.broadcast_to(0.0, (1, big.size, big.size)), big, "size limit", 0))
+    for kernels, g, message, i in cases:
+        with pytest.raises(ValueError, match=message):
+            quadrature_eigvals(kernels, g)
+        with pytest.raises(ValueError, match=message):
+            quadrature_eig(kernels[i], g)
 
 def test_degenerate_kernel_min_spectrum():
     """Brownian motion kernel min(s,t): eigenvalues 1/((k-1/2)^2 pi^2)."""

@@ -22,10 +22,10 @@ from cdfreg import (
     empirical_target,
     error_budget,
     estimate_eigendecay,
-    eval_expected_penalty,
     generate_dataset,
     loss,
     make_catalog_env,
+    make_functional,
     predict_cdf,
     project_to_C,
     pseudo_inverse_apply,
@@ -534,6 +534,7 @@ def _refusal_cases():
     other = GridFunction(build_uniform_grid(16), np.ones(16))
     tilted = ones.copy()
     tilted[:2] = -0.5, 2.5
+    penalty = make_functional("expected_penalty", loss_row=[0.0, 1.0])
     return {
         "env-negative-theta": (lambda: Environment(basis, GridFunction(OMEGA, tilted), OMEGA, S,
                                                    2, 5), "nonnegative"),
@@ -567,7 +568,7 @@ def _refusal_cases():
                                                          other), "different grid"),
         "truncation-gamma-0": (lambda: select_truncation(spec, 8, 0.0), r"gamma must be"),
         "truncation-gamma-1.5": (lambda: select_truncation(spec, 8, 1.5), r"gamma must be"),
-        "penalty-negative-weights": (lambda: eval_expected_penalty([1.5, -0.5], [0.0, 1.0]),
+        "penalty-negative-weights": (lambda: penalty([-0.5, 1.0], build_cdf_grid(2)),
                                      "nonnegative"),
     }
 
