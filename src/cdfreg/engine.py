@@ -175,7 +175,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
             block, rows = slice(lo, lo + B), np.arange(B)
             # pair b * K + a is (context of round lo + b, action a)
             phi = basis_values(basis, np.repeat(X[block], K, axis=0),
-                               np.tile(np.arange(K), B), omega_grid, s_grid)
+                               np.tile(np.arange(K), B), omega_grid.nodes, s_grid.nodes)
             true_cdfs = (w_theta_star @ phi).reshape(B, K, s_grid.size)
             true_utils = functional(true_cdfs, s_grid)
             if w_theta_hat is None:

@@ -9,9 +9,9 @@ from functools import partial
 
 import numpy as np
 
-from .numerics import (MAX_GRID_NODES, GridFunction, QuadratureGrid, checked_count, checked_real,
-                       same_grid)
-from .operators import EVAL_BYTES, CdfBasis, basis_chunks, basis_values_at, mixture_cdf
+from .numerics import (MAX_GRID_NODES, GridFunction, QuadratureGrid, catalog_entry, checked_count,
+                       checked_real, same_grid)
+from .operators import EVAL_BYTES, CdfBasis, basis_chunks, basis_values, mixture_cdf
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +110,8 @@ def _finite_rank_basis(rank=8):
 
 
 # name -> factory of (basis name, evaluator, L0, eta) from the entry's own
-# parameters; a factory refuses a parameter it does not take (TypeError).
+# parameters; ``catalog_entry`` refuses a parameter the factory does not take
+# with a TypeError naming the entry.
 # Every entry has covering constant A = 1. finite-rank-r's L0 is an empirical
 # constant for the random-pair spot check (phi jumps at cell edges); its eta
 # is the last cell's ramp mass width/3 = 1/(6 rank) with a safety margin.
@@ -135,10 +136,8 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     """
     checked_count(context_dim, 1, "context_dim must be a positive integer, got %r")
     checked_count(action_count, 1, "action_count must be a positive integer, got %r")
-    if name not in BASIS_CATALOG:
-        raise ValueError("unknown catalog environment %r" % name)
-    basis = CdfBasis(*BASIS_CATALOG[name](**params), covering_constant_A=1.0,
-                     omega_dim=1)
+    basis = CdfBasis(*catalog_entry(BASIS_CATALOG, "catalog environment", name, params),
+                     covering_constant_A=1.0)
 
     if theta_star == "uniform":
         theta = GridFunction(omega_grid, np.ones(omega_grid.size))
@@ -201,15 +200,15 @@ def draw_outcomes(env: Environment, X, A, u) -> np.ndarray:
     y = np.empty(len(u))
     for lo in range(0, len(u), chunk):
         Xc, Ac, uc = X[lo:lo + chunk], A[lo:lo + chunk], u[lo:lo + chunk, None]
-        F = w_theta @ basis_values_at(env.basis, Xc, Ac, nodes, s[coarse])
+        F = w_theta @ basis_values(env.basis, Xc, Ac, nodes, s[coarse])
         bracket = np.count_nonzero(F < uc, axis=1)
         tie = np.any(np.abs(F - uc) <= margin, axis=1)
         idx = starts[bracket]
         for j in np.unique(bracket[bracket < coarse.size]):
             rows = np.flatnonzero(bracket == j)
             if starts[j] < coarse[j]:
-                Fj = w_theta @ basis_values_at(env.basis, Xc[rows], Ac[rows], nodes,
-                                               s[starts[j]:coarse[j]])
+                Fj = w_theta @ basis_values(env.basis, Xc[rows], Ac[rows], nodes,
+                                            s[starts[j]:coarse[j]])
                 idx[rows] += np.count_nonzero(Fj < uc[rows], axis=1)
                 tie[rows] |= np.any(np.abs(Fj - uc[rows]) <= margin, axis=1)
         y[lo:lo + chunk] = s[np.minimum(idx, s.shape[0] - 1)]

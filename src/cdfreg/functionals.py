@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import QuadratureGrid, checked_real
+from .numerics import QuadratureGrid, catalog_entry, checked_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +115,4 @@ FUNCTIONAL_CATALOG = {
 
 
 def make_functional(name: str, **params) -> UtilityFunctional:
-    if name not in FUNCTIONAL_CATALOG:
-        raise ValueError("unknown functional %r" % name)
-    return FUNCTIONAL_CATALOG[name](**params)
+    return catalog_entry(FUNCTIONAL_CATALOG, "functional", name, params)

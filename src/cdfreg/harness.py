@@ -14,7 +14,8 @@ from .engine import RegretTrace, run_episode
 from .environments import (Environment, check_norm_bound, draw_outcomes, make_catalog_env,
                            sample_context)
 from .functionals import make_functional
-from .numerics import build_cdf_grid, build_uniform_grid, checked_count, checked_real, same_grid
+from .numerics import (MAX_EIG_SIZE, build_cdf_grid, build_uniform_grid, checked_count,
+                       checked_real, same_grid)
 from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
 from .regression import Dataset, regress
 
@@ -22,11 +23,13 @@ from .regression import Dataset, regress
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Round-trippable description of one experiment. ``environment`` and
-    ``functional`` are dicts with a "name" key (anything else raises
-    ``TypeError``), its counts follow ``numerics.checked_count`` (stored as
-    ints, ``seeds`` and ``sweep_n`` as tuples) and its reals
-    ``numerics.checked_real`` (stored as floats, gamma unless "estimate");
-    a bad value is refused at construction."""
+    ``functional`` are dicts whose "name" key holds a string, ``seeds`` and
+    ``sweep_n`` are lists or tuples and ``output_dir`` is a string (anything
+    else raises ``TypeError``); its counts follow ``numerics.checked_count``
+    (stored as ints, ``seeds`` and ``sweep_n`` as tuples), ``omega_nodes``
+    at most ``numerics.MAX_EIG_SIZE``, and its reals ``numerics.checked_real``
+    (stored as floats, gamma unless "estimate"); a bad value is refused at
+    construction."""
 
     environment: dict = field(default_factory=lambda: {"name": "kumaraswamy"})
     functional: dict = field(default_factory=lambda: {"name": "mean"})
@@ -46,12 +49,22 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("environment", "functional"):
             value = getattr(self, name)
-            if not (isinstance(value, dict) and "name" in value):
-                raise TypeError("%s must be a dict with a \"name\" key, not %r" % (name, value))
+            if not (isinstance(value, dict) and isinstance(value.get("name"), str)):
+                raise TypeError("%s must be a dict with a \"name\" key holding a string, not %r"
+                                % (name, value))
+        listed = (list, tuple)
+        for name, kind, words in (("seeds", listed, "list"), ("sweep_n", listed, "list"),
+                                  ("output_dir", str, "string")):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError("%s must be a %s, not %r" % (name, words, getattr(self, name)))
         for name, least in (("omega_nodes", 2), ("s_nodes", 2), ("horizon", 2),
                             ("heldout_pairs", 1)):
             object.__setattr__(self, name, checked_count(
                 getattr(self, name), least, "%s must be an integer >= %d, not %%r" % (name, least)))
+        # every oracle call eigensolves an omega_nodes-sized kernel
+        if self.omega_nodes > MAX_EIG_SIZE:
+            raise ValueError("omega_nodes must be at most the %d eigensolver size limit, not %r"
+                             % (MAX_EIG_SIZE, self.omega_nodes))
         object.__setattr__(self, "seeds", tuple(
             checked_count(s, 0, "seeds must hold integers >= 0, not %r") for s in self.seeds))
         object.__setattr__(self, "sweep_n", tuple(

@@ -10,6 +10,7 @@ at the supremum of the support (where every CDF equals 1).
 from __future__ import annotations
 
 import contextlib
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -51,8 +52,24 @@ def checked_real(value, name: str) -> float:
     raise ValueError("%s must %s, not %r" % (name, words, value))
 
 
-def _readonly(a):
-    a = np.asarray(a, dtype=float, order="C")  # a scalar stays 0-d
+def catalog_entry(catalog: dict, kind: str, name, params: dict):
+    """The package's one rule for catalog entries: ``catalog[name](**params)``;
+    a name not in ``catalog`` raises ``ValueError("unknown <kind> <name!r>")``,
+    and parameters the entry's factory cannot bind raise ``TypeError`` naming
+    the entry, before the factory runs."""
+    if name not in catalog:
+        raise ValueError("unknown %s %r" % (kind, name))
+    try:
+        inspect.signature(catalog[name]).bind(**params)
+    except TypeError as exc:
+        raise TypeError("%s %r: %s" % (kind, name, exc)) from None
+    return catalog[name](**params)
+
+
+def readonly_copy(a) -> np.ndarray:
+    """A read-only C-contiguous float copy of ``a``: an object holding it
+    neither freezes its caller's array nor sees a later write to it."""
+    a = np.array(a, dtype=float, order="C")  # a scalar stays 0-d
     a.flags.writeable = False
     return a
 
@@ -69,8 +86,8 @@ class QuadratureGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _readonly(self.nodes))
-        object.__setattr__(self, "weights", _readonly(self.weights))
+        object.__setattr__(self, "nodes", readonly_copy(self.nodes))
+        object.__setattr__(self, "weights", readonly_copy(self.weights))
         if self.nodes.ndim != 1:
             raise ValueError("nodes must be a 1-d array, not of shape %r" % (self.nodes.shape,))
         if self.nodes.shape != self.weights.shape:
@@ -96,7 +113,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
+        object.__setattr__(self, "values", readonly_copy(self.values))
         if self.values.shape != (self.grid.size,):
             raise ValueError("value count does not match node count")
         if not np.all(np.isfinite(self.values)):
@@ -189,8 +206,8 @@ class SpectralDecomposition:
     grid: QuadratureGrid
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        object.__setattr__(self, "eigenfunctions", _readonly(self.eigenfunctions))
+        object.__setattr__(self, "eigenvalues", readonly_copy(self.eigenvalues))
+        object.__setattr__(self, "eigenfunctions", readonly_copy(self.eigenfunctions))
         vals = self.eigenvalues
         if vals.ndim != 1 or self.eigenfunctions.shape != (self.grid.size, vals.size):
             raise ValueError("eigenvalues must be an (n_eigs,) and eigenfunctions an "

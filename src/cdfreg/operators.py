@@ -9,6 +9,7 @@ plays in least squares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .numerics import (
     checked_count,
     quadrature_eig,
     quadrature_eigvals,
+    readonly_copy,
     same_grid,
 )
 
@@ -41,23 +43,23 @@ class CdfBasis:
     """A family of CDFs phi(x, a, w, .) indexed by w, with its regularity
     constants.
 
-    ``eval_matrix(X, A, omega_nodes, s_coords)`` is batched: for B contexts
+    ``eval_matrix(X, A, omega_nodes, s_nodes)`` is batched: for B contexts
     X of shape (B, d), B actions A of shape (B,) and Omega nodes of shape
     (n_w,) it returns the (B, n_w, n_s) array of phi values, row b for the
     pair (X[b], A[b]). A single pair is a batch of one. Callers go through
-    ``basis_values`` or ``basis_values_at``, which check the shape and the
-    [0, 1] range once per batch. The value at s_k must not depend on the
-    other coordinates of the call (phi is pointwise in s, as a function of
-    s is): the outcome draw (``environments.draw_outcomes``) evaluates phi
-    at a few outcome coordinates at a time.
+    ``basis_values``, the one entry that calls it, which checks the shape
+    and the [0, 1] range once per batch. The value at s_k must not depend
+    on the other outcome nodes of the call (phi is pointwise in s, as a
+    function of s is): the outcome draw (``environments.draw_outcomes``)
+    evaluates phi at a few outcome nodes at a time.
     ``lipschitz_L0`` bounds |phi(x,a,w,s) - phi(x,a,r,s)| / |w - r|,
     ``kernel_floor_eta`` lower-bounds the point-kernel entries, and
     ``covering_constant_A`` enters the covering-number constant of the
-    random-design error bound, with ``omega_dim`` (1: Omega is [0, 1]) as
-    its dimension d. The norm bound M of the admissible set C is not a
-    property of the basis: the oracle and the engine take it as an
-    argument, and ``environments.check_norm_bound`` checks theta* against
-    it.
+    random-design error bound, with the class constant ``omega_dim`` = 1
+    (Omega is [0, 1]) as its dimension d. The norm bound M of the
+    admissible set C is not a property of the basis: the oracle and the
+    engine take it as an argument, and ``environments.check_norm_bound``
+    checks theta* against it.
     """
 
     name: str
@@ -65,13 +67,14 @@ class CdfBasis:
     lipschitz_L0: float
     kernel_floor_eta: float
     covering_constant_A: float
-    omega_dim: int
+    omega_dim: ClassVar[int] = 1
 
 
 @dataclass(frozen=True, eq=False)
 class DesignOperator:
     """Sum of point-operator kernels over dataset (context, action) pairs,
-    discretized on an Omega quadrature grid."""
+    discretized on an Omega quadrature grid; a kernel symmetric within 1e-10
+    is held as a read-only copy of (k + k^T) / 2, exactly symmetric."""
 
     kernel_matrix: np.ndarray
     grid: QuadratureGrid
@@ -83,9 +86,7 @@ class DesignOperator:
             raise ValueError("kernel matrix does not match the grid")
         if not np.max(np.abs(k - k.T)) <= 1e-10 * max(1.0, np.max(np.abs(k))):
             raise ValueError("design kernel matrix is not finite and symmetric")
-        k = np.ascontiguousarray(k)
-        k.flags.writeable = False
-        object.__setattr__(self, "kernel_matrix", k)
+        object.__setattr__(self, "kernel_matrix", readonly_copy((k + k.T) / 2.0))
         object.__setattr__(self, "data_count", checked_count(
             self.data_count, 1, "DesignOperator needs data_count >= 1, not %r"))
 
@@ -116,26 +117,20 @@ def integer_actions(A) -> np.ndarray:
     return np.asarray(A, dtype=int)
 
 
-def basis_values_at(basis: CdfBasis, X, A, omega_nodes: np.ndarray,
-                    s_coords: np.ndarray) -> np.ndarray:
-    """phi[b, i, k] = phi(X[b], A[b], omega_nodes[i], s_coords[k]) at any
-    outcome coordinates, checked against the basis contract: shape
-    (B, n_w, n_s) and values in [0, 1]; a non-integral action raises
+def basis_values(basis: CdfBasis, X, A, omega_nodes: np.ndarray,
+                 s_nodes: np.ndarray) -> np.ndarray:
+    """phi[b, i, k] = phi(X[b], A[b], omega_nodes[i], s_nodes[k]), the one
+    call of ``CdfBasis.eval_matrix``, checked against the basis contract:
+    shape (B, n_w, n_s) and values in [0, 1]; a non-integral action raises
     ``ValueError``."""
     A = integer_actions(A).reshape(-1)
     X = np.asarray(X, dtype=float).reshape(A.shape[0], -1)
-    phi = np.asarray(basis.eval_matrix(X, A, omega_nodes, s_coords))
-    if phi.shape != (A.shape[0], omega_nodes.shape[0], s_coords.shape[0]):
+    phi = np.asarray(basis.eval_matrix(X, A, omega_nodes, s_nodes))
+    if phi.shape != (A.shape[0], omega_nodes.shape[0], s_nodes.shape[0]):
         raise ValueError("basis evaluator returned a wrong-shaped array")
     if not (np.min(phi) >= -1e-9 and np.max(phi) <= 1.0 + 1e-9):  # NaN fails
         raise ValueError("basis contract violation: phi outside [0, 1]")
     return phi
-
-
-def basis_values(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
-                 s_grid: QuadratureGrid) -> np.ndarray:
-    """``basis_values_at`` on every node of the two grids."""
-    return basis_values_at(basis, X, A, omega_grid.nodes, s_grid.nodes)
 
 
 def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
@@ -146,7 +141,8 @@ def basis_chunks(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
     pair_bytes = 8 * omega_grid.size * s_grid.size
     batch = BASIS_CHUNK * max(1, EVAL_BYTES // (BASIS_CHUNK * pair_bytes))
     for lo in range(0, A.shape[0], batch):
-        phi = basis_values(basis, X[lo:lo + batch], A[lo:lo + batch], omega_grid, s_grid)
+        phi = basis_values(basis, X[lo:lo + batch], A[lo:lo + batch], omega_grid.nodes,
+                           s_grid.nodes)
         for c in range(0, phi.shape[0], BASIS_CHUNK):
             yield slice(lo + c, lo + c + BASIS_CHUNK), phi[c:c + BASIS_CHUNK]
 
@@ -174,13 +170,13 @@ def design_operator(basis: CdfBasis, pairs, omega_grid: QuadratureGrid,
     total = np.zeros((omega_grid.size, omega_grid.size))
     for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
         total += pair_kernels(phi, s_grid.weights).sum(axis=0)
-    return DesignOperator((total + total.T) / 2.0, omega_grid, len(pairs))
+    return DesignOperator(total, omega_grid, len(pairs))
 
 
 def mixture_cdf(basis: CdfBasis, theta: GridFunction, x, a: int,
                 s_grid: QuadratureGrid) -> GridFunction:
     """F(x, a, s_k) = sum_i w_i theta_i phi(x, a, w_i, s_k) on theta's grid."""
-    phi = basis_values(basis, [x], [a], theta.grid, s_grid)[0]
+    phi = basis_values(basis, [x], [a], theta.grid.nodes, s_grid.nodes)[0]
     return GridFunction(s_grid, (theta.grid.weights * theta.values) @ phi)
 
 
@@ -220,7 +216,7 @@ def estimate_eigendecay(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
     tau_k is the max over the sampled pairs, contexts X (n, d) and actions
     A (n,), of the k-th point-operator eigenvalue, one entry per Omega node,
     set to 0 below ``TAU_FLOOR * tau_1``; gamma is the smallest ladder value
-    whose power sum stays within ``S0_BUDGET`` (gamma = 1 if none does).
+    whose power sum stays within ``S0_BUDGET``, which gamma = 1 always does.
     Each chunk's point kernels are eigensolved as one stack, eigenvalues
     only, one ``quadrature_eigvals`` call per ``BASIS_CHUNK`` pairs.
     """
@@ -232,8 +228,8 @@ def estimate_eigendecay(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
         vals = quadrature_eigvals((k + k.transpose(0, 2, 1)) / 2, omega_grid)
         tau = np.maximum(tau, vals.max(axis=0))
     tau[tau < TAU_FLOOR * tau[0]] = 0.0
-    for gamma in GAMMA_LADDER:
-        s = float(np.sum(tau**gamma))
-        if s <= S0_BUDGET:
-            return EigendecayFit(tau, gamma, s)
-    return EigendecayFit(tau, 1.0, float(np.sum(tau)))
+    # the last rung, 1, always fits: each point operator has quadrature trace
+    # at most 1 (phi in [0, 1], both weight sets sum to 1), so tau_k <= 1/k
+    # and sum tau <= H_{n_w} <= H_MAX_EIG_SIZE (about 8.18) < S0_BUDGET
+    gamma = next(g for g in GAMMA_LADDER if float(np.sum(tau**g)) <= S0_BUDGET)
+    return EigendecayFit(tau, gamma, float(np.sum(tau**gamma)))

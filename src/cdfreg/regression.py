@@ -121,9 +121,9 @@ def _indicators(y, s_coords: np.ndarray) -> np.ndarray:
 
 class DataStatistics:
     """The four sums the oracle reads from a dataset of (x, a, y) records:
-    the design kernel (summed ``pair_kernels``, not yet symmetrized), the
-    empirical target, the summed squared L2(S) norm of the indicator
-    targets, and the record count.
+    the design kernel (summed ``pair_kernels``, which ``DesignOperator``
+    symmetrizes), the empirical target, the summed squared L2(S) norm of
+    the indicator targets, and the record count.
 
     ``add`` takes one chunk, so the same chunks in the same order give the
     same sums bit for bit: ``data_statistics`` adds a dataset in
@@ -148,7 +148,7 @@ class DataStatistics:
         self.count += phi.shape[0]
 
     def design_operator(self) -> DesignOperator:
-        return DesignOperator((self.kernel + self.kernel.T) / 2.0, self.omega_grid, self.count)
+        return DesignOperator(self.kernel, self.omega_grid, self.count)
 
 
 class Dataset:

@@ -268,7 +268,7 @@ def _per_round_reference(env, functional, T, delta, gamma, M, seed, scale, s0):
         data = []
         for t in range(bounds[m - 1] + 1, bounds[m] + 1):
             x = sample_context(env, rng)
-            phi = basis_values(basis, np.tile(x, (K, 1)), np.arange(K), omega, S)
+            phi = basis_values(basis, np.tile(x, (K, 1)), np.arange(K), omega.nodes, S.nodes)
             true_cdfs = w_star @ phi
             true_utils = functional(true_cdfs, S)
             if w_hat is None:

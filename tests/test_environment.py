@@ -187,7 +187,8 @@ def test_draw_outcomes_equals_full_rows_at_ties(name):
     traced = dataclasses.replace(env, basis=dataclasses.replace(env.basis, eval_matrix=counting))
     rng = np.random.default_rng(5)
     X, A = rng.random((40, 2)), rng.integers(0, 5, size=40)
-    F = (OMEGA.weights * env.theta_star.values) @ basis_values(env.basis, X, A, OMEGA, S)
+    F = (OMEGA.weights * env.theta_star.values) @ basis_values(env.basis, X, A, OMEGA.nodes,
+                                                               S.nodes)
     Fk = F[np.arange(40), rng.integers(0, S.size, size=40)]
     u = np.concatenate([Fk, np.nextafter(Fk, 2.0), np.nextafter(Fk, -1.0),
                         np.nextafter(F[:, -1], 2.0)])

@@ -53,7 +53,7 @@ from cdfreg.harness import (
     write_summary_json,
     write_trace_csv,
 )
-from cdfreg.numerics import REAL_RULES
+from cdfreg.numerics import MAX_EIG_SIZE, REAL_RULES
 from cdfreg.regression import KKT_TOLERANCE, Diagnostics
 
 OMEGA = build_uniform_grid(32)
@@ -236,20 +236,30 @@ def test_every_count_follows_one_rule(name):
     {"seeds": [0, 1.5]}, {"seeds": [0, True]}, {"seeds": [0, -1]}, {"omega_nodes": 32.0},
     {"omega_nodes": 1}, {"s_nodes": True}, {"s_nodes": 64.0}, {"omega_nodes": 10**30},
     {"environment": {"name": "finite-rank-r", "rank": 10**30}},
-    {"environment": {"name": "kumaraswamy", "action_count": 10**30}},
+    {"environment": {"name": "kumaraswamy", "action_count": 10**30}}, {"omega_nodes": 2500},
 ], ids=["seed-1.5", "seed-true", "seed-minus-1", "omega-32.0", "omega-1", "s-true", "s-64.0",
-        "omega-huge", "rank-huge", "action-count-huge"])
+        "omega-huge", "rank-huge", "action-count-huge", "omega-above-eig-limit"])
 def test_cli_run_refuses_bad_counts_at_load(tmp_path, capsys, setting):
     # seeds [0, 1.5] used to write seed 0's trace and summary, then exit 2;
     # omega_nodes 32.0 ran as 32; omega_nodes 10**30 ended in numpy's
     # TypeError (exit 2) and rank 10**30 in an OverflowError (exit 1);
     # action_count 10**30 loads, and still ends in run_episode's OverflowError,
-    # which exited 1 with a traceback
+    # which exited 1 with a traceback; omega_nodes 2500 loaded and was refused
+    # only by the first eigensolve
     cpath = tmp_path / "config.json"
     cpath.write_text(json.dumps(dict(setting, horizon=8, output_dir=str(tmp_path / "out"))))
     assert main(["run", "--config", str(cpath)]) == 3
     assert "contract violation" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_keeps_omega_nodes_within_the_eigensolver_limit():
+    # every oracle call and the pre-pass eigensolve an omega_nodes-sized kernel
+    assert ExperimentConfig(omega_nodes=MAX_EIG_SIZE).omega_nodes == MAX_EIG_SIZE
+    with pytest.raises(ValueError, match="^omega_nodes must be at most the 2000 eigensolver size "
+                       "limit, not 2001$"):
+        ExperimentConfig(omega_nodes=MAX_EIG_SIZE + 1)
+    ExperimentConfig(s_nodes=MAX_EIG_SIZE + 1)
 
 
 def test_cli_run_exits_3_when_an_episode_runs_out_of_memory(tmp_path, capsys, monkeypatch):
@@ -836,7 +846,15 @@ NOT_A_NAMED_DICT = [
     {"environment": ["name"]},
     {"environment": {"rank": 8}},
     {"functional": "mean"},
+    # a name that is not a string used to end in "unhashable type"
+    {"environment": {"name": ["x"]}},
+    {"functional": {"name": {"a": 1}}},
 ]
+
+# each used to end in an error naming no field: seeds 5 in "'int' object is
+# not iterable" (exit 2), seeds "01" and sweep_n "abc" read character by
+# character (exit 3)
+NOT_A_LIST_OR_STRING = [{"seeds": 5}, {"seeds": "01"}, {"sweep_n": "abc"}, {"output_dir": 5}]
 
 
 @pytest.mark.parametrize("setting", NOT_A_NAMED_DICT)
@@ -844,6 +862,34 @@ def test_config_refuses_an_entry_that_is_not_a_named_dict(setting):
     (name, _value), = setting.items()
     with pytest.raises(TypeError, match="^%s must be a dict with a \"name\" key" % name):
         ExperimentConfig(**setting)
+
+
+@pytest.mark.parametrize("setting", NOT_A_LIST_OR_STRING)
+def test_config_refuses_a_sequence_or_directory_of_the_wrong_type(tmp_path, capsys, setting):
+    (name, _value), = setting.items()
+    with pytest.raises(TypeError, match="^%s must be a (list|string), not " % name):
+        ExperimentConfig(**setting)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(dict({"horizon": 8, "output_dir": str(tmp_path / "out")},
+                                     **setting)))
+    assert main(["run", "--config", str(cpath)]) == 2
+    assert "malformed config or input: %s must be" % name in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_catalog_env("kumaraswamy", OMEGA, S, rank=3),
+     "catalog environment 'kumaraswamy': got an unexpected keyword argument 'rank'"),
+    (lambda: make_functional("mean", q=0.5),
+     "functional 'mean': got an unexpected keyword argument 'q'"),
+    (lambda: make_functional("expected_penalty"),
+     "functional 'expected_penalty': missing a required argument: 'loss_row'"),
+])
+def test_catalog_entries_name_themselves_when_refusing_a_parameter(make, message):
+    # the refusal used to read "<lambda>() got an unexpected keyword argument"
+    with pytest.raises(TypeError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("config", [

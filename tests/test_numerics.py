@@ -212,6 +212,23 @@ def test_spectral_decomposition_checks_eigenfunction_array():
     with pytest.raises(ValueError):
         SpectralDecomposition(vals, np.full((4, 2), np.nan), grid)
 
+def test_constructors_hold_copies_of_their_callers_arrays():
+    # each constructor used to freeze the array it was handed
+    nodes, weights, values = np.array([0.25, 0.75]), np.array([0.5, 0.5]), np.array([1.0, 2.0])
+    vals, vecs = np.array([2.0, 1.0]), np.eye(2)
+    grid = QuadratureGrid(nodes, weights)
+    objects = (grid, GridFunction(grid, values), SpectralDecomposition(vals, vecs, grid))
+    for caller in (nodes, weights, values, vals, vecs):
+        assert caller.flags.writeable
+        caller[0] = 0.5
+    assert np.array_equal(grid.nodes, [0.25, 0.75]) and np.array_equal(grid.weights, [0.5, 0.5])
+    assert np.array_equal(objects[1].values, [1.0, 2.0])
+    assert np.array_equal(objects[2].eigenvalues, [2.0, 1.0])
+    assert np.array_equal(objects[2].eigenfunctions, np.eye(2))
+    for held in (grid.nodes, grid.weights, objects[1].values, objects[2].eigenfunctions):
+        assert not held.flags.writeable
+
+
 def test_degenerate_kernel_rejects_indefinite():
     with pytest.raises(ValueError):
         degenerate_kernel_eig(lambda s, t: np.sin(8.0 * (s - t)), 8, 3)

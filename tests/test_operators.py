@@ -58,10 +58,10 @@ def test_batched_rows_equal_single_pair_evaluations():
         rng = np.random.default_rng(3)
         X = rng.random((37, env.context_dim))
         A = rng.integers(env.action_count, size=37)
-        phi = basis_values(env.basis, X, A, OMEGA, S)
+        phi = basis_values(env.basis, X, A, OMEGA.nodes, S.nodes)
         assert phi.shape == (37, OMEGA.size, S.size)
         for b in range(37):
-            one = basis_values(env.basis, [X[b]], [A[b]], OMEGA, S)
+            one = basis_values(env.basis, [X[b]], [A[b]], OMEGA.nodes, S.nodes)
             assert np.array_equal(one[0], phi[b])
 
 
@@ -83,9 +83,9 @@ def test_basis_contract_violations_raise():
 
     for evaluator in (per_pair, out_of_range, nan_entry):
         basis = CdfBasis("broken", evaluator, lipschitz_L0=1.0, kernel_floor_eta=0.1,
-                         covering_constant_A=1.0, omega_dim=1)
+                         covering_constant_A=1.0)
         with pytest.raises(ValueError):
-            basis_values(basis, [x, x], [a, a], OMEGA, S)
+            basis_values(basis, [x, x], [a, a], OMEGA.nodes, S.nodes)
         with pytest.raises(ValueError):
             point_kernel(basis, x, a, OMEGA, S)
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ def test_declared_lipschitz_L0_bounds_phi_in_w(name):
     A = rng.integers(env.action_count, size=32)
     # every pair of Omega nodes
     w = OMEGA.nodes
-    phi = basis_values(env.basis, X, A, OMEGA, S)
+    phi = basis_values(env.basis, X, A, OMEGA.nodes, S.nodes)
     jump = np.max(np.abs(phi[:, :, None, :] - phi[:, None, :, :]), axis=-1)
     dist = np.abs(w[:, None] - w[None, :])
     apart = dist > 0
@@ -130,7 +130,7 @@ def test_declared_lipschitz_L0_bounds_phi_in_w(name):
     # neighbours on a fine w-grid, whose slopes bound every pair on it
     fine = build_uniform_grid(4001)
     for b in range(X.shape[0]):
-        phi = basis_values(env.basis, X[b:b + 1], A[b:b + 1], fine, S)[0]
+        phi = basis_values(env.basis, X[b:b + 1], A[b:b + 1], fine.nodes, S.nodes)[0]
         jump = np.max(np.abs(np.diff(phi, axis=0)), axis=-1)
         assert np.all(jump <= L0 * np.diff(fine.nodes) + 1e-12)
 
@@ -165,6 +165,37 @@ def test_design_operator_rejects_nan_kernel():
     kernel[0, 0] = np.nan
     with pytest.raises(ValueError):
         DesignOperator(kernel, OMEGA, 1)
+
+
+def test_design_operator_holds_an_exactly_symmetric_copy_of_its_kernel():
+    # a kernel asymmetric within the tolerance used to be held as given,
+    # and the caller's own array was frozen in place
+    rng = np.random.default_rng(3)
+    base = rng.random((OMEGA.size, OMEGA.size))
+    kernel = base @ base.T + 1e-12 * np.triu(rng.random((OMEGA.size, OMEGA.size)), 1)
+    op = DesignOperator(kernel, OMEGA, 1)
+    assert np.array_equal(op.kernel_matrix, op.kernel_matrix.T)
+    assert np.array_equal(op.kernel_matrix, (kernel + kernel.T) / 2.0)
+    assert not op.kernel_matrix.flags.writeable and op.kernel_matrix.flags.c_contiguous
+    kernel[0, 1] = 5.0
+    assert op.kernel_matrix[0, 1] != 5.0
+
+
+def test_omega_dim_is_a_class_constant_not_a_field():
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    assert "omega_dim" not in {f.name for f in dataclasses.fields(CdfBasis)}
+    assert env.basis.omega_dim == 1
+    assert dataclasses.replace(env.basis, name="copy").omega_dim == 1
+
+
+def test_the_last_gamma_rung_always_fits_the_budget():
+    # tau_k <= 1/k (each point operator has quadrature trace at most 1, with
+    # phi allowed 1e-9 above 1) and n_w <= MAX_EIG_SIZE, so at gamma = 1 the
+    # power sum is at most the harmonic number H_MAX_EIG_SIZE; the pre-pass
+    # picks its rung with next() and relies on this
+    assert GAMMA_LADDER[-1] == 1.0
+    harmonic = sum(1.0 / k for k in range(1, numerics.MAX_EIG_SIZE + 1))
+    assert harmonic * (1 + 1e-9) ** 2 < S0_BUDGET
 
 
 def test_weighted_norm_triangle_inequality():

@@ -654,7 +654,7 @@ def _per_sample_statistics(data, basis):
     target = np.zeros(OMEGA.size)
     indicator_sq = 0.0
     for x, a, y in data:
-        phi = basis_values(basis, [x], [a], OMEGA, S)[0]
+        phi = basis_values(basis, [x], [a], OMEGA.nodes, S.nodes)[0]
         indicator = (S.nodes >= y).astype(float)
         kernel += (phi * S.weights) @ phi.T
         target += phi @ (S.weights * indicator)
@@ -714,7 +714,7 @@ def test_regress_from_statistics_equals_dataset_path(name, params, n):
     again = regression.DataStatistics(OMEGA, S)
     for lo in range(0, len(data), BASIS_CHUNK):
         sl = slice(lo, lo + BASIS_CHUNK)
-        again.add(basis_values(env.basis, data.X[sl], data.A[sl], OMEGA, S), data.y[sl])
+        again.add(basis_values(env.basis, data.X[sl], data.A[sl], OMEGA.nodes, S.nodes), data.y[sl])
     assert again.kernel.tobytes() == stats.kernel.tobytes()
     assert again.target.tobytes() == stats.target.tobytes()
     assert (again.indicator_sq, again.count) == (stats.indicator_sq, stats.count)
@@ -757,7 +757,7 @@ def test_regress_refuses_statistics_of_another_dataset():
         with pytest.raises(ValueError, match="statistics count"):
             regress(other, env.basis, 0.1, 2.0, OMEGA, S, statistics=stats)
     with pytest.raises(ValueError, match="outside the support"):
-        stats.add(basis_values(env.basis, data.X[:1], [0], OMEGA, S), [1.5])
+        stats.add(basis_values(env.basis, data.X[:1], [0], OMEGA.nodes, S.nodes), [1.5])
 
 
 def test_dataset_is_iterable_over_read_only_columns():
@@ -794,9 +794,10 @@ def test_basis_values_and_regress_refuse_non_integral_actions():
     env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
     data = generate_dataset(env, 32, np.random.default_rng(43))
     with pytest.raises(ValueError, match="actions must be integers"):
-        basis_values(env.basis, data.X[:2], data.A[:2] + 0.7, OMEGA, S)
+        basis_values(env.basis, data.X[:2], data.A[:2] + 0.7, OMEGA.nodes, S.nodes)
     # formerly truncated to the integer-action theta_hat
     with pytest.raises(ValueError, match="actions must be integers"):
         regress(regression.Dataset(data.X, data.A + 0.7, data.y), env.basis, 0.1, 2.0, OMEGA, S)
-    assert np.array_equal(basis_values(env.basis, data.X[:2], data.A[:2] + 0.0, OMEGA, S),
-                          basis_values(env.basis, data.X[:2], data.A[:2], OMEGA, S))
+    nodes = OMEGA.nodes, S.nodes
+    assert np.array_equal(basis_values(env.basis, data.X[:2], data.A[:2] + 0.0, *nodes),
+                          basis_values(env.basis, data.X[:2], data.A[:2], *nodes))
