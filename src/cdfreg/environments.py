@@ -112,9 +112,9 @@ def _finite_rank_basis(rank=8):
 # name -> factory of (basis name, evaluator, L0, eta) from the entry's own
 # parameters; ``catalog_entry`` refuses a parameter the factory does not take
 # with a TypeError naming the entry.
-# Every entry has covering constant A = 1. finite-rank-r's L0 is an empirical
-# constant for the random-pair spot check (phi jumps at cell edges); its eta
-# is the last cell's ramp mass width/3 = 1/(6 rank) with a safety margin.
+# finite-rank-r's L0 is an empirical constant for the random-pair spot check
+# (phi jumps at cell edges); its eta is the last cell's ramp mass width/3 =
+# 1/(6 rank) with a safety margin.
 BASIS_CATALOG = {
     "rank1-uniform": lambda: ("rank1-uniform", _rank1_eval, 0.0, 1.0 / 3.0),
     "kumaraswamy": lambda: ("kumaraswamy", _kumaraswamy_eval, 2.5, 0.2),
@@ -136,8 +136,7 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     """
     checked_count(context_dim, 1, "context_dim must be a positive integer, got %r")
     checked_count(action_count, 1, "action_count must be a positive integer, got %r")
-    basis = CdfBasis(*catalog_entry(BASIS_CATALOG, "catalog environment", name, params),
-                     covering_constant_A=1.0)
+    basis = CdfBasis(*catalog_entry(BASIS_CATALOG, "catalog environment", name, params))
 
     if theta_star == "uniform":
         theta = GridFunction(omega_grid, np.ones(omega_grid.size))
@@ -160,14 +159,14 @@ def sample_context(env: Environment, rng: np.random.Generator) -> np.ndarray:
     return rng.random(env.context_dim)
 
 
-def inverse_cdf(cdf_values: np.ndarray, u, s_coords: np.ndarray):
+def inverse_cdf(cdf_values: np.ndarray, u, s_nodes: np.ndarray):
     """Inverse-CDF draws snapped to the outcome grid: CDF rows (..., n_s)
     against uniforms (...), broadcast together. For each uniform u the draw
     is the smallest node s_k with F(s_k) >= u, clamped to the last node; its
     index is the count of F < u, which is searchsorted(F, u, "left") on a
     nondecreasing row."""
     idx = np.count_nonzero(np.asarray(cdf_values) < np.asarray(u)[..., None], axis=-1)
-    return s_coords[np.minimum(idx, s_coords.shape[0] - 1)]
+    return s_nodes[np.minimum(idx, s_nodes.shape[0] - 1)]
 
 
 def draw_outcomes(env: Environment, X, A, u) -> np.ndarray:

@@ -18,6 +18,8 @@ import numpy as np
 
 MAX_GRID_NODES = 10**7
 MAX_EIG_SIZE = 2000
+# below -PSD_ROUNDOFF times its terms' size, an eigenvalue or form is not round-off
+PSD_ROUNDOFF = 1e-10
 
 
 def checked_count(value, least: int, refusal: str) -> int:
@@ -127,9 +129,7 @@ class GridFunction:
 
 
 def same_grid(a: QuadratureGrid, b: QuadratureGrid) -> bool:
-    if a is b:
-        return True
-    return a.size == b.size and np.array_equal(a.nodes, b.nodes)
+    return a is b or np.array_equal(a.nodes, b.nodes)
 
 
 def _checked_node_count(n_nodes, rule: str) -> int:
@@ -159,34 +159,36 @@ def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
     return QuadratureGrid(nodes, np.full(n_nodes, 1.0 / n_nodes))
 
 
-def _symmetrized(matrix) -> np.ndarray:
-    """``matrix`` as a float stack (..., n, n), symmetrized as (a + a^T) / 2
-    after the size limit and the symmetry check, which apply to each matrix:
-    one that fails refuses the whole stack."""
+def symmetrized(matrix, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
+    """The package's one kernel-matrix rule: ``matrix`` as a float stack
+    (..., n, n), each matrix finite and symmetric within ``tol`` of max(1, its
+    largest |entry|), returned as (a + a^T) / 2; one that fails refuses the
+    stack with ``ValueError("<what> is not finite and symmetric")``."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError("matrix must be square")
-    if a.shape[-1] > MAX_EIG_SIZE:
-        raise ValueError("matrix exceeds the %d size limit" % MAX_EIG_SIZE)
+        raise ValueError("%s must be square" % what)
     at = np.swapaxes(a, -1, -2)
     if not np.all(np.max(np.abs(a - at), axis=(-2, -1))
-                  <= 1e-10 * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))):
-        raise ValueError("matrix is not finite and symmetric")
+                  <= tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))):
+        raise ValueError("%s is not finite and symmetric" % what)
     return (a + at) / 2.0
+
+
+def _eig_sized(a: np.ndarray) -> np.ndarray:
+    """``a`` (..., n, n) if n is within the eigensolvers' size limit."""
+    if a.shape[-1] > MAX_EIG_SIZE:
+        raise ValueError("matrix exceeds the %d size limit" % MAX_EIG_SIZE)
+    return a
 
 
 def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of one
-    symmetric (n, n) matrix; a stack (..., n, n) is refused.
-
-    Backed by LAPACK's symmetric solver; the contract (residuals within
-    1e-8 * ||A||, orthonormal vectors) is what the rest of the package
-    relies on.
-    """
+    (n, n) matrix that passes ``symmetrized``; a stack (..., n, n) is refused.
+    The package relies on LAPACK's residuals, within 1e-8 * ||A||."""
     if np.ndim(matrix) > 2:
         raise ValueError("expected one (n, n) matrix, not an array of shape %r"
                          % (np.shape(matrix),))
-    vals, vecs = np.linalg.eigh(_symmetrized(matrix))
+    vals, vecs = np.linalg.eigh(_eig_sized(symmetrized(matrix)))
     # eigh returns the eigenvalues in ascending order
     return vals[::-1], vecs[:, ::-1]
 
@@ -221,12 +223,18 @@ class SpectralDecomposition:
 
 
 def _clamped(vals: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues (..., n) clamped to zero after the positive
-    semidefiniteness check that both quadrature solvers share (see
-    ``quadrature_eig``)."""
-    if np.any(vals[..., -1] < -np.maximum(1e-10 * np.maximum(vals[..., 0], 0.0), 1e-12)):
+    """Descending eigenvalues (..., n) clamped to zero; one below
+    -PSD_ROUNDOFF max(lambda_1, 0) refuses the operator."""
+    if np.any(vals[..., -1] < -PSD_ROUNDOFF * np.maximum(vals[..., 0], 0.0)):
         raise ValueError("kernel operator is not positive semidefinite")
     return np.maximum(vals, 0.0)
+
+
+def _weighted(kernel_matrix, grid: QuadratureGrid) -> np.ndarray:
+    """D^(1/2) K D^(1/2), D = diag(weights), of the kernel stack K (..., n, n)
+    averaged by ``symmetrized`` first: the step both quadrature solvers share."""
+    sqw = np.sqrt(grid.weights)
+    return sqw[:, None] * symmetrized(kernel_matrix) * sqw[None, :]
 
 
 def quadrature_eig(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> SpectralDecomposition:
@@ -237,28 +245,21 @@ def quadrature_eig(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> SpectralD
     With D = diag(weights) the weighted problem K D e = lambda e is
     symmetrized as D^(1/2) K D^(1/2); the eigenfunctions D^(-1/2) v are then
     orthonormal under the grid's quadrature. Negative eigenvalues are
-    round-off for a positive operator: they are clamped to zero and kept,
-    so n nodes give n eigenpairs. One below -max(1e-10 lambda_1, 1e-12)
-    means the kernel is not positive semidefinite.
+    round-off for a positive operator (``_clamped``): they are clamped to
+    zero and kept, so n nodes give n eigenpairs.
     """
-    sqw = np.sqrt(grid.weights)
-    vals, vecs = sym_eig(sqw[:, None] * kernel_matrix * sqw[None, :])
-    return SpectralDecomposition(_clamped(vals), vecs / sqw[:, None], grid)
+    vals, vecs = sym_eig(_weighted(kernel_matrix, grid))
+    return SpectralDecomposition(_clamped(vals), vecs / np.sqrt(grid.weights)[:, None], grid)
 
 
 def quadrature_eigvals(kernel_matrix: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """The eigenvalues of ``quadrature_eig`` without eigenfunctions:
-    descending and clamped, (..., n) for a stack (..., n, n); a matrix
-    that fails its checks refuses the whole stack. LAPACK's eigenvalue-only
-    solver takes about half the time and runs on each matrix of a stack as
-    on that matrix alone, so a stack's eigenvalues equal the per-matrix
-    calls' bit for bit. Being another algorithm, it can differ from
-    ``quadrature_eig`` in the last digits, and entirely in the round-off
-    eigenvalues.
-    """
-    sqw = np.sqrt(grid.weights)
-    weighted = _symmetrized(sqw[:, None] * kernel_matrix * sqw[None, :])
-    return _clamped(np.linalg.eigvalsh(weighted)[..., ::-1])
+    """The eigenvalues of ``quadrature_eig`` without eigenfunctions,
+    descending and clamped, (..., n) for a stack (..., n, n). LAPACK's
+    eigenvalue-only solver runs on each matrix of a stack as on that matrix
+    alone, so a stack's eigenvalues equal the per-matrix calls' bit for bit;
+    they can differ from ``quadrature_eig``'s in the last digits, and
+    entirely in the round-off eigenvalues."""
+    return _clamped(np.linalg.eigvalsh(_eig_sized(_weighted(kernel_matrix, grid)))[..., ::-1])
 
 
 def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
@@ -273,9 +274,8 @@ def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
     diagonal of quadrature weights, and the eigenfunctions come out exactly
     orthonormal under the returned grid's quadrature.
 
-    The kernel matrix must be symmetric to 1e-8 relative to its largest
-    entry; it is then symmetrized and solved by ``quadrature_eig``, so all
-    n*r eigenpairs are returned, round-off negatives clamped to zero.
+    The kernel matrix must pass ``symmetrized`` within 1e-8; ``quadrature_eig``
+    then gives all n*r eigenpairs, round-off negatives clamped to zero.
     """
     checked_count(n, 1, "degenerate_kernel_eig needs n >= 1 cells, not %r")
     if checked_count(r, 1, "degenerate_kernel_eig needs 1 <= r <= 16, not r = %r") > 16:
@@ -293,6 +293,4 @@ def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
     kmat = np.asarray(kernel(*np.meshgrid(omega, omega, indexing="ij")), dtype=float)
     if kmat.shape != (omega.size, omega.size):
         raise ValueError("kernel must map node arrays to an array of their shape")
-    if not np.max(np.abs(kmat - kmat.T)) <= 1e-8 * max(1.0, np.max(np.abs(kmat))):
-        raise ValueError("kernel is not finite and symmetric")
-    return quadrature_eig((kmat + kmat.T) / 2.0, QuadratureGrid(omega, weights))
+    return quadrature_eig(symmetrized(kmat, 1e-8, "kernel"), QuadratureGrid(omega, weights))

@@ -14,6 +14,7 @@ from typing import ClassVar
 import numpy as np
 
 from .numerics import (
+    PSD_ROUNDOFF,
     GridFunction,
     QuadratureGrid,
     SpectralDecomposition,
@@ -22,6 +23,7 @@ from .numerics import (
     quadrature_eigvals,
     readonly_copy,
     same_grid,
+    symmetrized,
 )
 
 # Passes over a dataset use two sizes. The statistics chunk: they hand
@@ -53,10 +55,10 @@ class CdfBasis:
     function of s is): the outcome draw (``environments.draw_outcomes``)
     evaluates phi at a few outcome nodes at a time.
     ``lipschitz_L0`` bounds |phi(x,a,w,s) - phi(x,a,r,s)| / |w - r|,
-    ``kernel_floor_eta`` lower-bounds the point-kernel entries, and
-    ``covering_constant_A`` enters the covering-number constant of the
-    random-design error bound, with the class constant ``omega_dim`` = 1
-    (Omega is [0, 1]) as its dimension d. The norm bound M of the
+    ``kernel_floor_eta`` lower-bounds the point-kernel entries, and the
+    class constants ``covering_constant_A`` = 1 and ``omega_dim`` = 1 (Omega
+    is [0, 1]) are the constant A and the dimension d of the covering
+    number in the random-design error bound. The norm bound M of the
     admissible set C is not a property of the basis: the oracle and the
     engine take it as an argument, and ``environments.check_norm_bound``
     checks theta* against it.
@@ -66,27 +68,25 @@ class CdfBasis:
     eval_matrix: callable = field(repr=False)
     lipschitz_L0: float
     kernel_floor_eta: float
-    covering_constant_A: float
+    covering_constant_A: ClassVar[float] = 1.0
     omega_dim: ClassVar[int] = 1
 
 
 @dataclass(frozen=True, eq=False)
 class DesignOperator:
     """Sum of point-operator kernels over dataset (context, action) pairs,
-    discretized on an Omega quadrature grid; a kernel symmetric within 1e-10
-    is held as a read-only copy of (k + k^T) / 2, exactly symmetric."""
+    discretized on an Omega quadrature grid, held as a read-only copy of
+    ``numerics.symmetrized``'s exactly symmetric (k + k^T) / 2."""
 
     kernel_matrix: np.ndarray
     grid: QuadratureGrid
     data_count: int
 
     def __post_init__(self):
-        k = np.asarray(self.kernel_matrix, dtype=float)
+        k = symmetrized(self.kernel_matrix, what="design kernel matrix")
         if k.shape != (self.grid.size, self.grid.size):
             raise ValueError("kernel matrix does not match the grid")
-        if not np.max(np.abs(k - k.T)) <= 1e-10 * max(1.0, np.max(np.abs(k))):
-            raise ValueError("design kernel matrix is not finite and symmetric")
-        object.__setattr__(self, "kernel_matrix", readonly_copy((k + k.T) / 2.0))
+        object.__setattr__(self, "kernel_matrix", readonly_copy(k))
         object.__setattr__(self, "data_count", checked_count(
             self.data_count, 1, "DesignOperator needs data_count >= 1, not %r"))
 
@@ -193,11 +193,13 @@ def weighted_quadratic(op: DesignOperator, theta_values: np.ndarray) -> float:
 
 
 def weighted_norm(theta: GridFunction, op: DesignOperator) -> float:
-    """The seminorm sqrt(<theta, U_D theta>)."""
+    """The seminorm sqrt(<theta, U_D theta>); the form is refused below
+    -PSD_ROUNDOFF times its terms' size |wv|^T |K| |wv|, wv = weights * theta."""
     if not same_grid(theta.grid, op.grid):
         raise ValueError("theta lives on a different grid than the operator")
     q = weighted_quadratic(op, theta.values)
-    if q < -1e-10:
+    wv = np.abs(op.grid.weights * theta.values)
+    if q < -PSD_ROUNDOFF * float(wv @ np.abs(op.kernel_matrix) @ wv):
         raise ValueError("design operator violated positive semidefiniteness")
     return float(np.sqrt(max(q, 0.0)))
 
@@ -224,8 +226,7 @@ def estimate_eigendecay(basis: CdfBasis, X, A, omega_grid: QuadratureGrid,
         raise ValueError("need at least one sample pair")
     tau = np.zeros(omega_grid.size)
     for _, phi in basis_chunks(basis, X, A, omega_grid, s_grid):
-        k = pair_kernels(phi, s_grid.weights)
-        vals = quadrature_eigvals((k + k.transpose(0, 2, 1)) / 2, omega_grid)
+        vals = quadrature_eigvals(pair_kernels(phi, s_grid.weights), omega_grid)
         tau = np.maximum(tau, vals.max(axis=0))
     tau[tau < TAU_FLOOR * tau[0]] = 0.0
     # the last rung, 1, always fits: each point operator has quadrature trace

@@ -111,12 +111,12 @@ def pseudo_inverse_apply(spec: SpectralDecomposition, plan: TruncationPlan,
     return GridFunction(spec.grid, out)
 
 
-def _indicators(y, s_coords: np.ndarray) -> np.ndarray:
+def _indicators(y, s_nodes: np.ndarray) -> np.ndarray:
     """Indicator targets 1{s_k >= y_j}, shape (B, n_s), of outcomes y (B,)."""
     y = np.asarray(y, dtype=float)
     if not np.all((0.0 <= y) & (y <= 1.0)):  # NaN fails
         raise ValueError("outcome outside the support S = [0, 1]")
-    return (s_coords >= y[:, None]).astype(float)
+    return (s_nodes >= y[:, None]).astype(float)
 
 
 class DataStatistics:

@@ -103,12 +103,15 @@ def test_sym_eig_refuses_a_bad_matrix():
     with pytest.raises(ValueError, match="size limit"):
         sym_eig(np.broadcast_to(0.0, (MAX_EIG_SIZE + 1, MAX_EIG_SIZE + 1)))
 
-def test_quadrature_eig_refuses_an_indefinite_kernel():
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_quadrature_eig_refuses_an_indefinite_kernel(scale):
+    # the allowance is relative to lambda_1 alone, so scaling the kernel down
+    # does not hide its negative eigenvalue (an absolute 1e-12 floor did)
     grid = build_uniform_grid(8)
-    kernel = _psd_stack(np.random.default_rng(19), (), 8, 4)
+    kernel = scale * _psd_stack(np.random.default_rng(19), (), 8, 4)
     quadrature_eig(kernel, grid)
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        quadrature_eig(kernel - np.eye(8), grid)
+        quadrature_eig(kernel - scale * np.eye(8), grid)
 
 def test_sym_eig_and_quadrature_eig_refuse_a_stack():
     grid = build_uniform_grid(8)

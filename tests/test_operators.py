@@ -82,8 +82,7 @@ def test_basis_contract_violations_raise():
         return phi
 
     for evaluator in (per_pair, out_of_range, nan_entry):
-        basis = CdfBasis("broken", evaluator, lipschitz_L0=1.0, kernel_floor_eta=0.1,
-                         covering_constant_A=1.0)
+        basis = CdfBasis("broken", evaluator, lipschitz_L0=1.0, kernel_floor_eta=0.1)
         with pytest.raises(ValueError):
             basis_values(basis, [x, x], [a, a], OMEGA.nodes, S.nodes)
         with pytest.raises(ValueError):
@@ -181,11 +180,13 @@ def test_design_operator_holds_an_exactly_symmetric_copy_of_its_kernel():
     assert op.kernel_matrix[0, 1] != 5.0
 
 
-def test_omega_dim_is_a_class_constant_not_a_field():
+@pytest.mark.parametrize("name, value", [("omega_dim", 1), ("covering_constant_A", 1.0)],
+                         ids=["omega_dim", "covering_constant_A"])
+def test_omega_dim_is_a_class_constant_not_a_field(name, value):
     env = make_catalog_env("kumaraswamy", OMEGA, S)
-    assert "omega_dim" not in {f.name for f in dataclasses.fields(CdfBasis)}
-    assert env.basis.omega_dim == 1
-    assert dataclasses.replace(env.basis, name="copy").omega_dim == 1
+    assert name not in {f.name for f in dataclasses.fields(CdfBasis)}
+    assert getattr(env.basis, name) == value
+    assert getattr(dataclasses.replace(env.basis, name="copy"), name) == value
 
 
 def test_the_last_gamma_rung_always_fits_the_budget():
@@ -207,6 +208,23 @@ def test_weighted_norm_triangle_inequality():
         g = GridFunction(OMEGA, rng.normal(size=OMEGA.size))
         s = GridFunction(OMEGA, f.values + g.values)
         assert weighted_norm(s, op) <= weighted_norm(f, op) + weighted_norm(g, op) + 1e-9
+
+
+def test_weighted_norm_accepts_every_eigenfunction_at_every_scale():
+    # the semidefiniteness check is relative to the size of the form's terms,
+    # so the form's round-off passes at any scale of theta or of the kernel
+    # (an absolute -1e-10 refused eigenfunction 26 times 100)
+    env = make_catalog_env("kumaraswamy", OMEGA, S, theta_star="bumps")
+    data = generate_dataset(env, 4096, np.random.default_rng(0))
+    op = design_operator(env.basis, zip(data.X, data.A), OMEGA, S)
+    spec = spectral_decompose(op)
+    for theta_scale, kernel_scale in ((1.0, 1.0), (100.0, 1.0), (1000.0, 1.0), (1.0, 1000.0)):
+        scaled = DesignOperator(kernel_scale * op.kernel_matrix, OMEGA, op.data_count)
+        size = theta_scale**2 * kernel_scale
+        for lam, e in zip(spec.eigenvalues, spec.eigenfunctions.T):
+            norm = weighted_norm(GridFunction(OMEGA, theta_scale * e), scaled)
+            # the form is lambda_k up to round-off of the size of lambda_1
+            assert abs(norm**2 - size * lam) <= 1e-14 * size * spec.eigenvalues[0]
 
 
 def test_functional_determinant_bounded():
@@ -366,7 +384,8 @@ def _fit_cut_at_16(env, X, A):
     return tau, gamma, float(np.sum(tau**gamma))
 
 
-@pytest.mark.parametrize("grids", [(32, 64), (64, 256)], ids=["32x64", "64x256"])
+@pytest.mark.parametrize("grids", [(32, 64), (64, 256), (24, 100), (30, 37)],
+                         ids=["32x64", "64x256", "24x100", "30x37"])
 @pytest.mark.parametrize("name, params", [
     ("kumaraswamy", {}), ("kumaraswamy", {"theta_star": "bumps"}),
     ("finite-rank-r", {"rank": 8}), ("finite-rank-r", {"rank": 16}), ("rank1-uniform", {})],

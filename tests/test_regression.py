@@ -730,9 +730,9 @@ def test_data_statistics_evaluates_phi_in_batches_of_chunks(omega_nodes, s_nodes
     data = generate_dataset(env, n, np.random.default_rng(71))
     sizes = []
 
-    def counted(X, A, omega_nodes, s_coords):
+    def counted(X, A, omega_nodes, s_nodes):
         sizes.append(len(A))
-        return env.basis.eval_matrix(X, A, omega_nodes, s_coords)
+        return env.basis.eval_matrix(X, A, omega_nodes, s_nodes)
 
     basis = dataclasses.replace(env.basis, eval_matrix=counted)
     stats = regression.data_statistics(data, basis, omega, s)
