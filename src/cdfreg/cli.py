@@ -14,7 +14,8 @@ Every file a command writes holds each float as its shortest round-trip
 repr, so it reads back bit for bit.
 
 Exit codes: 0 success, 2 bad usage, config or input file (a CSV field that
-does not parse included), 3 contract violation or input too large, 4 missing file.
+does not parse, or a summary checkpoint that is not a pair of numbers,
+included), 3 contract violation or input too large, 4 missing file.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ def cmd_fit_slope(args) -> int:
     path = Path(args.input)
     if path.suffix == ".json":
         checkpoints = json.loads(path.read_text())["checkpoints"]
+        # a JSON number loads as an int or a float; true and false load as bools
+        for point in checkpoints if isinstance(checkpoints, list) else [checkpoints]:
+            if not (isinstance(point, list) and len(point) == 2
+                    and all(type(v) in (int, float) for v in point)):
+                raise TypeError("%s: checkpoint %r is not a pair of numbers" % (path, point))
     else:
         checkpoints = dyadic_checkpoints(harness.read_trace_csv(path)["cum_regret"])
     # skip zero-regret checkpoints only: a NaN or negative one fails the fit

@@ -101,7 +101,7 @@ def exploration_param(K: int, budget: ErrorBudget, scale: float = 1.0) -> float:
     """varsigma_m = scale * (1/2) * sqrt(K / est) for epoch m >= 2, where the
     caller computes the budget at confidence delta / (2 m^2) on the previous
     epoch's sample count."""
-    K = checked_count(K, 1, "exploration_param needs K >= 1 actions, not %r")
+    K = checked_count(K, "K", 1)
     scale = checked_real(scale, "exploration_scale")
     return scale * 0.5 * math.sqrt(K / budget.est)
 
@@ -131,7 +131,7 @@ def run_episode(env: Environment, functional: UtilityFunctional, T: int,
     copied. The last epoch, which is never regressed, accumulates none. The
     returned trace keeps the columns (``RegretTrace``).
     """
-    T = checked_count(T, 2, "horizon T must be an integer >= 2, not %r")
+    T, seed = checked_count(T, "T", 2), checked_count(seed, "seed", 0)
     delta, gamma, s0, exploration_scale = (checked_real(v, name) for name, v in zip(
         ("delta", "gamma", "s0", "exploration_scale"), (delta, gamma, s0, exploration_scale)))
     M = check_norm_bound(env, M)

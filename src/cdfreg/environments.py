@@ -24,6 +24,8 @@ class Environment:
     action_count: int
 
     def __post_init__(self):
+        for name in ("context_dim", "action_count"):
+            object.__setattr__(self, name, checked_count(getattr(self, name), name, 1))
         th = self.theta_star
         if not same_grid(th.grid, self.omega_grid):
             raise ValueError("theta_star must live on omega_grid")
@@ -104,8 +106,7 @@ def _bump_theta_star(omega_grid: QuadratureGrid) -> GridFunction:
 
 
 def _finite_rank_basis(rank=8):
-    if checked_count(rank, 1, "rank must be a positive integer, got %r") > MAX_GRID_NODES:
-        raise ValueError("rank must be at most the %d node limit, not %r" % (MAX_GRID_NODES, rank))
+    rank = checked_count(rank, "rank", 1, MAX_GRID_NODES)
     return "finite-rank-%d" % rank, partial(_finite_rank_eval, rank), 60.0, 1.0 / (8.0 * rank)
 
 
@@ -131,11 +132,10 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
     world). kumaraswamy: phi = 1 - (1 - s^alpha)^beta with smooth bounded
     context/action/index dependence. finite-rank-r: phi piecewise constant
     in w over ``rank`` slabs, so the point operators have rank <= rank.
-    ``rank``, ``context_dim`` and ``action_count`` must be positive integers,
-    and no grid resolves more than ``MAX_GRID_NODES`` slabs, so neither may rank.
+    ``Environment`` refuses a ``context_dim`` or ``action_count`` below 1;
+    ``rank`` is at least 1 and, as no grid resolves more slabs, at most
+    ``MAX_GRID_NODES``.
     """
-    checked_count(context_dim, 1, "context_dim must be a positive integer, got %r")
-    checked_count(action_count, 1, "action_count must be a positive integer, got %r")
     basis = CdfBasis(*catalog_entry(BASIS_CATALOG, "catalog environment", name, params))
 
     if theta_star == "uniform":
@@ -221,6 +221,6 @@ def sample_outcomes(env: Environment, x, a: int, size: int,
                     rng: np.random.Generator) -> np.ndarray:
     """``size`` inverse-CDF draws from F*(x, a, .) on the outcome grid; a
     negative, non-integral or boolean size raises ``ValueError``."""
-    checked_count(size, 0, "sample_outcomes needs size >= 0 draws, not %r")
+    size = checked_count(size, "size", 0)
     f = true_cdf(env, x, a)
     return inverse_cdf(f.values, rng.random(size), f.grid.nodes)

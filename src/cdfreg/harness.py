@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from .engine import RegretTrace, run_episode
 from .environments import (Environment, check_norm_bound, draw_outcomes, make_catalog_env,
                            sample_context)
 from .functionals import make_functional
-from .numerics import (MAX_EIG_SIZE, build_cdf_grid, build_uniform_grid, checked_count,
-                       checked_real, same_grid)
+from .numerics import (MAX_EIG_SIZE, MAX_GRID_NODES, build_cdf_grid, build_uniform_grid,
+                       checked_count, checked_real, same_grid)
 from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
 from .regression import Dataset, regress
 
@@ -27,7 +28,8 @@ class ExperimentConfig:
     ``sweep_n`` are lists or tuples and ``output_dir`` is a string (anything
     else raises ``TypeError``); its counts follow ``numerics.checked_count``
     (stored as ints, ``seeds`` and ``sweep_n`` as tuples), ``omega_nodes``
-    at most ``numerics.MAX_EIG_SIZE``, and its reals ``numerics.checked_real``
+    at most ``numerics.MAX_EIG_SIZE`` and ``s_nodes`` at most
+    ``numerics.MAX_GRID_NODES``, and its reals ``numerics.checked_real``
     (stored as floats, gamma unless "estimate"); a bad value is refused at
     construction."""
 
@@ -57,18 +59,14 @@ class ExperimentConfig:
                                   ("output_dir", str, "string")):
             if not isinstance(getattr(self, name), kind):
                 raise TypeError("%s must be a %s, not %r" % (name, words, getattr(self, name)))
-        for name, least in (("omega_nodes", 2), ("s_nodes", 2), ("horizon", 2),
-                            ("heldout_pairs", 1)):
-            object.__setattr__(self, name, checked_count(
-                getattr(self, name), least, "%s must be an integer >= %d, not %%r" % (name, least)))
         # every oracle call eigensolves an omega_nodes-sized kernel
-        if self.omega_nodes > MAX_EIG_SIZE:
-            raise ValueError("omega_nodes must be at most the %d eigensolver size limit, not %r"
-                             % (MAX_EIG_SIZE, self.omega_nodes))
-        object.__setattr__(self, "seeds", tuple(
-            checked_count(s, 0, "seeds must hold integers >= 0, not %r") for s in self.seeds))
-        object.__setattr__(self, "sweep_n", tuple(
-            checked_count(n, 1, "sweep_n must hold integers >= 1, not %r") for n in self.sweep_n))
+        for name, least, most in (("omega_nodes", 2, MAX_EIG_SIZE), ("s_nodes", 2, MAX_GRID_NODES),
+                                  ("horizon", 2, math.inf), ("heldout_pairs", 1, math.inf)):
+            object.__setattr__(self, name, checked_count(getattr(self, name), name, least, most))
+        for name, least in (("seeds", 0), ("sweep_n", 1)):
+            object.__setattr__(self, name, tuple(
+                checked_count(v, "%s[%d]" % (name, i), least)
+                for i, v in enumerate(getattr(self, name))))
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
         for name in ("delta", "gamma", "s0", "M", "exploration_scale"):
@@ -108,9 +106,9 @@ def eigendecay_prepass(env: Environment, seed: int,
                        n_pairs: int = DECAY_PAIRS) -> EigendecayFit:
     """Eigendecay fit over n_pairs random (context, action) pairs drawn by
     ``_draw_records`` from ``default_rng(seed)``; an n_pairs that is not an
-    integer of at least 1 is refused with ``ValueError`` before any draw."""
-    checked_count(n_pairs, 1, "eigendecay_prepass: need at least one sample pair, not "
-                  "n_pairs = %r")
+    integer of at least 1, or a seed not one of at least 0, is refused with
+    ``ValueError`` before any draw."""
+    n_pairs, seed = checked_count(n_pairs, "n_pairs", 1), checked_count(seed, "seed", 0)
     X, A, _ = _draw_records(env, n_pairs, np.random.default_rng(seed))
     return estimate_eigendecay(env.basis, X, A, env.omega_grid, env.s_grid)
 
@@ -143,7 +141,7 @@ def generate_dataset(env: Environment, n: int, rng: np.random.Generator):
     columns X (n, d), A and y; the outcomes are ``draw_outcomes``'s
     inverse-CDF draws from the true CDFs; n = 0 gives an empty one, and a
     negative, non-integral or boolean n raises ``ValueError``."""
-    checked_count(n, 0, "generate_dataset needs n >= 0 records, not %r")
+    n = checked_count(n, "n", 0)
     X, A, u = _draw_records(env, n, rng, outcomes=True)
     return Dataset(X, A, draw_outcomes(env, X, A, u))
 
@@ -158,7 +156,7 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
     estimate on another Omega grid than the environment's, and an n_pairs
     that is not a positive integer, are refused.
     """
-    checked_count(n_pairs, 1, "heldout_cdf_error needs at least one pair, not n_pairs = %r")
+    n_pairs = checked_count(n_pairs, "n_pairs", 1)
     if not same_grid(estimate.theta_hat.grid, env.omega_grid):
         raise ValueError("estimate lives on a different grid than the environment's Omega grid")
     X, A, _ = _draw_records(env, n_pairs, rng)
@@ -174,6 +172,7 @@ def sweep_regression_error(env: Environment, n_list, seeds, gamma: float,
     """Median (with quartiles) held-out CDF error per dataset size."""
     if len(seeds) < 5:
         raise ValueError("sweeps need at least 5 seeds for stable medians")
+    seeds = [checked_count(seed, "seed", 0) for seed in seeds]
     check_norm_bound(env, M)
     rows = []
     for n in n_list:

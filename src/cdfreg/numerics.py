@@ -22,12 +22,15 @@ MAX_EIG_SIZE = 2000
 PSD_ROUNDOFF = 1e-10
 
 
-def checked_count(value, least: int, refusal: str) -> int:
+def checked_count(value, name: str, least: int, most: float = math.inf) -> int:
     """The package's one rule for counts: ``value`` as an int if it is an
-    ``int`` or a numpy integer (never a bool) of at least ``least``;
-    otherwise ``ValueError(refusal % value)``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(refusal % (value,))
+    ``int`` or a numpy integer (never a bool) in [least, most]; otherwise
+    ``ValueError("<name> must be an integer >= <least>, not <value!r>")``,
+    reading "in [<least>, <most>]" when ``most`` is finite."""
+    counted = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (counted and least <= value <= most):
+        words = ">= %d" % least if most == math.inf else "in [%d, %d]" % (least, most)
+        raise ValueError("%s must be an integer %s, not %r" % (name, words, value))
     return int(value)
 
 
@@ -132,18 +135,9 @@ def same_grid(a: QuadratureGrid, b: QuadratureGrid) -> bool:
     return a is b or np.array_equal(a.nodes, b.nodes)
 
 
-def _checked_node_count(n_nodes, rule: str) -> int:
-    """The node count of a grid rule: an int of at least 2 and at most
-    ``MAX_GRID_NODES``."""
-    n = checked_count(n_nodes, 2, rule + " needs n_nodes >= 2, not %r")
-    if n > MAX_GRID_NODES:
-        raise ValueError("grid would exceed the %d node limit: n_nodes = %r" % (MAX_GRID_NODES, n))
-    return n
-
-
 def build_uniform_grid(n_nodes: int) -> QuadratureGrid:
     """Midpoint rule on [0,1]."""
-    n_nodes = _checked_node_count(n_nodes, "build_uniform_grid")
+    n_nodes = checked_count(n_nodes, "n_nodes", 2, MAX_GRID_NODES)
     nodes = (np.arange(n_nodes) + 0.5) / n_nodes
     return QuadratureGrid(nodes, np.full(n_nodes, n_nodes ** -1.0))
 
@@ -154,7 +148,7 @@ def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
     Used for the outcome support so that indicator integrals, CDF terminal
     values, and inverse-CDF sampling are mutually consistent on the grid.
     """
-    n_nodes = _checked_node_count(n_nodes, "build_cdf_grid")
+    n_nodes = checked_count(n_nodes, "n_nodes", 2, MAX_GRID_NODES)
     nodes = (np.arange(n_nodes) + 1.0) / n_nodes
     return QuadratureGrid(nodes, np.full(n_nodes, 1.0 / n_nodes))
 
@@ -176,8 +170,7 @@ def symmetrized(matrix, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
 
 def _eig_sized(a: np.ndarray) -> np.ndarray:
     """``a`` (..., n, n) if n is within the eigensolvers' size limit."""
-    if a.shape[-1] > MAX_EIG_SIZE:
-        raise ValueError("matrix exceeds the %d size limit" % MAX_EIG_SIZE)
+    checked_count(a.shape[-1], "matrix size", 0, MAX_EIG_SIZE)
     return a
 
 
@@ -218,7 +211,8 @@ class SpectralDecomposition:
             raise ValueError("eigenfunction values must be finite")
         if np.any(vals < 0):
             raise ValueError("eigenvalues must be nonnegative")
-        if np.any(np.diff(vals) > 1e-12):
+        # a rise above round-off of the largest eigenvalue, as in ``_clamped``
+        if np.any(np.diff(vals) > PSD_ROUNDOFF * np.max(vals, initial=0.0)):
             raise ValueError("eigenvalues must be descending")
 
 
@@ -277,11 +271,8 @@ def degenerate_kernel_eig(kernel, n: int, r: int) -> SpectralDecomposition:
     The kernel matrix must pass ``symmetrized`` within 1e-8; ``quadrature_eig``
     then gives all n*r eigenpairs, round-off negatives clamped to zero.
     """
-    checked_count(n, 1, "degenerate_kernel_eig needs n >= 1 cells, not %r")
-    if checked_count(r, 1, "degenerate_kernel_eig needs 1 <= r <= 16, not r = %r") > 16:
-        raise ValueError("degenerate_kernel_eig needs 1 <= r <= 16, not r = %r" % r)
-    if n * r > MAX_EIG_SIZE:
-        raise ValueError("n*r exceeds the %d limit" % MAX_EIG_SIZE)
+    n, r = checked_count(n, "n", 1), checked_count(r, "r", 1, 16)
+    checked_count(n * r, "n*r", 1, MAX_EIG_SIZE)
 
     y, gw = np.polynomial.legendre.leggauss(r)
     h = 1.0 / n

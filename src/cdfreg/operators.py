@@ -87,8 +87,7 @@ class DesignOperator:
         if k.shape != (self.grid.size, self.grid.size):
             raise ValueError("kernel matrix does not match the grid")
         object.__setattr__(self, "kernel_matrix", readonly_copy(k))
-        object.__setattr__(self, "data_count", checked_count(
-            self.data_count, 1, "DesignOperator needs data_count >= 1, not %r"))
+        object.__setattr__(self, "data_count", checked_count(self.data_count, "data_count", 1))
 
     def quadrature_trace(self) -> float:
         return float(self.grid.weights @ np.diag(self.kernel_matrix))

@@ -90,7 +90,7 @@ class ErrorBudget:
 
 def select_truncation(spec: SpectralDecomposition, n: int, gamma: float) -> TruncationPlan:
     """Truncation at threshold n * epsilon with epsilon = n^(-2/(gamma+2))."""
-    checked_count(n, 1, "select_truncation needs n >= 1 records, not %r")
+    n = checked_count(n, "n", 1)
     gamma = checked_real(gamma, "gamma")
     epsilon = float(n) ** (-2.0 / (gamma + 2.0))
     threshold = n * epsilon
@@ -449,8 +449,8 @@ def error_budget(n: int, delta: float, gamma: float, s0: float, M: float,
                  L: float, L0: float, A: float, d: int, eta: float) -> ErrorBudget:
     """Closed-form budgets: e_delta(n), the random-design constant, and
     est = L^2 * c_const * e_delta^2 at the confidence level passed in."""
-    n = checked_count(n, 1, "error_budget needs n >= 1 samples, not %r")
-    d = checked_count(d, 1, "error_budget needs dimension d >= 1, not %r")
+    n = checked_count(n, "n", 1)
+    d = checked_count(d, "d", 1)
     delta, gamma, s0, M, L, L0, A, eta = (checked_real(v, name) for name, v in zip(
         ("delta", "gamma", "s0", "M", "L", "L0", "A", "eta"),
         (delta, gamma, s0, M, L, L0, A, eta)))

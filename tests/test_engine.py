@@ -3,6 +3,7 @@ parameter, and full episodes."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,7 +216,8 @@ def test_run_episode_rejects_bad_horizon():
     env = make_catalog_env("rank1-uniform", OMEGA, S)
     fn = make_functional("mean")
     for T in (1, 0, 64.0, 2.5, True):
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match=r"^T must be an integer >= 2, not %s$"
+                           % re.escape(repr(T))):
             run_episode(env, fn, T, 0.1, 1.0, 2.0, seed=0)
     with pytest.raises(ValueError):
         run_episode(env, fn, 64, 1.5, 1.0, 2.0, seed=0)

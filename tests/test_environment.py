@@ -2,6 +2,7 @@
 sampling."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -60,7 +61,9 @@ def test_unknown_names_rejected():
     {"context_dim": 0}, {"action_count": 0},
 ])
 def test_bad_catalog_parameters_rejected(params):
-    with pytest.raises(ValueError, match="must be a positive integer"):
+    (name, value), = params.items()
+    with pytest.raises(ValueError, match=r"^%s must be an integer .*, not %s$"
+                       % (name, re.escape(repr(value)))):
         make_catalog_env("finite-rank-r", OMEGA, S, **params)
 
 
@@ -84,7 +87,8 @@ def test_catalog_rank_stops_at_the_node_limit():
     assert make_catalog_env("finite-rank-r", OMEGA, S, rank=MAX_GRID_NODES).basis.name == (
         "finite-rank-%d" % MAX_GRID_NODES)
     for rank in (MAX_GRID_NODES + 1, 10**30):
-        with pytest.raises(ValueError, match=r"^rank must be at most .*, not %d$" % rank):
+        with pytest.raises(ValueError, match=r"^rank must be an integer in \[1, %d\], not %d$"
+                           % (MAX_GRID_NODES, rank)):
             make_catalog_env("finite-rank-r", OMEGA, S, rank=rank)
 
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cdfreg import (
     CoefficientEstimate,
     Dataset,
     DesignOperator,
+    Environment,
     ErrorBudget,
     ExperimentConfig,
     GridFunction,
@@ -53,7 +55,7 @@ from cdfreg.harness import (
     write_summary_json,
     write_trace_csv,
 )
-from cdfreg.numerics import MAX_EIG_SIZE, REAL_RULES
+from cdfreg.numerics import MAX_EIG_SIZE, MAX_GRID_NODES, REAL_RULES
 from cdfreg.regression import KKT_TOLERANCE, Diagnostics
 
 OMEGA = build_uniform_grid(32)
@@ -159,15 +161,15 @@ def test_counts_refused_by_name():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     for bad in (-1, 2.5, True):
-        with pytest.raises(ValueError, match=r"sample_outcomes needs size >= 0 draws, not %r"
+        with pytest.raises(ValueError, match=r"^size must be an integer >= 0, not %r$"
                            % (bad,)):
             sample_outcomes(env, np.zeros(2), 0, bad, rng)
-        with pytest.raises(ValueError, match=r"generate_dataset needs n >= 0 records, not %r"
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 0, not %r$"
                            % (bad,)):
             generate_dataset(env, bad, rng)
     for bad in (0, 2.5, True):
-        with pytest.raises(ValueError, match=r"heldout_cdf_error needs at least one pair, "
-                           r"not n_pairs = %r" % (bad,)):
+        with pytest.raises(ValueError, match=r"^n_pairs must be an integer >= 1, not %r$"
+                           % (bad,)):
             heldout_cdf_error(estimate, env, bad, rng)
     assert rng.bit_generator.state == state  # refused before any draw
     assert sample_outcomes(env, np.zeros(2), 0, np.int64(3), rng).shape == (3,)
@@ -201,13 +203,22 @@ COUNT_INPUTS = {
     "make_catalog_env-action_count": (1, lambda v: make_catalog_env(
         "kumaraswamy", OMEGA, S, action_count=v)),
     "make_catalog_env-rank": (1, lambda v: make_catalog_env("finite-rank-r", OMEGA, S, rank=v)),
+    "Environment-context_dim": (1, lambda v: Environment(
+        _env().basis, _env().theta_star, OMEGA, S, v, 5)),
+    "Environment-action_count": (1, lambda v: Environment(
+        _env().basis, _env().theta_star, OMEGA, S, 2, v)),
     "sample_outcomes-size": (0, lambda v: sample_outcomes(
         _env(), np.zeros(2), 0, v, np.random.default_rng(0))),
     "run_episode-T": (2, lambda v: run_episode(_env(), make_functional("mean"), v, 0.1, 1.0,
                                                2.0, seed=0)),
+    "run_episode-seed": (0, lambda v: run_episode(_env(), make_functional("mean"), 8, 0.1, 1.0,
+                                                  2.0, seed=v)),
     "generate_dataset-n": (0, lambda v: generate_dataset(_env(), v, np.random.default_rng(0))),
     "heldout_cdf_error-n_pairs": (1, _heldout),
     "eigendecay_prepass-n_pairs": (1, lambda v: eigendecay_prepass(_env(), 0, v)),
+    "eigendecay_prepass-seed": (0, lambda v: eigendecay_prepass(_env(), v)),
+    "sweep_regression_error-seed": (0, lambda v: sweep_regression_error(
+        _env(), [], (0, 1, 2, 3, v), 1.0, 2.0)),
     "config-horizon": (2, lambda v: ExperimentConfig(horizon=v)),
     "config-seeds": (0, lambda v: ExperimentConfig(seeds=(0, v))),
     "config-sweep_n": (1, lambda v: ExperimentConfig(sweep_n=(16, v))),
@@ -228,8 +239,51 @@ def test_every_count_follows_one_rule(name):
     for bad in (True, 2.0, least - 1):
         with pytest.raises(ValueError) as exc:
             call(bad)
-        assert str(exc.value).endswith(repr(bad)), str(exc.value)
+        # the rule's one wording, naming the count (an entry by its index)
+        assert re.fullmatch(r"%s(\[\d\])? must be an integer (>= %d|in \[%d, \d+\]), not %s" % (
+            re.escape(name.rsplit("-", 1)[1]), least, least, re.escape(repr(bad))),
+            str(exc.value)), exc
     call(np.int64(least))
+
+
+# every count with an upper bound: name -> (its name in the refusal, bound, call on a value)
+BOUNDED_COUNTS = {
+    "build_uniform_grid-n_nodes": ("n_nodes", MAX_GRID_NODES, build_uniform_grid),
+    "build_cdf_grid-n_nodes": ("n_nodes", MAX_GRID_NODES, build_cdf_grid),
+    "make_catalog_env-rank": ("rank", MAX_GRID_NODES, lambda v: make_catalog_env(
+        "finite-rank-r", OMEGA, S, rank=v)),
+    "degenerate_kernel_eig-r": ("r", 16, lambda v: degenerate_kernel_eig(np.minimum, 1, v)),
+    "degenerate_kernel_eig-n*r": ("n*r", MAX_EIG_SIZE, lambda v: degenerate_kernel_eig(
+        np.minimum, v, 1)),
+    "config-omega_nodes": ("omega_nodes", MAX_EIG_SIZE, lambda v: ExperimentConfig(omega_nodes=v)),
+    "config-s_nodes": ("s_nodes", MAX_GRID_NODES, lambda v: ExperimentConfig(s_nodes=v)),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDED_COUNTS))
+def test_every_bounded_count_refuses_the_value_above_its_bound(name):
+    # the refusal names the count, its interval and the value; before the
+    # bounds went through numerics.checked_count, n*r and the eigensolver
+    # size limit named no value, and s_nodes had no bound at load
+    word, most, call = BOUNDED_COUNTS[name]
+    with pytest.raises(ValueError, match=r"^%s must be an integer in \[\d+, %d\], not %d$"
+                       % (re.escape(word), most, most + 1)):
+        call(most + 1)
+
+
+def test_numpy_integer_counts_are_kept_as_ints(tmp_path):
+    # make_catalog_env checked np.int64 counts but kept them, and run_episode
+    # kept its seed, so json.dumps of the summary's K and seed raised TypeError
+    env = make_catalog_env("kumaraswamy", OMEGA, S, context_dim=np.int64(2),
+                           action_count=np.int64(5))
+    assert (type(env.context_dim), type(env.action_count)) == (int, int)
+    fn = make_functional("mean")
+    trace = run_episode(env, fn, 16, 0.1, 1.0, 2.0, seed=np.int64(3))
+    assert trace.summary == run_episode(_env(), fn, 16, 0.1, 1.0, 2.0, seed=3).summary
+    write_summary_json(trace, tmp_path / "summary.json")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["K"], summary["seed"]) == (5, 3)
+    assert (type(trace.summary["K"]), type(trace.summary["seed"])) == (int, int)
 
 
 @pytest.mark.parametrize("setting", [
@@ -237,8 +291,10 @@ def test_every_count_follows_one_rule(name):
     {"omega_nodes": 1}, {"s_nodes": True}, {"s_nodes": 64.0}, {"omega_nodes": 10**30},
     {"environment": {"name": "finite-rank-r", "rank": 10**30}},
     {"environment": {"name": "kumaraswamy", "action_count": 10**30}}, {"omega_nodes": 2500},
+    {"s_nodes": MAX_GRID_NODES + 1},
 ], ids=["seed-1.5", "seed-true", "seed-minus-1", "omega-32.0", "omega-1", "s-true", "s-64.0",
-        "omega-huge", "rank-huge", "action-count-huge", "omega-above-eig-limit"])
+        "omega-huge", "rank-huge", "action-count-huge", "omega-above-eig-limit",
+        "s-above-node-limit"])
 def test_cli_run_refuses_bad_counts_at_load(tmp_path, capsys, setting):
     # seeds [0, 1.5] used to write seed 0's trace and summary, then exit 2;
     # omega_nodes 32.0 ran as 32; omega_nodes 10**30 ended in numpy's
@@ -256,8 +312,8 @@ def test_cli_run_refuses_bad_counts_at_load(tmp_path, capsys, setting):
 def test_config_keeps_omega_nodes_within_the_eigensolver_limit():
     # every oracle call and the pre-pass eigensolve an omega_nodes-sized kernel
     assert ExperimentConfig(omega_nodes=MAX_EIG_SIZE).omega_nodes == MAX_EIG_SIZE
-    with pytest.raises(ValueError, match="^omega_nodes must be at most the 2000 eigensolver size "
-                       "limit, not 2001$"):
+    with pytest.raises(ValueError, match=r"^omega_nodes must be an integer in \[2, 2000\], "
+                       r"not 2001$"):
         ExperimentConfig(omega_nodes=MAX_EIG_SIZE + 1)
     ExperimentConfig(s_nodes=MAX_EIG_SIZE + 1)
 
@@ -380,7 +436,7 @@ def test_config_stores_sequences_as_tuples():
 def test_generate_dataset_refuses_negative_n_by_name():
     # numpy used to refuse it as "negative dimensions are not allowed"
     env = make_catalog_env("kumaraswamy", OMEGA, S)
-    with pytest.raises(ValueError, match="generate_dataset needs n >= 0 records, not -1"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 0, not -1$"):
         generate_dataset(env, -1, np.random.default_rng(0))
     empty = generate_dataset(env, 0, np.random.default_rng(0))
     assert len(empty) == 0 and empty.X.shape == (0, env.context_dim)
@@ -776,7 +832,7 @@ def test_cli_decay_refuses_fewer_than_one_pair(tmp_path, capsys, pairs):
     assert main(["decay", "--config", str(cpath), "--pairs", pairs]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "need at least one sample pair" in captured.err
+    assert "n_pairs must be an integer >= 1, not %s" % pairs in captured.err
 
 
 def test_cli_missing_config_exit_code(tmp_path):
@@ -810,7 +866,10 @@ def test_cli_run_rejects_bad_catalog_parameters(tmp_path, capsys, params):
     cpath.write_text(json.dumps({"environment": params, "horizon": 8,
                                  "output_dir": str(tmp_path / "out")}))
     assert main(["run", "--config", str(cpath)]) == 3
-    assert "must be a positive integer" in capsys.readouterr().err
+    (name, value), = [(k, v) for k, v in params.items() if k != "name"]
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: %s must be an integer" % name), err
+    assert err.endswith(", not %r\n" % (value,)), err
     assert not (tmp_path / "out" / "trace_seed0.csv").exists()
 
 
@@ -1030,6 +1089,23 @@ def test_cli_fit_slope_rejects_nan_or_negative_checkpoint(tmp_path, first):
     assert main(["fit-slope", str(path)]) == 3
 
 
+@pytest.mark.parametrize("point", [[4, "x"], [4, 1.0, 2.0], [True, 4.0], [4, True], 5],
+                         ids=["string-value", "triple", "true-round", "true-value", "not-a-list"])
+def test_cli_fit_slope_refuses_a_checkpoint_that_is_not_a_pair_of_numbers(tmp_path, capsys,
+                                                                           point):
+    # a string value and a triple used to exit 3 as a contract violation, a
+    # JSON true was read as 1 and fitted with exit 0, and checkpoints that
+    # are not a list were refused without naming the file
+    tail = [[2**k, float(2**k)] for k in range(3, 11)]
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps({"checkpoints": point if point == 5 else [point] + tail}))
+    assert main(["fit-slope", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malformed config or input: %s: checkpoint %r"
+                                   % (path, point)), captured.err
+
+
 def test_cli_sweep_rejects_zero_heldout_pairs(tmp_path):
     # refused at load, before any regression has run
     cfg = ExperimentConfig(gamma=0.1, seeds=(0, 1, 2, 3, 4), sweep_n=(16,),
@@ -1048,7 +1124,10 @@ def test_cli_sweep_rejects_zero_heldout_pairs(tmp_path):
         "pairs-8.0", "pairs-true"])
 def test_config_refuses_bad_sweep_sizes(tmp_path, capsys, setting):
     # each used to fail only mid-sweep, some after a size had already run
-    with pytest.raises(ValueError, match="sweep_n must|heldout_pairs must"):
+    (name, value), = setting.items()
+    refused = value[-1] if name == "sweep_n" else value
+    with pytest.raises(ValueError, match=r"^(sweep_n\[\d\]|heldout_pairs) must be an integer "
+                       r">= 1, not %s$" % re.escape(repr(refused))):
         ExperimentConfig(**{k: tuple(v) if k == "sweep_n" else v for k, v in setting.items()})
     cfg = ExperimentConfig(gamma=0.1, seeds=(0, 1, 2, 3, 4), sweep_n=(16,),
                            output_dir=str(tmp_path / "out")).to_dict()

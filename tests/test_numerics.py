@@ -13,13 +13,24 @@ from cdfreg import (
     degenerate_kernel_eig,
     sym_eig,
 )
-from cdfreg.numerics import MAX_EIG_SIZE, quadrature_eig, quadrature_eigvals
+from cdfreg.numerics import MAX_EIG_SIZE, MAX_GRID_NODES, quadrature_eig, quadrature_eigvals
 
 
 def test_uniform_grid_1d_two_nodes():
     grid = build_uniform_grid(2)
     assert np.allclose(grid.nodes, [0.25, 0.75])
     assert np.allclose(grid.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_descending_order_is_judged_relative_to_lambda_1(scale):
+    # the order check allowed an absolute rise of 1e-12: it took [1e-13,
+    # 5e-13] as descending, and refused a rise of round-off size at 1e13
+    grid = build_uniform_grid(2)
+    with pytest.raises(ValueError, match="^eigenvalues must be descending$"):
+        SpectralDecomposition(scale * np.array([1.0, 5.0]), np.eye(2), grid)
+    for vals in ([5.0, 1.0], [5.0, 5.0 * (1.0 + 1e-12)]):
+        SpectralDecomposition(scale * np.array(vals), np.eye(2), grid)
 
 
 def test_uniform_grid_weights_sum_to_volume():
@@ -29,7 +40,8 @@ def test_uniform_grid_weights_sum_to_volume():
 
 
 def test_uniform_grid_refuses_huge_grids():
-    with pytest.raises(ValueError, match="node limit"):
+    with pytest.raises(ValueError, match=r"^n_nodes must be an integer in \[2, %d\], not %d$"
+                       % (MAX_GRID_NODES, 10**8)):
         build_uniform_grid(10**8)
 
 
@@ -100,7 +112,8 @@ def test_sym_eig_refuses_a_bad_matrix():
             sym_eig(broken)
     with pytest.raises(ValueError, match="square"):
         sym_eig(np.zeros((4, 5)))
-    with pytest.raises(ValueError, match="size limit"):
+    with pytest.raises(ValueError, match=r"^matrix size must be an integer in \[0, 2000\], "
+                       r"not 2001$"):
         sym_eig(np.broadcast_to(0.0, (MAX_EIG_SIZE + 1, MAX_EIG_SIZE + 1)))
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12])
@@ -151,7 +164,8 @@ def test_quadrature_eigvals_refuses_what_quadrature_eig_refuses():
     indefinite[2] -= np.eye(8)
     cases.append((indefinite, grid, "not positive semidefinite", 2))
     big = build_uniform_grid(MAX_EIG_SIZE + 1)
-    cases.append((np.broadcast_to(0.0, (1, big.size, big.size)), big, "size limit", 0))
+    cases.append((np.broadcast_to(0.0, (1, big.size, big.size)), big,
+                  r"^matrix size must be an integer in \[0, 2000\], not 2001$", 0))
     for kernels, g, message, i in cases:
         with pytest.raises(ValueError, match=message):
             quadrature_eigvals(kernels, g)

@@ -551,15 +551,16 @@ def _refusal_cases():
                               "nonnegative"),
         "spectrum-ascending": (lambda: SpectralDecomposition([0.5, 1.0], np.eye(2), grid2),
                                "descending"),
-        "kernel-eig-size": (lambda: degenerate_kernel_eig(np.minimum, 1000, 3), r"n\*r exceeds"),
+        "kernel-eig-size": (lambda: degenerate_kernel_eig(np.minimum, 1000, 3),
+                            r"^n\*r must be an integer in \[1, 2000\], not 3000$"),
         "design-shape": (lambda: DesignOperator(np.zeros((3, 3)), OMEGA, 1), "does not match"),
         "design-no-pairs": (lambda: design_operator(basis, [], OMEGA, S), "nonempty"),
         "eigendecay-no-pairs": (lambda: estimate_eigendecay(basis, np.zeros((0, 2)), [], OMEGA,
                                                             S), "at least one sample pair"),
-        "cdf-grid-size": (lambda: build_cdf_grid(MAX_GRID_NODES + 1), r"the %d node limit: "
-                          r"n_nodes = %d$" % (MAX_GRID_NODES, MAX_GRID_NODES + 1)),
-        "uniform-grid-size": (lambda: build_uniform_grid(10**30), r"the %d node limit: "
-                              r"n_nodes = %d$" % (MAX_GRID_NODES, 10**30)),
+        "cdf-grid-size": (lambda: build_cdf_grid(MAX_GRID_NODES + 1), r"^n_nodes must be an "
+                          r"integer in \[2, %d\], not %d$" % (MAX_GRID_NODES, MAX_GRID_NODES + 1)),
+        "uniform-grid-size": (lambda: build_uniform_grid(10**30), r"^n_nodes must be an integer "
+                              r"in \[2, %d\], not %d$" % (MAX_GRID_NODES, 10**30)),
         "norm-other-grid": (lambda: weighted_norm(other, op), "different grid"),
         "norm-indefinite": (lambda: weighted_norm(GridFunction(OMEGA, ones),
                                                   DesignOperator(-np.eye(OMEGA.size), OMEGA, 1)),
