@@ -59,7 +59,7 @@ class ExperimentConfig:
                                   ("output_dir", str, "string")):
             if not isinstance(getattr(self, name), kind):
                 raise TypeError("%s must be a %s, not %r" % (name, words, getattr(self, name)))
-        # every oracle call eigensolves an omega_nodes-sized kernel
+        # every oracle call eigensolves an omega_nodes-sized kernel; s_nodes is a grid size
         for name, least, most in (("omega_nodes", 2, MAX_EIG_SIZE), ("s_nodes", 2, MAX_GRID_NODES),
                                   ("horizon", 2, math.inf), ("heldout_pairs", 1, math.inf)):
             object.__setattr__(self, name, checked_count(getattr(self, name), name, least, most))
