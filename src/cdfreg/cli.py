@@ -32,7 +32,7 @@ import numpy as np
 
 from . import harness
 from .engine import dyadic_checkpoints
-from .numerics import degenerate_kernel_eig
+from .numerics import checked_count, degenerate_kernel_eig
 from .regression import regress
 
 EXIT_OK = 0
@@ -75,8 +75,7 @@ def cmd_regress(args) -> int:
                          "environment produces (actions 0..%d, %d columns)"
                          % (A.min(), A.max(), width, K - 1, d))
     gamma, _s0, _src = harness.resolve_gamma(config, env)
-    estimate = regress(dataset, env.basis, gamma, config.M,
-                       env.omega_grid, env.s_grid)
+    estimate = regress(dataset, env.basis, gamma, config.M, env.omega_grid, env.s_grid)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     theta_path = outdir / "theta_hat.csv"
@@ -175,8 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eig" and args.top < 1:
-        parser.error("argument --top: must be at least 1, not %d" % args.top)
+    if args.command == "eig":
+        try:
+            checked_count(args.top, "--top", 1)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 
 from .numerics import (MAX_GRID_NODES, GridFunction, QuadratureGrid, catalog_entry, checked_count,
-                       checked_real, same_grid)
+                       checked_real)
 from .operators import EVAL_BYTES, CdfBasis, basis_chunks, basis_values, mixture_cdf
 
 
@@ -18,7 +18,6 @@ from .operators import EVAL_BYTES, CdfBasis, basis_chunks, basis_values, mixture
 class Environment:
     basis: CdfBasis
     theta_star: GridFunction
-    omega_grid: QuadratureGrid
     s_grid: QuadratureGrid
     context_dim: int
     action_count: int
@@ -26,13 +25,15 @@ class Environment:
     def __post_init__(self):
         for name in ("context_dim", "action_count"):
             object.__setattr__(self, name, checked_count(getattr(self, name), name, 1))
-        th = self.theta_star
-        if not same_grid(th.grid, self.omega_grid):
-            raise ValueError("theta_star must live on omega_grid")
-        if np.min(th.values) < -1e-9:
+        if np.min(self.theta_star.values) < -1e-9:
             raise ValueError("theta_star must be nonnegative")
-        if abs(th.integral() - 1.0) > 1e-9:
+        if abs(self.theta_star.integral() - 1.0) > 1e-9:
             raise ValueError("theta_star must integrate to 1")
+
+    @property
+    def omega_grid(self) -> QuadratureGrid:
+        """theta*'s grid: an environment has one Omega grid."""
+        return self.theta_star.grid
 
 
 def check_norm_bound(env: Environment, M: float) -> float:
@@ -101,8 +102,7 @@ def _bump_theta_star(omega_grid: QuadratureGrid) -> GridFunction:
     for center, height, width in BUMPS:
         values = values + height * np.exp(-(omega_grid.nodes - center) ** 2 / (2.0 * width**2))
     values = np.maximum(values, 0.0)
-    values = values / float(omega_grid.weights @ values)
-    return GridFunction(omega_grid, values)
+    return GridFunction(omega_grid, values / float(omega_grid.weights @ values))
 
 
 def _finite_rank_basis(rank=8):
@@ -144,7 +144,7 @@ def make_catalog_env(name: str, omega_grid: QuadratureGrid, s_grid: QuadratureGr
         theta = _bump_theta_star(omega_grid)
     else:
         raise ValueError("unknown theta_star %r" % theta_star)
-    return Environment(basis, theta, omega_grid, s_grid, context_dim, action_count)
+    return Environment(basis, theta, s_grid, context_dim, action_count)
 
 
 def true_cdf(env: Environment, x, a: int) -> GridFunction:

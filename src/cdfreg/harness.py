@@ -16,7 +16,7 @@ from .environments import (Environment, check_norm_bound, draw_outcomes, make_ca
                            sample_context)
 from .functionals import make_functional
 from .numerics import (MAX_EIG_SIZE, MAX_GRID_NODES, build_cdf_grid, build_uniform_grid,
-                       checked_count, checked_real, same_grid)
+                       check_grid, checked_count, checked_real)
 from .operators import EigendecayFit, basis_chunks, estimate_eigendecay
 from .regression import Dataset, regress
 
@@ -85,17 +85,14 @@ class ExperimentConfig:
 
 
 def build_environment(config: ExperimentConfig) -> Environment:
-    omega_grid = build_uniform_grid(config.omega_nodes)
-    s_grid = build_cdf_grid(config.s_nodes)
-    env_params = dict(config.environment)
-    name = env_params.pop("name")
-    return make_catalog_env(name, omega_grid, s_grid, **env_params)
+    params = dict(config.environment)
+    return make_catalog_env(params.pop("name"), build_uniform_grid(config.omega_nodes),
+                            build_cdf_grid(config.s_nodes), **params)
 
 
 def build_functional(config: ExperimentConfig):
     params = dict(config.functional)
-    name = params.pop("name")
-    return make_functional(name, **params)
+    return make_functional(params.pop("name"), **params)
 
 
 # The eigendecay pre-pass behind gamma = "estimate" and ``cdfreg decay``.
@@ -152,13 +149,11 @@ def heldout_cdf_error(estimate, env: Environment, n_pairs: int,
     fresh (context, action) pairs.
 
     The pairs are drawn by ``_draw_records``; the CDF differences
-    (w (theta_hat - theta*)) @ phi are evaluated chunk by chunk. An
-    estimate on another Omega grid than the environment's, and an n_pairs
-    that is not a positive integer, are refused.
+    (w (theta_hat - theta*)) @ phi are evaluated chunk by chunk. An estimate
+    off the environment's Omega grid, or an n_pairs below 1, is refused.
     """
     n_pairs = checked_count(n_pairs, "n_pairs", 1)
-    if not same_grid(estimate.theta_hat.grid, env.omega_grid):
-        raise ValueError("estimate lives on a different grid than the environment's Omega grid")
+    check_grid(estimate.theta_hat.grid, env.omega_grid, "estimate")
     X, A, _ = _draw_records(env, n_pairs, rng)
     w_diff = env.omega_grid.weights * (estimate.theta_hat.values - env.theta_star.values)
     total = 0.0

@@ -131,26 +131,29 @@ class GridFunction:
         return float(np.sqrt(self.grid.weights @ self.values**2))
 
 
-def same_grid(a: QuadratureGrid, b: QuadratureGrid) -> bool:
-    return a is b or np.array_equal(a.nodes, b.nodes)
+def check_grid(grid: QuadratureGrid, expected: QuadratureGrid, what: str) -> None:
+    """The package's one grid rule: ``grid`` is ``expected`` or has its nodes and
+    weights; else ``ValueError("<what> lives on a different grid")``."""
+    if grid is not expected and not (np.array_equal(grid.nodes, expected.nodes)
+                                     and np.array_equal(grid.weights, expected.weights)):
+        raise ValueError("%s lives on a different grid" % what)
+
+
+def _equal_weight_grid(n_nodes: int, offset: float) -> QuadratureGrid:
+    n_nodes = checked_count(n_nodes, "n_nodes", 2, MAX_GRID_NODES)
+    return QuadratureGrid((np.arange(n_nodes) + offset) / n_nodes, np.full(n_nodes, 1.0 / n_nodes))
 
 
 def build_uniform_grid(n_nodes: int) -> QuadratureGrid:
     """Midpoint rule on [0,1]."""
-    n_nodes = checked_count(n_nodes, "n_nodes", 2, MAX_GRID_NODES)
-    nodes = (np.arange(n_nodes) + 0.5) / n_nodes
-    return QuadratureGrid(nodes, np.full(n_nodes, n_nodes ** -1.0))
+    return _equal_weight_grid(n_nodes, 0.5)
 
 
 def build_cdf_grid(n_nodes: int) -> QuadratureGrid:
-    """Right-endpoint rule on [0,1]; the last node is exactly 1.
-
-    Used for the outcome support so that indicator integrals, CDF terminal
-    values, and inverse-CDF sampling are mutually consistent on the grid.
-    """
-    n_nodes = checked_count(n_nodes, "n_nodes", 2, MAX_GRID_NODES)
-    nodes = (np.arange(n_nodes) + 1.0) / n_nodes
-    return QuadratureGrid(nodes, np.full(n_nodes, 1.0 / n_nodes))
+    """Right-endpoint rule on [0,1]; the last node is exactly 1, so that on
+    the outcome support indicator integrals, CDF terminal values and
+    inverse-CDF sampling agree."""
+    return _equal_weight_grid(n_nodes, 1.0)
 
 
 def symmetrized(matrix, tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
@@ -209,8 +212,8 @@ class SpectralDecomposition:
                              "(n_nodes, n_eigs) array")
         if not np.all(np.isfinite(self.eigenfunctions)):
             raise ValueError("eigenfunction values must be finite")
-        if np.any(vals < 0):
-            raise ValueError("eigenvalues must be nonnegative")
+        if not np.all(np.isfinite(vals) & (vals >= 0)):
+            raise ValueError("eigenvalues must be finite and nonnegative")
         # a rise above round-off of the largest eigenvalue, as in ``_clamped``
         if np.any(np.diff(vals) > PSD_ROUNDOFF * np.max(vals, initial=0.0)):
             raise ValueError("eigenvalues must be descending")

@@ -18,11 +18,11 @@ from .numerics import (
     GridFunction,
     QuadratureGrid,
     SpectralDecomposition,
+    check_grid,
     checked_count,
     quadrature_eig,
     quadrature_eigvals,
     readonly_copy,
-    same_grid,
     symmetrized,
 )
 
@@ -194,8 +194,7 @@ def weighted_quadratic(op: DesignOperator, theta_values: np.ndarray) -> float:
 def weighted_norm(theta: GridFunction, op: DesignOperator) -> float:
     """The seminorm sqrt(<theta, U_D theta>); the form is refused below
     -PSD_ROUNDOFF times its terms' size |wv|^T |K| |wv|, wv = weights * theta."""
-    if not same_grid(theta.grid, op.grid):
-        raise ValueError("theta lives on a different grid than the operator")
+    check_grid(theta.grid, op.grid, "theta")
     q = weighted_quadratic(op, theta.values)
     wv = np.abs(op.grid.weights * theta.values)
     if q < -PSD_ROUNDOFF * float(wv @ np.abs(op.kernel_matrix) @ wv):

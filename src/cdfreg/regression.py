@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import (GridFunction, QuadratureGrid, SpectralDecomposition, checked_count,
-                       checked_real, same_grid)
+from .numerics import (GridFunction, QuadratureGrid, SpectralDecomposition, check_grid,
+                       checked_count, checked_real)
 from .operators import (
     CdfBasis,
     DesignOperator,
@@ -102,8 +102,7 @@ def select_truncation(spec: SpectralDecomposition, n: int, gamma: float) -> Trun
 def pseudo_inverse_apply(spec: SpectralDecomposition, plan: TruncationPlan,
                          g: GridFunction) -> GridFunction:
     """sum_{i <= N_eps} (1/lambda_i) <g, e_i> e_i; zero when nothing is retained."""
-    if not same_grid(g.grid, spec.grid):
-        raise ValueError("input lives on a different grid")
+    check_grid(g.grid, spec.grid, "input")
     # with nothing retained, emat is (n, 0) and the product is +0.0 everywhere
     emat = spec.eigenfunctions[:, : plan.n_eps]
     coeffs = emat.T @ (spec.grid.weights * g.values)
@@ -199,7 +198,8 @@ def empirical_target(dataset: Dataset, basis: CdfBasis, omega_grid: QuadratureGr
 def loss(theta: GridFunction, dataset: Dataset, basis: CdfBasis,
          omega_grid: QuadratureGrid, s_grid: QuadratureGrid) -> float:
     """Summed squared L2(S) distance between indicator targets and the
-    mixture CDFs induced by theta."""
+    mixture CDFs induced by theta, which must live on ``omega_grid``."""
+    check_grid(theta.grid, omega_grid, "theta")
     wtheta = omega_grid.weights * theta.values
     total = 0.0
     for sl, phi in basis_chunks(basis, dataset.X, dataset.A, omega_grid, s_grid):
@@ -435,8 +435,7 @@ def project_to_C(theta: GridFunction, op: DesignOperator, M: float) -> Coefficie
     A theta on another grid than the operator's is refused.
     """
     M = checked_real(M, "M")
-    if not same_grid(theta.grid, op.grid):
-        raise ValueError("theta lives on a different grid than the operator")
+    check_grid(theta.grid, op.grid, "theta")
     weights = op.grid.weights
     start = _cap_l2_norm(_project_unit_mass(theta.values, weights), weights, M)
     if M == 1.0 or not np.any(op.kernel_matrix):
@@ -481,13 +480,15 @@ def regress(dataset: Dataset, basis: CdfBasis, gamma: float, M: float,
     from one basis pass over the dataset (``data_statistics``); a caller
     that already holds phi for the dataset's pairs, as the engine does,
     passes the statistics it accumulated instead, and no basis is
-    evaluated. Statistics whose count is not the dataset's are refused.
+    evaluated. Statistics of another count or on other grids are refused.
     """
     if statistics is None:
         statistics = data_statistics(dataset, basis, omega_grid, s_grid)
     elif statistics.count != len(dataset):
         raise ValueError("statistics count %d does not match the dataset's %d records"
                          % (statistics.count, len(dataset)))
+    check_grid(statistics.omega_grid, omega_grid, "statistics' design kernel")
+    check_grid(statistics.s_grid, s_grid, "statistics' outcome indicator")
     if statistics.count == 0:
         raise ValueError("dataset must be nonempty")
     op = statistics.design_operator()

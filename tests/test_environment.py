@@ -36,17 +36,19 @@ def test_rank1_true_cdf_is_identity():
     assert np.allclose(f.values, S.nodes, atol=1e-12)
 
 
-def test_environment_refuses_theta_star_on_another_grid():
-    # a 32-node outcome grid next to a 32-node Omega grid: same size, other
-    # nodes, so theta_star's values would be paired with Omega's weights
+def test_environment_omega_grid_is_theta_stars_grid():
+    # the Omega grid used to be a second field that had to match theta*'s
+    # nodes; it is theta*'s grid, so the two cannot disagree
     env = make_catalog_env("kumaraswamy", OMEGA, S)
+    assert env.omega_grid is env.theta_star.grid is OMEGA
+    assert "omega_grid" not in {f.name for f in dataclasses.fields(Environment)}
+    with pytest.raises(AttributeError):
+        env.omega_grid = S
     other = build_cdf_grid(OMEGA.size)
-    theta = GridFunction(other, np.full(other.size, 1.0 / float(np.sum(other.weights))))
-    assert theta.integral() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="theta_star must live on omega_grid"):
-        Environment(env.basis, theta, OMEGA, S, env.context_dim, env.action_count)
-    same = GridFunction(build_uniform_grid(32), env.theta_star.values)
-    Environment(env.basis, same, OMEGA, S, env.context_dim, env.action_count)
+    moved = Environment(env.basis, GridFunction(other, np.ones(other.size)), S,
+                        env.context_dim, env.action_count)
+    assert moved.omega_grid is other
+    assert dataclasses.replace(env, basis=env.basis).omega_grid is OMEGA
 
 
 def test_unknown_names_rejected():

@@ -204,9 +204,9 @@ COUNT_INPUTS = {
         "kumaraswamy", OMEGA, S, action_count=v)),
     "make_catalog_env-rank": (1, lambda v: make_catalog_env("finite-rank-r", OMEGA, S, rank=v)),
     "Environment-context_dim": (1, lambda v: Environment(
-        _env().basis, _env().theta_star, OMEGA, S, v, 5)),
+        _env().basis, _env().theta_star, S, v, 5)),
     "Environment-action_count": (1, lambda v: Environment(
-        _env().basis, _env().theta_star, OMEGA, S, 2, v)),
+        _env().basis, _env().theta_star, S, 2, v)),
     "sample_outcomes-size": (0, lambda v: sample_outcomes(
         _env(), np.zeros(2), 0, v, np.random.default_rng(0))),
     "run_episode-T": (2, lambda v: run_episode(_env(), make_functional("mean"), v, 0.1, 1.0,
@@ -756,7 +756,8 @@ def test_cli_eig_rejects_top_below_one(capsys, top):
         main(["eig", "--kernel", "min", "--top", top])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "--top" in captured.err
+    assert captured.out == ""
+    assert "--top must be an integer >= 1, not %s" % top in captured.err
 
 
 @pytest.mark.parametrize("environment", [{"name": "finite-rank-r", "rank": 8},

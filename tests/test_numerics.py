@@ -33,6 +33,15 @@ def test_descending_order_is_judged_relative_to_lambda_1(scale):
         SpectralDecomposition(scale * np.array(vals), np.eye(2), grid)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 1923, 2000])
+def test_grid_builders_share_weights_one_over_n(n):
+    # the midpoint rule wrote n ** -1.0, one ulp below 1 / n at n = 1923
+    for build, offset in ((build_uniform_grid, 0.5), (build_cdf_grid, 1.0)):
+        grid = build(n)
+        assert np.array_equal(grid.weights, np.full(n, 1.0 / n))
+        assert np.array_equal(grid.nodes, (np.arange(n) + offset) / n)
+
+
 def test_uniform_grid_weights_sum_to_volume():
     grid = build_uniform_grid(7)
     assert grid.nodes.shape == grid.weights.shape == (7,)

@@ -23,6 +23,7 @@ from cdfreg import (
     error_budget,
     estimate_eigendecay,
     generate_dataset,
+    heldout_cdf_error,
     loss,
     make_catalog_env,
     make_functional,
@@ -536,9 +537,9 @@ def _refusal_cases():
     tilted[:2] = -0.5, 2.5
     penalty = make_functional("expected_penalty", loss_row=[0.0, 1.0])
     return {
-        "env-negative-theta": (lambda: Environment(basis, GridFunction(OMEGA, tilted), OMEGA, S,
+        "env-negative-theta": (lambda: Environment(basis, GridFunction(OMEGA, tilted), S,
                                                    2, 5), "nonnegative"),
-        "env-theta-mass": (lambda: Environment(basis, GridFunction(OMEGA, 2.0 * ones), OMEGA, S,
+        "env-theta-mass": (lambda: Environment(basis, GridFunction(OMEGA, 2.0 * ones), S,
                                                2, 5), "integrate to 1"),
         "grid-counts": (lambda: QuadratureGrid(np.zeros(3), [0.5, 0.5]), "counts differ"),
         "grid-2d-nodes": (lambda: QuadratureGrid([[0.25], [0.75]], [0.5, 0.5]), "1-d array"),
@@ -549,6 +550,13 @@ def _refusal_cases():
         "function-nan": (lambda: GridFunction(OMEGA, np.full(OMEGA.size, np.nan)), "finite"),
         "spectrum-negative": (lambda: SpectralDecomposition([1.0, -0.5], np.eye(2), grid2),
                               "nonnegative"),
+        # NaN never met the checks' failure conditions, and inf passed them
+        "spectrum-nan-first": (lambda: SpectralDecomposition([np.nan, 1.0], np.eye(2), grid2),
+                               "^eigenvalues must be finite and nonnegative$"),
+        "spectrum-inf-first": (lambda: SpectralDecomposition([np.inf, 1.0], np.eye(2), grid2),
+                               "^eigenvalues must be finite and nonnegative$"),
+        "spectrum-nan-last": (lambda: SpectralDecomposition([1.0, np.nan], np.eye(2), grid2),
+                              "^eigenvalues must be finite and nonnegative$"),
         "spectrum-ascending": (lambda: SpectralDecomposition([0.5, 1.0], np.eye(2), grid2),
                                "descending"),
         "kernel-eig-size": (lambda: degenerate_kernel_eig(np.minimum, 1000, 3),
@@ -579,6 +587,61 @@ def test_inputs_outside_the_contract_are_refused(case):
     call, message = _refusal_cases()[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _grid_checked_sites():
+    """site -> (the grid it expects, a call that hands it another grid g in
+    its place, the refusal's <what>) for every grid-checked site."""
+    env = make_catalog_env("kumaraswamy", OMEGA, S)
+    data = generate_dataset(env, 16, np.random.default_rng(0))
+    op = design_operator(env.basis, zip(data.X, data.A), OMEGA, S)
+    spec = spectral_decompose(op)
+    plan = select_truncation(spec, len(data), 1.0)
+
+    def ones(g):
+        return GridFunction(g, np.ones(g.size))
+
+    def regress_with_statistics_on(omega, s):
+        stats = regression.data_statistics(data, env.basis, omega, s)
+        return regress(data, env.basis, 1.0, 2.0, OMEGA, S, statistics=stats)
+
+    return {
+        "pseudo_inverse_apply": (OMEGA, lambda g: pseudo_inverse_apply(spec, plan, ones(g)),
+                                 "input"),
+        "project_to_C": (OMEGA, lambda g: project_to_C(ones(g), op, 2.0), "theta"),
+        "weighted_norm": (OMEGA, lambda g: weighted_norm(ones(g), op), "theta"),
+        "loss": (OMEGA, lambda g: loss(ones(g), data, env.basis, OMEGA, S), "theta"),
+        "heldout_cdf_error": (OMEGA, lambda g: heldout_cdf_error(
+            regression.CoefficientEstimate(ones(g), regression.Diagnostics()), env, 8,
+            np.random.default_rng(0)), "estimate"),
+        "regress-statistics-omega": (OMEGA, lambda g: regress_with_statistics_on(g, S),
+                                     "statistics' design kernel"),
+        "regress-statistics-outcome": (S, lambda g: regress_with_statistics_on(OMEGA, g),
+                                       "statistics' outcome indicator"),
+    }
+
+
+def _other_grids(grid):
+    """A grid of ``grid``'s size with other nodes, and one with its nodes
+    under other weights."""
+    other_nodes = (build_uniform_grid if grid.nodes[-1] == 1.0 else build_cdf_grid)(grid.size)
+    w = 1.0 + grid.nodes
+    return {"other-nodes": other_nodes, "other-weights": QuadratureGrid(grid.nodes, w / w.sum())}
+
+
+@pytest.mark.parametrize("other", ["other-nodes", "other-weights"])
+@pytest.mark.parametrize("site", sorted(_grid_checked_sites()))
+def test_grid_checked_sites_refuse_another_grid(site, other):
+    # loss paired theta on another grid with omega_grid's weights (2.94 for
+    # theta = 1 on the 32-node CDF grid and this dataset), regress took
+    # statistics summed on other grids without a word, and every site took a
+    # grid with the same nodes and other weights
+    expected, call, what = _grid_checked_sites()[site]
+    grid = _other_grids(expected)[other]
+    assert np.array_equal(grid.nodes, expected.nodes) == (other == "other-weights")
+    with pytest.raises(ValueError, match="^%s lives on a different grid$" % what):
+        call(grid)
+    call(QuadratureGrid(expected.nodes, expected.weights))  # an equal copy passes
 
 
 def test_error_budget_hand_value():
